@@ -110,37 +110,59 @@ def build_event(
     """Materialize a RAID-layer log line into a :class:`FailureEvent`.
 
     Resolves the line's disk id against the system's snapshot topology
-    (slot, then disk generation within the slot) and attaches every
+    (bay, then disk generation within the bay) and attaches every
     topology attribute the analyses group by.  Returns ``None`` when
     the disk cannot be found — callers decide whether that is noise to
     skip or (in strict mode) an error.  Shared by the batch parser and
     the streaming parser.
     """
-    slot_key = line.disk_id.rsplit("#", 1)[0]
-    try:
-        slot = system.slot_by_key(slot_key)
-    except Exception:
+    found = _locate(system, line.disk_id)
+    if found is None:
         return None
-    disk = None
-    for candidate in slot.disks:
-        if candidate.disk_id == line.disk_id:
-            disk = candidate
-            break
-    if disk is None:
-        return None
+    shelf_id, raid_group_id, disk_model = found
     return FailureEvent(
         occur_time=min(occur_time, line.time),
         detect_time=line.time,
         failure_type=failure_type,
-        disk_id=disk.disk_id,
-        shelf_id=disk.shelf_id,
-        raid_group_id=slot.raid_group_id,
+        disk_id=line.disk_id,
+        shelf_id=shelf_id,
+        raid_group_id=raid_group_id,
         system_id=system.system_id,
         system_class=system.system_class.value,
-        disk_model=disk.model,
+        disk_model=disk_model,
         shelf_model=system.shelf_model,
         dual_path=system.dual_path,
         replaced_disk=(failure_type is FailureType.DISK),
+    )
+
+
+def _locate(system: StorageSystem, disk_id: str) -> Optional[Tuple[str, str, str]]:
+    """(shelf id, RAID group id, model) of a disk of ``system``, or None.
+
+    A system of a fleet answers from the fleet's arrays; a system built
+    by hand from its objects.
+    """
+    fleet = system.fleet
+    if fleet is None:
+        try:
+            slot = system.slot_by_key(disk_id.rsplit("#", 1)[0])
+        except Exception:
+            return None
+        for disk in slot.disks:
+            if disk.disk_id == disk_id:
+                return disk.shelf_id, slot.raid_group_id, disk.model
+        return None
+    row = fleet.find_disk(disk_id)
+    if row < 0:
+        return None
+    slot = fleet.disk_slot[row]
+    if fleet.slot_system[slot] != system.fleet_index:
+        return None
+    group = fleet.slot_group[slot]
+    return (
+        fleet.shelf_ids[fleet.slot_shelf[slot]],
+        fleet.group_ids[group] if group >= 0 else "",
+        system.primary_disk_model,
     )
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import LogFormatError
-from repro.fleet.fleet import Fleet
+import numpy as np
+
+from repro.errors import LogFormatError, TopologyError
+from repro.fleet.fleet import RAID_TYPES, Fleet, offsets, serial_value
 from repro.topology.classes import SystemClass
-from repro.topology.components import Disk, Shelf
-from repro.topology.raidgroup import RAIDGroup, RaidType
-from repro.topology.system import StorageSystem
+from repro.topology.components import MAX_DISKS_PER_SHELF
+from repro.topology.raidgroup import RaidType
 
 _FORMAT_VERSION = "1"
 
@@ -29,41 +30,65 @@ def write_snapshot(fleet: Fleet) -> str:
     lines.append("version = %s" % _FORMAT_VERSION)
     lines.append("duration_seconds = %r" % fleet.duration_seconds)
     lines.append("")
-    for system in fleet.systems:
-        lines.append("[system %s]" % system.system_id)
+    all_slots = np.arange(fleet.slot_count)
+    slot_keys = fleet.slot_keys(all_slots)
+    slot_groups = fleet.slot_group_ids(all_slots)
+    slot_local = (all_slots - fleet.shelf_slot_start[fleet.slot_shelf]).tolist()
+    members = fleet.group_members(all_slots)
+    disk_slot = fleet.disk_slot.tolist()
+    disk_ids = [
+        "%s#%d" % (slot_keys[slot], gen)
+        for slot, gen in zip(disk_slot, fleet.disk_gen.tolist())
+    ]
+    serials = fleet.disk_serials()
+    installs = fleet.disk_install.tolist()
+    removes = [
+        "none" if value == np.inf else repr(value)
+        for value in fleet.disk_remove.tolist()
+    ]
+    shelf_starts = fleet.system_shelf_start.tolist()
+    group_starts = fleet.system_group_start.tolist()
+    slot_starts = fleet.shelf_slot_start.tolist()
+    disk_starts = fleet.slot_disk_start.tolist()
+    for index, system in enumerate(fleet.systems):
+        system_id = system.system_id
+        lines.append("[system %s]" % system_id)
         lines.append("class = %s" % system.system_class.value)
         lines.append("shelf_model = %s" % system.shelf_model)
         lines.append("disk_model = %s" % system.primary_disk_model)
         lines.append("dual_path = %s" % ("true" if system.dual_path else "false"))
         lines.append("deploy_time = %r" % system.deploy_time)
         lines.append("")
-        for shelf in system.shelves:
-            lines.append("[shelf %s]" % shelf.shelf_id)
-            lines.append("system = %s" % system.system_id)
-            lines.append("model = %s" % shelf.model)
-            lines.append("slots = %d" % len(shelf.slots))
-            lines.append(
-                "slot_groups = %s"
-                % ",".join(slot.raid_group_id for slot in shelf.slots)
-            )
+        for shelf in range(shelf_starts[index], shelf_starts[index + 1]):
+            first, last = slot_starts[shelf], slot_starts[shelf + 1]
+            lines.append("[shelf %s]" % fleet.shelf_ids[shelf])
+            lines.append("system = %s" % system_id)
+            lines.append("model = %s" % system.shelf_model)
+            lines.append("slots = %d" % (last - first))
+            lines.append("slot_groups = %s" % ",".join(slot_groups[first:last]))
             lines.append("")
-            for slot in shelf.slots:
-                for disk in slot.disks:
-                    lines.append("[disk %s]" % disk.disk_id)
-                    lines.append("model = %s" % disk.model)
-                    lines.append("slot = %d" % disk.slot_index)
-                    lines.append("serial = %s" % disk.serial)
-                    lines.append("install_time = %r" % disk.install_time)
-                    remove = (
-                        "none" if disk.remove_time is None else repr(disk.remove_time)
+            for row in range(disk_starts[first], disk_starts[last]):
+                # One element per section; the join adds its blank line.
+                lines.append(
+                    "[disk %s]\nmodel = %s\nslot = %d\nserial = %s\n"
+                    "install_time = %r\nremove_time = %s\n"
+                    % (
+                        disk_ids[row],
+                        system.primary_disk_model,
+                        slot_local[disk_slot[row]],
+                        serials[row],
+                        installs[row],
+                        removes[row],
                     )
-                    lines.append("remove_time = %s" % remove)
-                    lines.append("")
-        for group in system.raid_groups:
-            lines.append("[raidgroup %s]" % group.raid_group_id)
-            lines.append("system = %s" % system.system_id)
-            lines.append("raid_type = %s" % group.raid_type.value)
-            lines.append("slot_keys = %s" % ",".join(group.slot_keys))
+                )
+        for group in range(group_starts[index], group_starts[index + 1]):
+            lines.append("[raidgroup %s]" % fleet.group_ids[group])
+            lines.append("system = %s" % system_id)
+            lines.append("raid_type = %s" % RAID_TYPES[fleet.group_raid_type[group]].value)
+            lines.append(
+                "slot_keys = %s"
+                % ",".join(slot_keys[slot] for slot in members.get(group, []))
+            )
             lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -71,8 +96,13 @@ def write_snapshot(fleet: Fleet) -> str:
 def parse_snapshot(text: str) -> Fleet:
     """Rebuild a fleet from snapshot text.
 
+    A RAID group's members are the bays whose shelf names it in
+    ``slot_groups``; its ``slot_keys`` line is informational.
+
     Raises:
-        LogFormatError: on malformed sections or dangling references.
+        LogFormatError: on malformed sections, dangling references, or
+            content a fleet cannot hold (a shelf or disk model other
+            than its system's, a malformed serial).
     """
     sections = _split_sections(text)
     meta = _take_unique(sections, "meta")
@@ -80,92 +110,147 @@ def parse_snapshot(text: str) -> Fleet:
     if duration <= 0.0:
         raise LogFormatError("snapshot meta lacks a positive duration")
 
-    systems: Dict[str, StorageSystem] = {}
-    order: List[str] = []
+    systems: Dict[str, int] = {}
+    rows: List[Tuple[str, SystemClass, str, str, bool, float]] = []
     for name, fields in sections:
         if not name.startswith("system "):
             continue
         system_id = name.split(" ", 1)[1]
         try:
-            system = StorageSystem(
-                system_id=system_id,
-                system_class=SystemClass(fields["class"]),
-                shelf_model=fields["shelf_model"],
-                primary_disk_model=fields["disk_model"],
-                dual_path=fields["dual_path"] == "true",
-                deploy_time=float(fields["deploy_time"]),
+            row = (
+                system_id,
+                SystemClass(fields["class"]),
+                fields["shelf_model"],
+                fields["disk_model"],
+                fields["dual_path"] == "true",
+                float(fields["deploy_time"]),
             )
         except (KeyError, ValueError) as exc:
             raise LogFormatError("bad system section %r: %s" % (system_id, exc)) from None
-        systems[system_id] = system
-        order.append(system_id)
-
-    for name, fields in sections:
-        if not name.startswith("shelf "):
-            continue
-        shelf_id = name.split(" ", 1)[1]
-        system = _owner(systems, fields, shelf_id)
-        shelf = Shelf(shelf_id=shelf_id, model=fields["model"], system_id=system.system_id)
-        slot_groups = fields.get("slot_groups", "")
-        group_ids = slot_groups.split(",") if slot_groups else []
-        n_slots = int(fields["slots"])
-        if group_ids and len(group_ids) != n_slots:
-            raise LogFormatError("shelf %s slot_groups mismatch" % shelf_id)
-        shelf.add_slots(n_slots, group_ids or None)
-        system.shelves.append(shelf)
-
-    shelf_owner: Dict[str, StorageSystem] = {
-        shelf.shelf_id: system
-        for system in systems.values()
-        for shelf in system.shelves
-    }
-    for name, fields in sections:
-        if not name.startswith("disk "):
-            continue
-        disk_id = name.split(" ", 1)[1]
-        slot_key = disk_id.rsplit("#", 1)[0]
-        shelf_id = slot_key.rsplit("/", 1)[0]
-        system = shelf_owner.get(shelf_id)
-        if system is None:
-            raise LogFormatError(
-                "%s references unknown shelf %r" % (disk_id, shelf_id)
+        if row[4] and not row[1].supports_dual_path:
+            raise TopologyError(
+                "system class %s does not support dual-path FC" % row[1].value
             )
-        slot = system.slot_by_key(slot_key)
-        remove_raw = fields["remove_time"]
-        disk = Disk(
-            disk_id=disk_id,
-            model=fields["model"],
-            system_id=system.system_id,
-            shelf_id=shelf_id,
-            slot_index=int(fields["slot"]),
-            raid_group_id=slot.raid_group_id,
-            install_time=float(fields["install_time"]),
-            remove_time=None if remove_raw == "none" else float(remove_raw),
-            serial=fields.get("serial", ""),
-        )
-        # Disks are serialized in install order per slot; append directly
-        # (the occupancy check in install() assumes live mutation order).
-        slot.disks.append(disk)
+        systems[system_id] = len(rows)
+        rows.append(row)
 
+    # Groups first (per system, in section order): shelves name them.
+    groups: List[List[Tuple[str, int]]] = [[] for _ in rows]
     for name, fields in sections:
         if not name.startswith("raidgroup "):
             continue
         group_id = name.split(" ", 1)[1]
-        system = _owner(systems, fields, group_id)
-        slot_keys = fields["slot_keys"].split(",") if fields["slot_keys"] else []
-        system.raid_groups.append(
-            RAIDGroup(
-                raid_group_id=group_id,
-                system_id=system.system_id,
-                raid_type=RaidType(fields["raid_type"]),
-                slot_keys=slot_keys,
+        owner = _owner(systems, fields, group_id)
+        groups[owner].append((group_id, RAID_TYPES.index(RaidType(fields["raid_type"]))))
+    group_ids = [group_id for per in groups for group_id, _ in per]
+    group_owners = [owner for owner, per in enumerate(groups) for _ in per]
+    group_index = {
+        (owner, group_id): index
+        for index, (owner, group_id) in enumerate(zip(group_owners, group_ids))
+    }
+
+    shelves: List[List[Tuple[str, List[str]]]] = [[] for _ in rows]
+    for name, fields in sections:
+        if not name.startswith("shelf "):
+            continue
+        shelf_id = name.split(" ", 1)[1]
+        owner = _owner(systems, fields, shelf_id)
+        _same_model(shelf_id, fields["model"], rows[owner][2], "shelf")
+        slot_groups = fields.get("slot_groups", "")
+        bay_groups = slot_groups.split(",") if slot_groups else []
+        n_slots = int(fields["slots"])
+        if bay_groups and len(bay_groups) != n_slots:
+            raise LogFormatError("shelf %s slot_groups mismatch" % shelf_id)
+        if n_slots > MAX_DISKS_PER_SHELF:
+            raise TopologyError(
+                "shelf %s cannot host %d disks (max %d)"
+                % (shelf_id, n_slots, MAX_DISKS_PER_SHELF)
+            )
+        shelves[owner].append((shelf_id, bay_groups or [""] * n_slots))
+    shelf_ids = [shelf_id for per in shelves for shelf_id, _ in per]
+    shelf_slots = [len(bays) for per in shelves for _, bays in per]
+    shelf_slot_start = offsets(shelf_slots)
+    shelf_index = {shelf_id: index for index, shelf_id in enumerate(shelf_ids)}
+    shelf_owner = [owner for owner, per in enumerate(shelves) for _ in per]
+    slot_group: List[int] = []
+    for owner, per in enumerate(shelves):
+        for shelf_id, bays in per:
+            for group_id in bays:
+                if group_id and (owner, group_id) not in group_index:
+                    raise LogFormatError(
+                        "shelf %s names RAID group %r, not one of its system's"
+                        % (shelf_id, group_id)
+                    )
+                slot_group.append(group_index.get((owner, group_id), -1))
+
+    disks: List[Tuple[int, int, float, float, int]] = []
+    for name, fields in sections:
+        if not name.startswith("disk "):
+            continue
+        disk_id = name.split(" ", 1)[1]
+        slot_key, _, gen = disk_id.rpartition("#")
+        shelf_id, _, local = slot_key.rpartition("/")
+        shelf = shelf_index.get(shelf_id)
+        if shelf is None:
+            raise LogFormatError(
+                "%s references unknown shelf %r" % (disk_id, shelf_id)
+            )
+        owner = rows[shelf_owner[shelf]]
+        if not (
+            local.isdigit()
+            and "%02d" % int(local) == local
+            and int(local) < shelf_slots[shelf]
+        ):
+            raise TopologyError("system %s has no slot %s" % (owner[0], slot_key))
+        if not (gen.isdigit() and "%d" % int(gen) == gen):
+            raise LogFormatError("disk id %r lacks a #<generation>" % disk_id)
+        _same_model(disk_id, fields["model"], owner[3], "disk")
+        remove_raw = fields["remove_time"]
+        try:
+            serial = serial_value(fields.get("serial", ""))
+        except TopologyError as exc:
+            raise LogFormatError("disk %s: %s" % (disk_id, exc)) from None
+        disks.append(
+            (
+                int(shelf_slot_start[shelf]) + int(local),
+                int(gen),
+                float(fields["install_time"]),
+                np.inf if remove_raw == "none" else float(remove_raw),
+                serial,
             )
         )
-
-    return Fleet(
-        systems=[systems[system_id] for system_id in order],
-        duration_seconds=duration,
+    # The lifetime table runs by bay, then generation.
+    disks.sort(key=lambda disk: disk[:2])
+    columns = list(zip(*disks)) if disks else [()] * 5
+    return Fleet.from_columns(
+        duration,
+        system_ids=[row[0] for row in rows],
+        system_classes=[row[1] for row in rows],
+        shelf_models=[row[2] for row in rows],
+        disk_models=[row[3] for row in rows],
+        dual_path=[row[4] for row in rows],
+        deploy_time=[row[5] for row in rows],
+        system_shelf_start=offsets([len(per) for per in shelves]),
+        shelf_slot_start=shelf_slot_start,
+        system_group_start=offsets([len(per) for per in groups]),
+        group_raid_type=[code for per in groups for _, code in per],
+        slot_group=slot_group,
+        disk_slot=columns[0],
+        disk_gen=columns[1],
+        disk_install=columns[2],
+        disk_remove=columns[3],
+        disk_serial=columns[4],
+        shelf_ids=shelf_ids,
+        group_ids=group_ids,
     )
+
+
+def _same_model(what: str, model: str, expected: str, kind: str) -> None:
+    if model != expected:
+        raise LogFormatError(
+            "%s %s has model %r, its system's %s model is %r"
+            % (kind, what, model, kind, expected)
+        )
 
 
 def _split_sections(text: str) -> List[Tuple[str, Dict[str, str]]]:
@@ -195,9 +280,7 @@ def _take_unique(
     return matches[0]
 
 
-def _owner(
-    systems: Dict[str, StorageSystem], fields: Dict[str, str], child: str
-) -> StorageSystem:
+def _owner(systems: Dict[str, int], fields: Dict[str, str], child: str) -> int:
     system_id = fields.get("system", "")
     if system_id not in systems:
         raise LogFormatError("%s references unknown system %r" % (child, system_id))

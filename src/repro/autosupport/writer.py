@@ -15,6 +15,8 @@ import gzip
 import pathlib
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import LogFormatError
 from repro.failures.injector import InjectionResult
 from repro.failures.raidlayer import component_errors_for_failure
@@ -87,13 +89,20 @@ def write_logs(
     clock: SimulationClock = SimulationClock(),
 ) -> LogArchive:
     """Render the injection's events and recovered errors as logs."""
-    serial_index: Dict[str, Tuple[str, str]] = {}
-    for system in injection.fleet.systems:
-        for disk in system.iter_disks():
-            serial_index[disk.disk_id] = (disk.serial, system.system_id)
+    fleet = injection.fleet
+    owners = fleet.slot_system[fleet.disk_slot].tolist()
+    serial_index: Dict[str, Tuple[str, str]] = dict(
+        zip(
+            fleet.disk_ids(np.arange(fleet.disk_count_ever)),
+            zip(
+                fleet.disk_serials(),
+                [fleet.system_ids[owner] for owner in owners],
+            ),
+        )
+    )
 
     per_system: Dict[str, List[Tuple[float, str]]] = {
-        system.system_id: [] for system in injection.fleet.systems
+        system_id: [] for system_id in fleet.system_ids
     }
 
     for event in injection.events:

@@ -26,10 +26,11 @@ independent experiments on a process pool — with byte-identical output
 to serial.  A runtime-metrics footer (job counts, cache hits,
 simulations performed, latencies) is printed to stderr so stdout stays
 stable across cache states and ``--jobs`` values.  ``--shards N`` (or
-``$REPRO_SHARDS``) partitions the fleet so no process holds more than
-one slice: each shard simulates its cell subset, spills its event
-table to disk, and the merged result is byte-identical to the
-unsharded run (see docs/RUNTIME.md, "Sharded runs").
+``$REPRO_SHARDS``) partitions the fleet into slices that simulate as
+independent, individually cached jobs: each shard simulates its cell
+subset and spills its event table to disk, and the merged result —
+event table and fleet — is byte-identical to the unsharded run (see
+docs/RUNTIME.md, "Sharded runs").
 
 Observability (see docs/OBSERVABILITY.md): ``--trace FILE`` records a
 JSONL span trace of the whole command, ``--metrics FILE`` writes a

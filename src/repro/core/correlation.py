@@ -183,7 +183,7 @@ def _columnar_unit_counts(
             continue
         eligible_ids.add(system.system_id)
         n_units += (
-            len(system.shelves) if scope == "shelf" else len(system.raid_groups)
+            system.shelf_count if scope == "shelf" else system.raid_group_count
         )
 
     system_values = table.system_ids.values

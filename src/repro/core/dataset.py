@@ -33,7 +33,7 @@ from repro.failures.types import (
     FailureType,
 )
 from repro.fleet.calibration import PROBLEMATIC_DISK_FAMILY
-from repro.fleet.fleet import Fleet
+from repro.fleet.fleet import Fleet, sequential_sum
 from repro.topology.system import StorageSystem
 from repro.units import seconds_to_years
 
@@ -72,7 +72,6 @@ class FailureDataset:
         fleet: Fleet,
     ) -> None:
         self.fleet = fleet
-        self._exposure_cache: Dict[str, float] = {}
         self._dedup_cache: Dict[float, "FailureDataset"] = {}
         self._events: Optional[List[FailureEvent]] = None
         self._table: Optional[EventTable] = None
@@ -110,7 +109,6 @@ class FailureDataset:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.fleet = state["fleet"]
-        self._exposure_cache = {}
         self._dedup_cache = {}
         self._events = None
         self._table = None
@@ -178,12 +176,12 @@ class FailureDataset:
     ) -> "FailureDataset":
         """Restrict to systems satisfying ``predicate`` (events follow).
 
-        Returns a new dataset sharing the underlying system objects; the
-        fleet wrapper is rebuilt so exposure totals match the subset.
+        Returns a new dataset over :meth:`Fleet.select` of the kept
+        systems, which shares this fleet's exposure column.
         """
-        systems = [s for s in self.fleet.systems if predicate(s)]
-        kept_ids = {s.system_id for s in systems}
-        subset = Fleet(systems=systems, duration_seconds=self.fleet.duration_seconds)
+        kept = [i for i, s in enumerate(self.fleet.systems) if predicate(s)]
+        kept_ids = {self.fleet.system_ids[i] for i in kept}
+        subset = self.fleet.select(kept)
         if use_columnar():
             table = self.table
             kept = table.select(table.system_member_mask(kept_ids))
@@ -245,32 +243,30 @@ class FailureDataset:
         Exposure respects per-disk lifetimes: disks removed after a
         failure stop accruing, replacements start accruing at install —
         the paper's "we account for that ... by calculating the life
-        time of each individual disk" (Table 1 caption).
+        time of each individual disk" (Table 1 caption).  Systems are
+        summed one by one in fleet order from the fleet's per-system
+        exposure column.
         """
-        total = 0.0
-        for system in self.fleet.systems:
-            if predicate is not None and not predicate(system):
-                continue
-            total += self._system_exposure(system)
-        return seconds_to_years(total)
-
-    def _system_exposure(self, system: StorageSystem) -> float:
-        cached = self._exposure_cache.get(system.system_id)
-        if cached is None:
-            cached = system.disk_exposure_seconds(self.duration_seconds)
-            self._exposure_cache[system.system_id] = cached
-        return cached
+        column = self.fleet.exposure_column()
+        if predicate is not None:
+            systems = self.fleet.systems
+            column = column[
+                np.fromiter(
+                    (bool(predicate(s)) for s in systems), bool, count=len(systems)
+                )
+            ]
+        return seconds_to_years(sequential_sum(column))
 
     def exposure_years_by(
         self, key: Callable[[StorageSystem], Hashable]
     ) -> Dict[Hashable, float]:
         """Disk-years grouped by a system attribute."""
         grouped: Dict[Hashable, float] = {}
-        for system in self.fleet.systems:
+        for system, seconds in zip(
+            self.fleet.systems, self.fleet.exposure_column().tolist()
+        ):
             group = key(system)
-            grouped[group] = grouped.get(group, 0.0) + seconds_to_years(
-                self._system_exposure(system)
-            )
+            grouped[group] = grouped.get(group, 0.0) + seconds_to_years(seconds)
         return grouped
 
     def event_counts_by(
@@ -319,17 +315,16 @@ class FailureDataset:
         The correlation analysis needs the full population of shelves /
         RAID groups, including those that never failed.
         """
-        pairs: List[Tuple[str, StorageSystem]] = []
-        for system in self.fleet.systems:
-            if scope == "shelf":
-                pairs.extend((shelf.shelf_id, system) for shelf in system.shelves)
-            elif scope == "raid_group":
-                pairs.extend(
-                    (group.raid_group_id, system) for group in system.raid_groups
-                )
-            else:
-                raise AnalysisError("scope must be 'shelf' or 'raid_group'")
-        return pairs
+        fleet = self.fleet
+        if scope == "shelf":
+            ids, starts = fleet.shelf_ids, fleet.system_shelf_start
+        elif scope == "raid_group":
+            ids, starts = fleet.group_ids, fleet.system_group_start
+        else:
+            raise AnalysisError("scope must be 'shelf' or 'raid_group'")
+        owners = np.repeat(np.arange(fleet.system_count), np.diff(starts))
+        systems = fleet.systems
+        return [(unit, systems[owner]) for unit, owner in zip(ids, owners.tolist())]
 
     # -- summaries ---------------------------------------------------------------
 

@@ -90,9 +90,9 @@ def format_overview(dataset: FailureDataset) -> str:
             [
                 system_class.label,
                 str(len(systems)),
-                str(sum(len(s.shelves) for s in systems)),
+                str(sum(s.shelf_count for s in systems)),
                 str(sum(s.disk_count_ever for s in systems)),
-                str(sum(len(s.raid_groups) for s in systems)),
+                str(sum(s.raid_group_count for s in systems)),
             ]
             + [str(counts[ft]) for ft in FAILURE_TYPE_ORDER]
         )

@@ -32,9 +32,9 @@ def run(context: ExperimentContext) -> ExperimentResult:
                 counts[event.failure_type.value] += 1
         rows[system_class.value] = {
             "systems": len(systems),
-            "shelves": sum(len(s.shelves) for s in systems),
+            "shelves": sum(s.shelf_count for s in systems),
             "disks_ever": sum(s.disk_count_ever for s in systems),
-            "raid_groups": sum(len(s.raid_groups) for s in systems),
+            "raid_groups": sum(s.raid_group_count for s in systems),
             "dual_path_systems": sum(1 for s in systems if s.dual_path),
             "disk_interface": system_class.disk_interface,
             "failure_events": counts,
@@ -62,8 +62,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
         "lowend_most_numerous": rows[SystemClass.LOW_END.value]["systems"]
         == max(r["systems"] for r in rows.values()),
         # Disks ever installed exceeds bays (replacements happened).
-        "replacements_recorded": fleet.disk_count_ever
-        > sum(s.slot_count for s in fleet.systems),
+        "replacements_recorded": fleet.disk_count_ever > fleet.slot_count,
         # Every class recorded events of all four types.
         "all_types_observed": all(
             all(count > 0 for count in row["failure_events"].values())

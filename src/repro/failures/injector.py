@@ -13,7 +13,8 @@ For every system the injector:
 5. stamps every delivered failure with a detection time — the paper's
    systems scrub hourly, so detection lags occurrence by up to an hour.
 
-The injector mutates the fleet (disk removals/replacements) so exposure
+The injector walks each system's disk objects, then commits the disk
+removals and replacements to the fleet's lifetime table once, so exposure
 accounting downstream sees correct per-disk lifetimes.
 """
 
@@ -288,27 +289,40 @@ def emit_fleet_events(result: InjectionResult) -> None:
                         "system_id": event.system_id,
                     }
                 )
-    for system in result.fleet.systems:
-        for slot in system.iter_slots():
-            for failed, replacement in zip(slot.disks, slot.disks[1:]):
-                down = replacement.install_time - (
-                    failed.remove_time
-                    if failed.remove_time is not None
-                    else replacement.install_time
-                )
-                records.append(
-                    {
-                        "type": "fleet",
-                        "kind": "repair",
-                        "t": replacement.install_time,
-                        "disk_id": failed.disk_id,
-                        "replacement_id": replacement.disk_id,
-                        "down_seconds": down,
-                        "shelf_id": slot.shelf_id,
-                        "raid_group_id": slot.raid_group_id,
-                        "system_id": system.system_id,
-                    }
-                )
+    fleet = result.fleet
+    # A replacement is a lifetime-table row that follows a row of the
+    # same bay: the failed disk's removal to the new disk's install.
+    rows = np.flatnonzero(fleet.disk_slot[1:] == fleet.disk_slot[:-1]) + 1
+    if rows.size:
+        slots = fleet.disk_slot[rows]
+        installs = fleet.disk_install[rows].tolist()
+        removes = fleet.disk_remove[rows - 1]
+        downs = np.where(
+            np.isinf(removes), 0.0, fleet.disk_install[rows] - removes
+        ).tolist()
+        shelf_ids = fleet.shelf_ids
+        for failed, replacement, group, shelf, system, install, down in zip(
+            fleet.disk_ids(rows - 1),
+            fleet.disk_ids(rows),
+            fleet.slot_group_ids(slots),
+            fleet.slot_shelf[slots].tolist(),
+            fleet.slot_system[slots].tolist(),
+            installs,
+            downs,
+        ):
+            records.append(
+                {
+                    "type": "fleet",
+                    "kind": "repair",
+                    "t": install,
+                    "disk_id": failed,
+                    "replacement_id": replacement,
+                    "down_seconds": down,
+                    "shelf_id": shelf_ids[shelf],
+                    "raid_group_id": group,
+                    "system_id": fleet.system_ids[system],
+                }
+            )
     records.sort(key=lambda record: record["t"])  # type: ignore[arg-type, return-value]
     obs.OBSERVER.fleet_events.emit_many(records)
 
@@ -324,11 +338,12 @@ class FailureInjector:
         """Simulate failures over the fleet's observation window.
 
         The fleet is mutated: failed disks get ``remove_time`` set and
-        replacement disks are installed into their bays.
+        replacement disks are installed into their bays, on the systems'
+        disk objects and then, once, in the fleet's lifetime table.
         """
         events: List[FailureEvent] = []
         recovered: List[ComponentError] = []
-        with obs.span("inject.fleet", systems=len(fleet.systems)):
+        with obs.span("inject.fleet", systems=fleet.system_count):
             observing = obs.OBSERVER.registry.enabled
             for system in fleet.systems:
                 rng = random_source.stream("inject", system.system_id)
@@ -349,6 +364,7 @@ class FailureInjector:
             with obs.span("inject.sort", events=len(events)):
                 events.sort(key=lambda e: e.detect_time)
                 recovered.sort(key=lambda e: e.time)
+            fleet.commit_disks()
         result = InjectionResult(
             events=events, recovered_errors=recovered, fleet=fleet
         )

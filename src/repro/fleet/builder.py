@@ -2,27 +2,28 @@
 
 Construction is deterministic given a :class:`~repro.rng.RandomSource`:
 each system draws its shelf model, primary disk model, path
-configuration, deployment date, shelf count, and RAID type from keyed
-random streams, then populates bays with the initial disk complement
-(replacement disks are added later by the failure injector).
+configuration, deployment date, RAID type, shelf count and disk serials
+from its own keyed stream ``("fleet", class, index)``.  Everything else
+— shelf and bay numbering, RAID group layout, the initial disk of every
+bay — follows from those draws and is computed for all systems at once
+as arrays.  No shelf, bay or disk object is created; replacement disks
+are added to the lifetime table later by the failure injector.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.fleet import catalog
-from repro.fleet.fleet import Fleet
-from repro.fleet.spec import ClassSpec, FleetSpec
+from repro.fleet.fleet import RAID_TYPES, Fleet, offsets
+from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
-from repro.topology.components import Disk, Shelf
-from repro.topology.layout import assign_raid_groups
+from repro.topology.layout import group_layout
 from repro.topology.raidgroup import RaidType
-from repro.topology.system import StorageSystem
 
 
 def system_id_for(system_class: SystemClass, index: int) -> str:
@@ -33,6 +34,14 @@ def system_id_for(system_class: SystemClass, index: int) -> str:
     fleet spec without building them.
     """
     return "%s-%05d" % (_CLASS_TAGS[system_class], index)
+
+
+def fleet_order_key(system_class: SystemClass, system_id: str) -> Tuple[int, int]:
+    """Sort key of the builder's order: (class order, global index)."""
+    return (
+        SYSTEM_CLASS_ORDER.index(system_class),
+        int(system_id.rsplit("-", 1)[1]),
+    )
 
 
 def build_fleet(
@@ -53,16 +62,15 @@ def build_fleet(
             exactly their slice of the unsharded fleet.
 
     Returns:
-        A fleet whose bays hold their initial disks (``install_time`` set
-        to each system's deployment time) and whose RAID groups are laid
-        out per the spec's policy.
+        A fleet whose bays hold their initial disks (installed at each
+        system's deployment time) and whose RAID groups are laid out per
+        the spec's policy.
     """
-    systems: List[StorageSystem] = []
     with obs.span("fleet.build", scale=spec.scale):
+        draws: List[_ClassDraws] = []
         for system_class in SYSTEM_CLASS_ORDER:
             if system_class not in spec.class_specs:
                 continue
-            class_spec = spec.class_specs[system_class]
             count = spec.scaled_systems(system_class)
             if selection is None:
                 indices: Sequence[int] = range(count)
@@ -73,17 +81,12 @@ def build_fleet(
                         "selection indices for %s out of range [0, %d)"
                         % (system_class.value, count)
                     )
-            for index in indices:
-                system_id = system_id_for(system_class, index)
-                rng = random_source.stream("fleet", system_class.value, index)
-                systems.append(
-                    _build_system(system_id, system_class, class_spec, spec, rng)
-                )
+            draws.append(_draw_class(spec, system_class, indices, random_source))
             obs.inc(
                 "fleet.systems", len(indices), system_class=system_class.value
             )
-    fleet = Fleet(systems=systems, duration_seconds=spec.duration_seconds)
-    obs.set_gauge("fleet.disks", sum(s.slot_count for s in systems))
+        fleet = _assemble(spec, draws)
+    obs.set_gauge("fleet.disks", fleet.slot_count)
     return fleet
 
 
@@ -95,77 +98,125 @@ _CLASS_TAGS = {
 }
 
 
-def _choose_weighted(rng: np.random.Generator, pairs) -> str:
-    """Pick a name from ``[(name, weight), ...]`` (weights sum to ~1)."""
+class _ClassDraws:
+    """One class's per-system draws, in selection order."""
+
+    def __init__(self, system_class: SystemClass, n: int) -> None:
+        self.system_class = system_class
+        self.ids: List[str] = []
+        self.shelf_models: List[str] = []
+        self.disk_models: List[str] = []
+        # Per system: shelf, disk, [path,] deploy and RAID uniforms.
+        self.uniforms = np.empty((n, 5 if system_class.supports_dual_path else 4))
+        self.shelves = np.empty(n, dtype=np.int64)
+        self.serials: List[np.ndarray] = []
+
+
+def _cdf(pairs) -> Tuple[List[str], np.ndarray]:
+    """Names and the cumulative weights ``Generator.choice`` samples by."""
     names = [name for name, _ in pairs]
     weights = np.array([weight for _, weight in pairs], dtype=float)
-    weights = weights / weights.sum()
-    return str(rng.choice(names, p=weights))
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return names, cdf
 
 
-def _build_system(
-    system_id: str,
-    system_class: SystemClass,
-    class_spec: ClassSpec,
+def _draw_class(
     spec: FleetSpec,
-    rng: np.random.Generator,
-) -> StorageSystem:
-    """Construct one system: shelves, initial disks, RAID groups."""
-    shelf_mix = catalog.shelf_models_for_class(system_class)
-    shelf_model = _choose_weighted(rng, list(shelf_mix.items()))
-    disk_model = _choose_weighted(
-        rng, catalog.disk_models_for(system_class, shelf_model)
-    )
-    dual_path = (
-        system_class.supports_dual_path
-        and rng.random() < class_spec.dual_path_fraction
-    )
-    deploy_time = float(rng.uniform(0.0, spec.deployment_spread_seconds))
-    raid_type = (
-        RaidType.RAID4 if rng.random() < class_spec.raid4_fraction else RaidType.RAID6
-    )
+    system_class: SystemClass,
+    indices: Sequence[int],
+    random_source: RandomSource,
+) -> _ClassDraws:
+    """Every selected system's draws from its own stream.
 
-    # Shelf count: Poisson around the mean, at least one shelf.
-    n_shelves = max(1, int(rng.poisson(class_spec.shelves_mean)))
+    The draws are the ones ``rng.choice(names, p=weights)`` (twice),
+    ``rng.random()`` (path, when the class supports dual paths),
+    ``rng.uniform(0, spread)`` and ``rng.random()`` (RAID type) make,
+    taken as one vector of uniforms, then the Poisson shelf count and
+    one 32-bit serial per bay.
+    """
+    class_spec = spec.class_specs[system_class]
+    shelf_names, shelf_cdf = _cdf(
+        list(catalog.shelf_models_for_class(system_class).items())
+    )
+    disk_cdfs = {
+        name: _cdf(catalog.disk_models_for(system_class, name))
+        for name in shelf_names
+    }
+    bays_per_shelf = class_spec.slots_per_shelf
+    shelves_mean = class_spec.shelves_mean
+    out = _ClassDraws(system_class, len(indices))
+    streams = random_source.streams("fleet", system_class.value, indices=indices)
+    n_uniforms = out.uniforms.shape[1]
+    for row, (index, rng) in enumerate(zip(indices, streams)):
+        uniforms = rng.random(n_uniforms)
+        shelf_model = shelf_names[int(shelf_cdf.searchsorted(uniforms[0], side="right"))]
+        disk_names, disk_cdf = disk_cdfs[shelf_model]
+        out.ids.append(system_id_for(system_class, index))
+        out.shelf_models.append(shelf_model)
+        out.disk_models.append(
+            disk_names[int(disk_cdf.searchsorted(uniforms[1], side="right"))]
+        )
+        out.uniforms[row] = uniforms
+        shelves = max(1, int(rng.poisson(shelves_mean)))
+        out.shelves[row] = shelves
+        out.serials.append(rng.integers(0, 2**32, size=shelves * bays_per_shelf))
+    return out
 
-    system = StorageSystem(
-        system_id=system_id,
-        system_class=system_class,
-        shelf_model=shelf_model,
-        primary_disk_model=disk_model,
-        dual_path=dual_path,
+
+def _assemble(spec: FleetSpec, draws: List[_ClassDraws]) -> Fleet:
+    """Turn the per-system draws into the fleet's arrays."""
+    classes: List[SystemClass] = []
+    dual: List[np.ndarray] = []
+    deploy: List[np.ndarray] = []
+    raid6: List[np.ndarray] = []
+    bays_per_shelf: List[np.ndarray] = []
+    group_size: List[np.ndarray] = []
+    for part in draws:
+        class_spec = spec.class_specs[part.system_class]
+        n = len(part.ids)
+        classes.extend([part.system_class] * n)
+        if part.system_class.supports_dual_path:
+            dual.append(part.uniforms[:, 2] < class_spec.dual_path_fraction)
+        else:
+            dual.append(np.zeros(n, dtype=bool))
+        deploy.append(spec.deployment_spread_seconds * part.uniforms[:, -2])
+        raid6.append(~(part.uniforms[:, -1] < class_spec.raid4_fraction))
+        bays_per_shelf.append(np.full(n, class_spec.slots_per_shelf, dtype=np.int64))
+        group_size.append(np.full(n, class_spec.raid_group_size, dtype=np.int64))
+    shelves = _concat([part.shelves for part in draws], np.int64)
+    per_shelf = _concat(bays_per_shelf, np.int64)
+    slot_group, groups = group_layout(
+        shelves, per_shelf, _concat(group_size, np.int64),
+        spec.layout_policy, spec.span_width,
+    )
+    system_group_start = offsets(groups)
+    bays = shelves * per_shelf
+    slot_system = np.repeat(np.arange(shelves.size), bays)
+    deploy_time = _concat(deploy, np.float64)
+    raid_codes = np.where(_concat(raid6, bool), RAID_TYPES.index(RaidType.RAID6), 0)
+    n_bays = int(bays.sum())
+    serials = [serial for part in draws for serial in part.serials]
+    return Fleet.from_columns(
+        spec.duration_seconds,
+        system_ids=[system_id for part in draws for system_id in part.ids],
+        system_classes=classes,
+        shelf_models=[model for part in draws for model in part.shelf_models],
+        disk_models=[model for part in draws for model in part.disk_models],
+        dual_path=_concat(dual, bool),
         deploy_time=deploy_time,
-    )
-    for shelf_index in range(n_shelves):
-        shelf = Shelf(
-            shelf_id="sh-%s-%02d" % (system_id, shelf_index),
-            model=shelf_model,
-            system_id=system_id,
-        )
-        shelf.add_slots(class_spec.slots_per_shelf)
-        system.shelves.append(shelf)
-
-    system.raid_groups = assign_raid_groups(
-        system_id=system_id,
-        shelves=system.shelves,
-        group_size=class_spec.raid_group_size,
-        raid_type=raid_type,
-        policy=spec.layout_policy,
-        span_width=spec.span_width,
+        system_shelf_start=offsets(shelves),
+        shelf_slot_start=offsets(np.repeat(per_shelf, shelves)),
+        system_group_start=system_group_start,
+        group_raid_type=np.repeat(raid_codes, groups),
+        slot_group=slot_group + system_group_start[slot_system],
+        disk_slot=np.arange(n_bays),
+        disk_gen=np.zeros(n_bays, dtype=np.int32),
+        disk_install=deploy_time[slot_system],
+        disk_remove=np.full(n_bays, np.inf),
+        disk_serial=np.concatenate(serials) if serials else np.zeros(0, np.int64),
     )
 
-    # Populate every bay with its initial disk.
-    serial_stream = rng.integers(0, 2**32, size=system.slot_count)
-    for serial, slot in zip(serial_stream, system.iter_slots()):
-        disk = Disk(
-            disk_id="%s#0" % slot.slot_key,
-            model=disk_model,
-            system_id=system_id,
-            shelf_id=slot.shelf_id,
-            slot_index=slot.slot_index,
-            raid_group_id=slot.raid_group_id,
-            install_time=deploy_time,
-            serial="S%08X" % int(serial),
-        )
-        slot.install(disk)
-    return system
+
+def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)

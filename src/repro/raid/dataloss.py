@@ -172,7 +172,7 @@ def _estimate(
     group_years = 0.0
     for system in dataset.fleet.systems:
         in_field = max(0.0, dataset.duration_seconds - system.deploy_time)
-        group_years += len(system.raid_groups) * seconds_to_years(in_field)
+        group_years += system.raid_group_count * seconds_to_years(in_field)
 
     return DataLossReport(
         groups=sorted(group_summaries, key=lambda g: -g.loss_incidents),

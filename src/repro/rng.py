@@ -13,7 +13,8 @@ entropy.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple, Union
+import functools
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -28,14 +29,20 @@ def _key_entropy(keys: Iterable[Key]) -> Tuple[int, ...]:
             entropy.append(key & 0xFFFFFFFF)
             entropy.append((key >> 32) & 0xFFFFFFFF)
         else:
-            # A stable (non-PYTHONHASHSEED) string hash: FNV-1a, 64-bit.
-            acc = 0xCBF29CE484222325
-            for byte in key.encode("utf-8"):
-                acc ^= byte
-                acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            entropy.append(acc & 0xFFFFFFFF)
-            entropy.append((acc >> 32) & 0xFFFFFFFF)
+            entropy.extend(_string_entropy(key))
     return tuple(entropy)
+
+
+@functools.lru_cache(maxsize=4096)
+def _string_entropy(key: str) -> Tuple[int, int]:
+    """A stable (non-PYTHONHASHSEED) string hash: FNV-1a, 64-bit, split
+    into two 32-bit words.  Stream keys reuse a few strings (model and
+    class names) many times, hence the cache."""
+    acc = 0xCBF29CE484222325
+    for byte in key.encode("utf-8"):
+        acc ^= byte
+        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc & 0xFFFFFFFF, (acc >> 32) & 0xFFFFFFFF
 
 
 class RandomSource:
@@ -63,6 +70,19 @@ class RandomSource:
             entropy=self.seed, spawn_key=_key_entropy(keys)
         )
         return np.random.Generator(np.random.PCG64(seq))
+
+    def streams(self, *prefix: Key, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+        """``stream(*prefix, index)`` for each index, in order.
+
+        The prefix is hashed once, which is most of a stream's set-up
+        cost when a caller opens one stream per system of a fleet.
+        """
+        base = _key_entropy(prefix)
+        for index in indices:
+            seq = np.random.SeedSequence(
+                entropy=self.seed, spawn_key=base + _key_entropy((index,))
+            )
+            yield np.random.Generator(np.random.PCG64(seq))
 
     def child(self, *keys: Key) -> "RandomSource":
         """Derive a namespaced child source (for handing to a subsystem)."""

@@ -106,10 +106,12 @@ class Job:
 
         Sharded jobs (``shards != 1``) append a ``shards=`` term —
         unsharded canonicals are unchanged, so existing cache entries
-        stay addressable — because a sharded result carries a vista
-        fleet (no disk object graph) and must never be served to a
-        consumer that asked for the full unsharded result, even though
-        its event table is byte-identical.
+        stay addressable — because a sharded result carries a
+        :class:`~repro.runtime.shard.ShardedInjection` placeholder
+        instead of the injector output (which lives and dies in the
+        shard workers), and must never be served to a consumer that
+        asked for the unsharded result, even though its event table and
+        fleet are byte-identical.
 
         A non-default hazard backend (``REPRO_HAZARD_BACKEND``) appends
         a ``hazard=<cache_token>`` term by the same append-only rule:

@@ -7,9 +7,9 @@ slice as an independent job on the
 :class:`~repro.core.columns.EventTable` to an ``.npz`` (see
 :mod:`repro.core.colstore`), and merges the spills — memory-mapped, no
 event objects — into one detection-sorted table that is byte-identical
-to what the unsharded run produces.  The merged fleet holds
-:class:`~repro.fleet.vista.SystemVista` records instead of the object
-graph, so peak memory is bounded by the largest *shard*, not the fleet.
+to what the unsharded run produces.  Each worker also returns its slice
+of the fleet's arrays, and the parent joins the slices in fleet order
+into one ordinary :class:`~repro.fleet.fleet.Fleet`.
 
 Each shard is cached individually in the runtime's
 :class:`~repro.runtime.cache.ResultCache` under a content-addressed key
@@ -19,8 +19,8 @@ file) re-simulates exactly those shards, and a warm cache re-runs
 nothing at all.
 
 Restrictions: ``via_logs`` is rejected (the AutoSupport log pipeline
-needs one coherent archive), and analyses that walk individual disks
-raise :class:`~repro.errors.AnalysisError` on the vista fleet.
+needs one coherent archive), and the merged result carries no injector
+output (:class:`ShardedInjection`).
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from repro.core.colstore import (
     save_table,
 )
 from repro.errors import SpecificationError
-from repro.fleet.builder import system_id_for
+from repro.fleet.builder import fleet_order_key, system_id_for
+from repro.fleet.fleet import Fleet
 from repro.fleet.partition import cell_of, cells_of_shard, shard_of_cell
-from repro.fleet.vista import SystemVista, fleet_order_key
 from repro.runtime.cache import MISSING
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
 from repro.version import __version__
@@ -206,16 +206,15 @@ class ShardMeta:
     """What a shard worker hands back (and what the cache stores).
 
     The event table itself stays on disk at ``spill_path``; the meta
-    carries only the per-system vistas and counts, so a cache entry is
-    kilobytes however large the shard was.
+    carries the counts and the shard's slice of the fleet, which pickles
+    as arrays (mostly one serial per disk).
     """
 
     key: str
     spill_path: str
     n_events: int
     n_recovered: int
-    vistas: List[SystemVista]
-    window_end: float
+    fleet: Fleet
 
 
 def execute_shard_payload(payload: Dict[str, object]) -> ShardMeta:
@@ -253,17 +252,12 @@ def execute_shard_payload(payload: Dict[str, object]) -> ShardMeta:
         save_table(spill_path, table)
     PROGRESS.advance("shards_completed")
     end_worker_task(events=len(table))
-    window_end = result.fleet.duration_seconds
     return ShardMeta(
         key=str(payload["key"]),
         spill_path=spill_path,
         n_events=len(table),
         n_recovered=result.injection.n_recovered(),
-        vistas=[
-            SystemVista.from_system(system, window_end)
-            for system in result.fleet.systems
-        ],
-        window_end=window_end,
+        fleet=result.fleet,
     )
 
 
@@ -287,7 +281,7 @@ def run_sharded_scenario(
 
     Returns:
         A :class:`~repro.simulate.engine.SimulationResult` whose
-        ``fleet`` holds vistas and whose ``injection`` is a
+        ``fleet`` equals the unsharded run's and whose ``injection`` is a
         :class:`ShardedInjection` placeholder (shard injections live
         and die in the workers).
 
@@ -296,7 +290,6 @@ def run_sharded_scenario(
             shard count below 1.
     """
     from repro.core.dataset import FailureDataset
-    from repro.fleet.fleet import Fleet
     from repro.simulate.engine import SimulationResult
     from repro.simulate.scenario import SCENARIOS
 
@@ -360,11 +353,10 @@ def run_sharded_scenario(
                 load_table(metas[index].spill_path)
                 for index in sorted(metas)
             )
-        vistas = sorted(
-            (vista for meta in metas.values() for vista in meta.vistas),
-            key=fleet_order_key,
-        )
-        fleet = Fleet(systems=vistas, duration_seconds=spec.duration_seconds)
+            fleet = join_fleets(
+                [metas[index].fleet for index in sorted(metas)],
+                spec.duration_seconds,
+            )
         dataset = FailureDataset(events=table, fleet=fleet)
     obs.inc("sim.events", len(table))
     return SimulationResult(
@@ -377,12 +369,29 @@ def run_sharded_scenario(
     )
 
 
+def join_fleets(parts: List[Fleet], duration_seconds: float) -> Fleet:
+    """The shards' fleet slices as one fleet, systems in builder order.
+
+    Exposure totals sum systems one by one in fleet order, so the order
+    must be the unsharded one for the float totals to match exactly.
+    """
+    fleet = Fleet.concat(parts, duration_seconds)
+    order = sorted(
+        range(fleet.system_count),
+        key=lambda index: fleet_order_key(
+            fleet.system_classes[index], fleet.system_ids[index]
+        ),
+    )
+    return fleet.select(order)
+
+
 __all__ = [
     "ShardMeta",
     "ShardPlan",
     "ShardSpec",
     "ShardedInjection",
     "execute_shard_payload",
+    "join_fleets",
     "run_sharded_scenario",
     "shard_canonical",
     "shard_key",

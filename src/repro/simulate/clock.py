@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import re
 
 from repro.errors import LogFormatError
 
@@ -20,6 +21,17 @@ DEFAULT_EPOCH = datetime.datetime(2004, 1, 1, 0, 0, 0)
 
 #: strftime/strptime format used in log lines.
 TIMESTAMP_FORMAT = "%a %b %d %H:%M:%S %Y"
+
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTH_NUMBERS = {name: number for number, name in enumerate(_MONTHS, 1)}
+
+#: Exactly what :meth:`SimulationClock.format` writes (C locale).
+_WRITTEN = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) (\d\d) (\d\d):(\d\d):(\d\d) (\d{4})"
+    % "|".join(_MONTHS),
+    re.ASCII,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,9 +55,26 @@ class SimulationClock:
     def parse(self, text: str) -> float:
         """Parse a log-line timestamp back to simulation seconds.
 
+        The layout the writer produces is read directly; anything else
+        (single-digit fields, other letter case, out-of-range values)
+        goes through ``strptime``, so accepted inputs and error messages
+        are exactly ``strptime``'s.
+
         Raises:
             LogFormatError: when the text does not match the format.
         """
+        match = _WRITTEN.fullmatch(text)
+        if match is not None:
+            month, day, hour, minute, second, year = match.groups()
+            try:
+                when = datetime.datetime(
+                    int(year), _MONTH_NUMBERS[month], int(day),
+                    int(hour), int(minute), int(second),
+                )
+            except ValueError:
+                pass  # e.g. Feb 30: strptime below words the error
+            else:
+                return self.to_sim_seconds(when)
         try:
             when = datetime.datetime.strptime(text, TIMESTAMP_FORMAT)
         except ValueError as exc:

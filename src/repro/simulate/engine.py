@@ -34,9 +34,8 @@ class SimulationResult:
     Attributes:
         spec: the fleet specification used.
         seed: the root random seed.
-        fleet: the materialized (and failure-mutated) fleet — a fleet of
-            :class:`~repro.fleet.vista.SystemVista` records for sharded
-            runs.
+        fleet: the materialized (and failure-mutated) fleet, the same
+            for sharded and unsharded runs.
         injection: raw injector output (a clear-error placeholder for
             sharded runs, whose injections live and die in the shard
             workers).

@@ -4,15 +4,14 @@ Same failure model as the legacy per-unit injector, executed as
 whole-cohort NumPy draws writing straight into the columnar
 :class:`~repro.core.columns.EventTable` — see the package modules:
 
-- :mod:`~repro.simulate.vector.frame` — flat topology arrays;
 - :mod:`~repro.simulate.vector.cohorts` — grouping by rate-determining
   configuration;
 - :mod:`~repro.simulate.vector.sampling` — batched shock / renewal /
   independent candidate draws;
 - :mod:`~repro.simulate.vector.queueing` — the lock-step disk
   replacement chain;
-- :mod:`~repro.simulate.vector.emit` — columnar emission and fleet
-  mutation write-back;
+- :mod:`~repro.simulate.vector.emit` — columnar emission and the
+  lifetime-table update;
 - :mod:`~repro.simulate.vector.engine` — the facade and the
   ``REPRO_VECTOR_ENGINE`` switch.
 """
@@ -22,14 +21,13 @@ from repro.simulate.vector.engine import (
     VECTOR_ENGINE_ENV,
     VectorFailureInjector,
     VectorSimulationEngine,
+    build_frame,
     make_engine,
     vector_engine_enabled,
 )
-from repro.simulate.vector.frame import FleetFrame, build_frame
 
 __all__ = [
     "Cohort",
-    "FleetFrame",
     "VECTOR_ENGINE_ENV",
     "VectorFailureInjector",
     "VectorSimulationEngine",

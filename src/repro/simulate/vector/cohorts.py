@@ -30,9 +30,9 @@ import numpy as np
 from repro.failures.backends import HazardBackend, resolve as resolve_backend
 from repro.failures.injector import InjectorConfig
 from repro.failures.types import FailureType
+from repro.fleet.fleet import Fleet
 from repro.fleet.partition import cell_of
 from repro.rng import RandomSource
-from repro.simulate.vector.frame import FleetFrame
 from repro.topology.classes import SystemClass
 
 
@@ -110,11 +110,11 @@ class Cohort:
 
 
 def group_cohorts(
-    frame: FleetFrame,
+    fleet: Fleet,
     config: InjectorConfig,
     backend: HazardBackend = None,
 ) -> List[Cohort]:
-    """Partition a fleet frame into cohorts, in first-seen system order.
+    """Partition a fleet into cohorts, in first-seen system order.
 
     Per-type rates come from the hazard backend (resolved from the
     config when not passed), over its active types — the paper's four
@@ -122,16 +122,15 @@ def group_cohorts(
     """
     if backend is None:
         backend = resolve_backend(config.hazard_backend)
-    keys = [
-        (
-            system.system_class,
-            system.shelf_model,
-            system.primary_disk_model,
-            system.dual_path,
-            cell_of(system.system_id),
+    keys = list(
+        zip(
+            fleet.system_classes,
+            fleet.shelf_models,
+            fleet.disk_models,
+            fleet.dual_path.tolist(),
+            [cell_of(system_id) for system_id in fleet.system_ids],
         )
-        for system in frame.sys_refs
-    ]
+    )
     order: Dict[tuple, int] = {}
     for key in keys:
         if key not in order:
@@ -140,8 +139,8 @@ def group_cohorts(
 
     cohorts: List[Cohort] = []
     shelf_cohort = (
-        cohort_of_sys[frame.shelf_sys]
-        if frame.n_shelves
+        cohort_of_sys[fleet.shelf_system]
+        if fleet.shelf_count
         else np.zeros(0, dtype=np.int64)
     )
     rates_of: Dict[tuple, Dict[FailureType, float]] = {}
@@ -149,8 +148,8 @@ def group_cohorts(
         system_class, shelf_model, disk_model, dual_path, cell = key
         systems = np.flatnonzero(cohort_of_sys == index)
         shelves = np.flatnonzero(shelf_cohort == index)
-        n_slots = frame.shelf_n_slots[shelves]
-        starts = frame.shelf_slot_offset[shelves]
+        n_slots = fleet.shelf_n_slots[shelves]
+        starts = fleet.shelf_slot_start[shelves]
         total = int(n_slots.sum())
         # Global slot index of every cohort bay: per-shelf ranges,
         # flattened without a Python loop.
@@ -158,7 +157,7 @@ def group_cohorts(
             np.cumsum(n_slots) - n_slots, n_slots
         )
         slots = np.repeat(starts, n_slots) + local
-        shelf_deploy = frame.sys_deploy[frame.shelf_sys[shelves]]
+        shelf_deploy = fleet.deploy_time[fleet.shelf_system[shelves]]
         # Rates depend on the configuration only, not the cell; compute
         # once per configuration, shared across its cell cohorts.
         rates = rates_of.get(key[:4])

@@ -10,8 +10,8 @@ simulation and the rest of the library:
 * :class:`RecoveredBatch` — recovered (masked / retried) incidents kept
   as flat arrays; the :class:`~repro.failures.events.ComponentError`
   dataclasses the log writer wants are materialized only on demand.
-* :func:`apply_mutations` — write disk removals and replacement
-  installs back onto the fleet's object graph, so downstream exposure
+* :func:`record_chains` — write disk removals and replacement
+  installs into the fleet's lifetime table, so downstream exposure
   accounting sees the same lifetimes the legacy injector produces.
 """
 
@@ -26,10 +26,9 @@ from repro.core.columns import EventTable
 from repro.failures.events import ComponentError
 from repro.failures.raidlayer import component_errors_for_recovery
 from repro.failures.types import ALL_FAILURE_TYPES, FailureType
+from repro.fleet.fleet import Fleet
 from repro.simulate.vector.cohorts import Cohort
-from repro.simulate.vector.frame import FleetFrame
 from repro.simulate.vector.queueing import DiskChain
-from repro.topology.components import Disk
 
 _TYPE_CODE = {
     failure_type: code for code, failure_type in enumerate(ALL_FAILURE_TYPES)
@@ -97,9 +96,7 @@ def _dedup(
     return remap[codes], merged
 
 
-def build_event_table(
-    frame: FleetFrame, blocks: List[EventBlock]
-) -> EventTable:
+def build_event_table(fleet: Fleet, blocks: List[EventBlock]) -> EventTable:
     """Pack cohort event blocks into one detection-sorted EventTable.
 
     Every string column is derived from integer topology keys (slot,
@@ -126,10 +123,8 @@ def build_event_table(
     slot = slot[order]
     gen = gen[order]
     block_row = block_row[order]
-    shelf_index = frame.slot_shelf[slot]
-    sys_index = frame.shelf_sys[shelf_index]
-    shelf_refs = frame.shelf_refs
-    sys_refs = frame.sys_refs
+    shelf_index = fleet.slot_shelf[slot]
+    sys_index = fleet.shelf_system[shelf_index]
     cohorts = [b.cohort for b in blocks]
 
     # disk_id: keyed by the (bay, generation) pair, packed into one
@@ -137,20 +132,18 @@ def build_event_table(
     gen_span = int(gen.max()) + 1 if gen.size else 1
     disk_keys, disk_codes = _first_appearance(slot * gen_span + gen)
     key_gens = (disk_keys % gen_span).tolist()
-    slot_key_list = frame.slot_keys_for(disk_keys // gen_span)
+    slot_key_list = fleet.slot_keys(disk_keys // gen_span)
     disk_values = [
         "%s#%d" % (k, g) for k, g in zip(slot_key_list, key_gens)
     ]
 
     shelf_keys, shelf_codes = _first_appearance(shelf_index)
-    shelf_values = [shelf_refs[s].shelf_id for s in shelf_keys.tolist()]
+    shelf_ids = fleet.shelf_ids
+    shelf_values = [shelf_ids[s] for s in shelf_keys.tolist()]
     sys_keys, sys_codes = _first_appearance(sys_index)
-    sys_values = [sys_refs[s].system_id for s in sys_keys.tolist()]
+    sys_values = [fleet.system_ids[s] for s in sys_keys.tolist()]
     raid_keys, raid_codes = _first_appearance(slot)
-    raid = _dedup(
-        raid_codes,
-        [s.raid_group_id for s in frame.slot_refs_for(raid_keys)],
-    )
+    raid = _dedup(raid_codes, fleet.slot_group_ids(raid_keys))
     blk_keys, blk_codes = _first_appearance(block_row)
     blk_list = blk_keys.tolist()
     classes = _dedup(
@@ -192,8 +185,8 @@ class RecoveredBatch:
     the count is known without materializing anything.
     """
 
-    def __init__(self, frame: FleetFrame) -> None:
-        self._frame = frame
+    def __init__(self, fleet: Fleet) -> None:
+        self._fleet = fleet
         self._chunks: List[
             Tuple[FailureType, np.ndarray, np.ndarray, np.ndarray]
         ] = []
@@ -230,10 +223,17 @@ class RecoveredBatch:
 
     def materialize(self) -> List[ComponentError]:
         """Expand to time-sorted ComponentError dataclasses."""
-        frame = self._frame
         errors: List[ComponentError] = []
+        if not self._chunks:
+            return errors
+        # One key rendering for every chunk: chunks are many and small.
+        all_keys = self._fleet.slot_keys(
+            np.concatenate([slots for _, _, slots, _ in self._chunks])
+        )
+        start = 0
         for failure_type, times, slots, gens in self._chunks:
-            keys = frame.slot_keys_for(np.asarray(slots, dtype=np.int64))
+            keys = all_keys[start : start + slots.size]
+            start += slots.size
             for t, key, g in zip(times, keys, gens):
                 disk_id = "%s#%d" % (key, int(g))
                 errors.extend(
@@ -245,86 +245,20 @@ class RecoveredBatch:
         return errors
 
 
-def apply_mutations(
-    frame: FleetFrame, chains: List[Tuple[Cohort, DiskChain]]
-) -> None:
-    """Write disk removals and replacement installs onto the fleet.
+def record_chains(fleet: Fleet, chains: List[DiskChain]) -> None:
+    """Write the chains' disk removals and replacements into the fleet."""
 
-    Processed per bay in generation order so
-    :meth:`~repro.topology.components.DiskSlot.install`'s occupancy
-    validation holds at every step.
-    """
-    for cohort, chain in chains:
-        if chain.ev_slot.size == 0:
-            continue
-        order = np.lexsort((chain.ev_gen, chain.ev_slot))
-        ev_slot = chain.ev_slot[order]
-        ev_gen = chain.ev_gen[order]
-        # Match each removal to the replacement of the next generation in
-        # the same bay — a sorted-key merge instead of a per-event dict.
-        span = int(max(ev_gen.max(), chain.rep_gen.max(initial=0))) + 2
-        rep_keys = chain.rep_slot * span + chain.rep_gen
-        rep_order = np.argsort(rep_keys, kind="stable")
-        rep_keys = rep_keys[rep_order]
-        if rep_keys.size:
-            want = ev_slot * span + ev_gen + 1
-            clipped = np.minimum(
-                np.searchsorted(rep_keys, want), rep_keys.size - 1
-            )
-            has_rep = rep_keys[clipped] == want
-            rep_at = rep_order[clipped]
-            install_times = np.where(has_rep, chain.rep_install[rep_at], 0.0)
-            serials = np.where(has_rep, chain.rep_serial[rep_at], 0)
-        else:
-            has_rep = np.zeros(ev_slot.size, dtype=bool)
-            install_times = np.zeros(ev_slot.size, dtype=np.float64)
-            serials = np.zeros(ev_slot.size, dtype=np.int64)
-
-        ev_shelf = frame.slot_shelf[ev_slot]
-        ev_local = (ev_slot - frame.shelf_slot_offset[ev_shelf]).tolist()
-        ev_sys = frame.shelf_sys[ev_shelf].tolist()
-        shelf_refs = frame.shelf_refs
-        sys_refs = frame.sys_refs
-        last_index, slot, slot_key, system_id = -1, None, "", ""
-        rows = zip(
-            ev_slot.tolist(),
-            ev_shelf.tolist(),
-            ev_local,
-            ev_sys,
-            ev_gen.tolist(),
-            chain.ev_detect[order].tolist(),
-            has_rep.tolist(),
-            install_times.tolist(),
-            serials.tolist(),
+    def joined(name: str, dtype) -> np.ndarray:
+        return np.concatenate(
+            [getattr(chain, name) for chain in chains] + [np.zeros(0, dtype)]
         )
-        for (
-            slot_index,
-            shelf_i,
-            local,
-            sys_i,
-            generation,
-            detect,
-            replaced,
-            install_time,
-            serial,
-        ) in rows:
-            if slot_index != last_index:  # removals are slot-grouped
-                last_index = slot_index
-                slot = shelf_refs[shelf_i].slots[local]
-                slot_key = slot.slot_key
-                system_id = sys_refs[sys_i].system_id
-            slot.disks[generation].remove_time = detect
-            if not replaced:
-                continue
-            slot.install(
-                Disk(
-                    disk_id="%s#%d" % (slot_key, generation + 1),
-                    model=cohort.disk_model,
-                    system_id=system_id,
-                    shelf_id=slot.shelf_id,
-                    slot_index=slot.slot_index,
-                    raid_group_id=slot.raid_group_id,
-                    install_time=install_time,
-                    serial="S%08X" % serial,
-                )
-            )
+
+    fleet.record_lifetimes(
+        removed_slot=joined("ev_slot", np.int64),
+        removed_gen=joined("ev_gen", np.int64),
+        removed_at=joined("ev_detect", np.float64),
+        new_slot=joined("rep_slot", np.int64),
+        new_gen=joined("rep_gen", np.int64),
+        new_install=joined("rep_install", np.float64),
+        new_serial=joined("rep_serial", np.uint64),
+    )

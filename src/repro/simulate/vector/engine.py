@@ -26,8 +26,6 @@ like ``REPRO_LEGACY_EVENTS`` for the analysis side.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,10 +52,9 @@ from repro.simulate.vector.cohorts import Cohort, group_cohorts
 from repro.simulate.vector.emit import (
     EventBlock,
     RecoveredBatch,
-    apply_mutations,
     build_event_table,
+    record_chains,
 )
-from repro.simulate.vector.frame import build_frame
 from repro.simulate.vector.queueing import DiskChain, run_disk_chain
 from repro.simulate.vector.sampling import (
     CandidateSet,
@@ -80,23 +77,15 @@ def vector_engine_enabled() -> bool:
     return envvars.get_flag(VECTOR_ENGINE_ENV)
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend garbage collection for the duration of a batch.
+def build_frame(fleet: Fleet) -> Fleet:
+    """The engine's substrate: the fleet's own arrays.
 
-    At paper scale the fleet graph holds over a million long-lived
-    objects; the collector's generational threshold fires dozens of
-    times during one injection and rescans that graph each time, adding
-    ~30% wall time.  One deferred collection after the batch does the
-    same reclamation once.
+    Cohorts and emission read the per-bay index arrays (bay -> shelf ->
+    system); deriving them here, once per fleet, keeps that cost out of
+    the first cohort.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+    fleet.slot_system  # noqa: B018 - derives and caches the bay index
+    return fleet
 
 
 class VectorFailureInjector:
@@ -121,36 +110,35 @@ class VectorFailureInjector:
         config = self.config
         backend = self.backend
         window_end = fleet.duration_seconds
-        with _gc_paused():
-            frame = build_frame(fleet)
-            cohorts = group_cohorts(frame, config, backend)
-            blocks: List[EventBlock] = []
-            chains: List[Tuple[Cohort, DiskChain]] = []
-            recovered = RecoveredBatch(frame)
-            with obs.span(
-                "inject.vector",
-                systems=len(fleet.systems),
-                cohorts=len(cohorts),
-            ):
-                for cohort in cohorts:
-                    block, chain = _inject_cohort(
-                        cohort,
-                        config,
-                        random_source,
-                        window_end,
-                        recovered,
-                        backend,
-                    )
-                    blocks.append(block)
-                    chains.append((cohort, chain))
-                    # Live-monitor progress; one attribute check when no
-                    # status directory is configured.
-                    PROGRESS.advance("cohorts")
-                    PROGRESS.advance("disks_advanced", cohort.n_slots)
-                    PROGRESS.advance("events_emitted", len(block))
-                with obs.span("inject.vector.emit"):
-                    table = build_event_table(frame, blocks)
-                    apply_mutations(frame, chains)
+        frame = build_frame(fleet)
+        cohorts = group_cohorts(frame, config, backend)
+        blocks: List[EventBlock] = []
+        chains: List[DiskChain] = []
+        recovered = RecoveredBatch(frame)
+        with obs.span(
+            "inject.vector",
+            systems=fleet.system_count,
+            cohorts=len(cohorts),
+        ):
+            for cohort in cohorts:
+                block, chain = _inject_cohort(
+                    cohort,
+                    config,
+                    random_source,
+                    window_end,
+                    recovered,
+                    backend,
+                )
+                blocks.append(block)
+                chains.append(chain)
+                # Live-monitor progress; one attribute check when no
+                # status directory is configured.
+                PROGRESS.advance("cohorts")
+                PROGRESS.advance("disks_advanced", cohort.n_slots)
+                PROGRESS.advance("events_emitted", len(block))
+            with obs.span("inject.vector.emit"):
+                table = build_event_table(frame, blocks)
+                record_chains(fleet, chains)
         result = InjectionResult(
             table=table,
             recovered_errors=recovered if config.emit_recovered_errors else [],

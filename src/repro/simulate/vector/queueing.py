@@ -16,7 +16,7 @@ constant number of vector passes.
 The resulting :class:`DiskChain` doubles as the cohort's occupancy
 index: non-disk candidates resolve "which disk generation occupied bay
 ``b`` at time ``t``" against its install/remove matrices without
-touching the fleet's object graph.
+touching the fleet's lifetime table.
 """
 
 from __future__ import annotations

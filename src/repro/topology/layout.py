@@ -10,7 +10,9 @@ layouts, so both policies are first-class here.
 from __future__ import annotations
 
 import enum
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology.components import Shelf
@@ -122,3 +124,53 @@ def _ordered_slot_key_runs(
                     run.append(shelf.slots[slot_index].slot_key)
         runs.append(run)
     return runs
+
+
+def group_layout(
+    shelf_counts: np.ndarray,
+    slots_per_shelf: np.ndarray,
+    group_size: np.ndarray,
+    policy: LayoutPolicy = LayoutPolicy.SPAN_SHELVES,
+    span_width: int = DEFAULT_SPAN_WIDTH,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`assign_raid_groups` for many systems at once, as arrays.
+
+    Every system's shelves hold the same number of bays.  Bays are
+    numbered system by system, shelf by shelf, slot by slot; the group
+    numbers match the order :func:`assign_raid_groups` creates groups
+    in, run by run.
+
+    Args:
+        shelf_counts / slots_per_shelf / group_size: per system.
+        policy / span_width: as for :func:`assign_raid_groups`.
+
+    Returns:
+        ``(slot_group, groups)``: each bay's group index within its
+        system, and each system's group count.
+    """
+    shelf_counts = np.asarray(shelf_counts, dtype=np.int64)
+    slots_per_shelf = np.asarray(slots_per_shelf, dtype=np.int64)
+    group_size = np.asarray(group_size, dtype=np.int64)
+    if span_width < 1:
+        raise TopologyError("span_width must be >= 1, got %d" % span_width)
+    bays = shelf_counts * slots_per_shelf
+    system = np.repeat(np.arange(bays.size), bays)
+    first_bay = np.cumsum(bays) - bays
+    local = np.arange(system.size, dtype=np.int64) - first_bay[system]
+    sps = slots_per_shelf[system]
+    size = group_size[system]
+    shelf, slot = local // sps, local % sps
+    if policy is LayoutPolicy.SINGLE_SHELF:
+        per_shelf = -(-slots_per_shelf // group_size)
+        return shelf * per_shelf[system] + slot // size, shelf_counts * per_shelf
+    # Spanning: bands of span_width shelves, each a slot-major run.
+    band = shelf // span_width
+    in_band = np.minimum(span_width, shelf_counts[system] - band * span_width)
+    run_position = slot * in_band + (shelf - band * span_width)
+    per_full_band = -(-(span_width * slots_per_shelf) // group_size)
+    slot_group = band * per_full_band[system] + run_position // size
+    remainder = shelf_counts % span_width
+    groups = (shelf_counts // span_width) * per_full_band + -(
+        -(remainder * slots_per_shelf) // group_size
+    )
+    return slot_group, groups

@@ -111,3 +111,44 @@ class TestMalformed:
         )
         fleet = parse_snapshot(text)
         assert fleet.system_count == 0
+
+
+_ONE_SYSTEM = (
+    "[meta]\nversion = 1\nduration_seconds = 100.0\n"
+    "[system x]\nclass = nearline\nshelf_model = A\ndisk_model = A-1\n"
+    "dual_path = false\ndeploy_time = 0.0\n"
+    "[shelf sh-x-00]\nsystem = x\nmodel = {shelf_model}\nslots = 2\n"
+    "slot_groups = rg-x-0000,{second_group}\n"
+    "[disk sh-x-00/00#0]\nmodel = {disk_model}\nslot = 0\nserial = {serial}\n"
+    "install_time = 0.0\nremove_time = none\n"
+    "[raidgroup rg-x-0000]\nsystem = x\nraid_type = RAID4\n"
+    "slot_keys = sh-x-00/00,sh-x-00/01\n"
+)
+
+
+def _one_system(**overrides):
+    fields = dict(
+        shelf_model="A", disk_model="A-1", serial="S0000002A", second_group="rg-x-0000"
+    )
+    fields.update(overrides)
+    return _ONE_SYSTEM.format(**fields)
+
+
+class TestWhatAFleetCannotHold:
+    def test_well_formed_parses(self):
+        fleet = parse_snapshot(_one_system())
+        assert [d.serial for d in fleet.iter_disks()] == ["S0000002A"]
+        assert fleet.raid_group_count == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"shelf_model": "B"}, "shelf sh-x-00 has model 'B'"),
+            ({"disk_model": "A-2"}, "disk sh-x-00/00#0 has model 'A-2'"),
+            ({"serial": "S2A"}, "not S \\+ 8 hex digits"),
+            ({"second_group": "rg-y-0000"}, "not one of its system's"),
+        ],
+    )
+    def test_rejected(self, overrides, message):
+        with pytest.raises(LogFormatError, match=message):
+            parse_snapshot(_one_system(**overrides))

@@ -200,7 +200,7 @@ class TestByteIdentity:
         assert base.fleet.shelf_count == sharded.fleet.shelf_count
         assert base.fleet.raid_group_count == sharded.fleet.raid_group_count
         assert base.fleet.disk_count_ever == sharded.fleet.disk_count_ever
-        # Bit-equal float: vistas sum in the unsharded enumeration order.
+        # Bit-equal float: the joined fleet sums systems in the unsharded order.
         assert (
             base.fleet.disk_exposure_seconds()
             == sharded.fleet.disk_exposure_seconds()
@@ -346,7 +346,10 @@ class TestRuntimeIntegration:
                 runtime=make_runtime(tmp_path), n_shards=2,
             )
 
-    def test_vista_fleet_guards_object_graph_walks(self, tmp_path):
+    def test_sharded_fleet_walks_disks(self, tmp_path):
+        # A sharded result holds a plain fleet: disk walks work and see
+        # exactly the unsharded run's disks.
+        base = run_scenario("paper-default", scale=SCALE, seed=7)
         sharded = run_sharded_scenario(
             "paper-default",
             scale=SCALE,
@@ -354,11 +357,14 @@ class TestRuntimeIntegration:
             runtime=make_runtime(tmp_path),
             n_shards=2,
         )
-        vista = sharded.fleet.systems[0]
-        with pytest.raises(AnalysisError, match="re-run without --shards"):
-            vista.iter_disks()
-        with pytest.raises(AnalysisError, match="re-run without --shards"):
-            list(sharded.fleet.iter_disks())
+        walked = [
+            (d.disk_id, d.serial, d.install_time, d.remove_time)
+            for d in sharded.fleet.iter_disks()
+        ]
+        assert walked == [
+            (d.disk_id, d.serial, d.install_time, d.remove_time)
+            for d in base.fleet.iter_disks()
+        ]
 
     def test_injection_placeholder_raises_clearly(self, tmp_path):
         sharded = run_sharded_scenario(

@@ -40,9 +40,9 @@ from repro.simulate.vector.engine import (
     VectorFailureInjector,
     VectorSimulationEngine,
     _inject_cohort,
+    build_frame,
     make_engine,
 )
-from repro.simulate.vector.frame import build_frame
 from repro.simulate.vector.sampling import (
     CandidateSet,
     sample_independent,
@@ -74,43 +74,40 @@ def _fresh_fleet(seed: int = 21, scale: float = 0.002):
 
 class TestFleetFrame:
     def test_shapes_consistent(self, frame):
-        assert frame.n_shelves == len(frame.shelf_refs)
-        assert frame.n_systems == len(frame.sys_refs)
-        assert frame.n_slots == int(frame.shelf_n_slots.sum())
-        assert frame.slot_shelf.shape == (frame.n_slots,)
+        assert frame.shelf_count == len(frame.shelf_ids)
+        assert frame.system_count == len(frame.system_ids)
+        assert frame.slot_count == int(frame.shelf_n_slots.sum())
+        assert frame.slot_shelf.shape == (frame.slot_count,)
         # Offsets are the exclusive prefix sum of per-shelf bay counts.
-        expected = np.concatenate(
-            ([0], np.cumsum(frame.shelf_n_slots)[:-1])
-        )
-        assert np.array_equal(frame.shelf_slot_offset, expected)
+        expected = np.concatenate(([0], np.cumsum(frame.shelf_n_slots)))
+        assert np.array_equal(frame.shelf_slot_start, expected)
 
     def test_cached_on_fleet(self, pristine_fleet, frame):
         assert build_frame(pristine_fleet) is frame
 
     def test_slot_resolution_matches_object_walk(self, frame):
         walked = [
-            slot for shelf in frame.shelf_refs for slot in shelf.slots
+            slot for shelf in frame.iter_shelves() for slot in shelf.slots
         ]
-        assert len(walked) == frame.n_slots
-        every = np.arange(frame.n_slots, dtype=np.int64)
-        assert frame.slot_refs_for(every) == walked
-        assert frame.slot_keys_for(every) == [s.slot_key for s in walked]
-        # Scalar and vector resolution agree.
-        for index in (0, frame.n_slots // 2, frame.n_slots - 1):
-            assert frame.slot_ref(index) is walked[index]
+        assert len(walked) == frame.slot_count
+        every = np.arange(frame.slot_count, dtype=np.int64)
+        assert frame.slot_keys(every) == [s.slot_key for s in walked]
+        assert frame.slot_group_ids(every) == [s.raid_group_id for s in walked]
 
     def test_shelf_sys_points_at_owning_system(self, frame):
-        for shelf_index in (0, frame.n_shelves - 1):
-            system = frame.sys_refs[int(frame.shelf_sys[shelf_index])]
-            assert frame.shelf_refs[shelf_index] in system.shelves
+        for shelf_index in (0, frame.shelf_count - 1):
+            system = frame.systems[int(frame.shelf_system[shelf_index])]
+            assert frame.shelf_ids[shelf_index] in [
+                shelf.shelf_id for shelf in system.shelves
+            ]
 
 
 class TestCohorts:
     def test_partition_is_exact(self, frame, cohorts):
         shelves = np.concatenate([c.shelves for c in cohorts])
         slots = np.concatenate([c.slots for c in cohorts])
-        assert np.array_equal(np.sort(shelves), np.arange(frame.n_shelves))
-        assert np.array_equal(np.sort(slots), np.arange(frame.n_slots))
+        assert np.array_equal(np.sort(shelves), np.arange(frame.shelf_count))
+        assert np.array_equal(np.sort(slots), np.arange(frame.slot_count))
 
     def test_rates_positive(self, cohorts):
         for cohort in cohorts:
@@ -316,7 +313,7 @@ class TestVectorInjector:
         table = result.to_table()
         for cohort in group_cohorts(frame, config):
             ids = {
-                frame.sys_refs[i].system_id for i in cohort.systems.tolist()
+                frame.system_ids[i] for i in cohort.systems.tolist()
             }
             mask = table.system_member_mask(ids)
             if np.count_nonzero(mask):

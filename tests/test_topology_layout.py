@@ -1,10 +1,11 @@
 """Tests for RAID group layout policies."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.components import Shelf
-from repro.topology.layout import LayoutPolicy, assign_raid_groups
+from repro.topology.layout import LayoutPolicy, assign_raid_groups, group_layout
 from repro.topology.raidgroup import RaidType
 
 
@@ -114,3 +115,51 @@ class TestValidation:
             assign_raid_groups(
                 "t", shelves, 4, RaidType.RAID4, span_width=0
             )
+
+
+class TestGroupLayoutArrays:
+    """The builder's vectorized layout numbers groups exactly as
+    assign_raid_groups does, system by system."""
+
+    SHAPES = [
+        (n_shelves, slots, size)
+        for n_shelves in (1, 2, 3, 4, 7)
+        for slots in (3, 7, 11, 14)
+        for size in (3, 6, 8, 9, 14)
+    ]
+
+    @pytest.mark.parametrize("policy", list(LayoutPolicy))
+    def test_matches_object_layout(self, policy):
+        shapes = np.array(self.SHAPES)
+        slot_group, counts = group_layout(
+            shapes[:, 0], shapes[:, 1], shapes[:, 2], policy, span_width=3
+        )
+        offset = 0
+        for (n_shelves, slots, size), count in zip(self.SHAPES, counts):
+            groups = assign_raid_groups(
+                "t", make_shelves(n_shelves, slots), size, RaidType.RAID4, policy, 3
+            )
+            bays = n_shelves * slots
+            index = {key: g for g, group in enumerate(groups) for key in group.slot_keys}
+            want = [
+                index[slot.slot_key]
+                for shelf in make_shelves(n_shelves, slots)
+                for slot in shelf.slots
+            ]
+            assert slot_group[offset : offset + bays].tolist() == want
+            assert count == len(groups)
+            offset += bays
+
+    @pytest.mark.parametrize("span", [1, 2, 5])
+    def test_span_width(self, span):
+        slot_group, counts = group_layout([4], [7], [6], LayoutPolicy.SPAN_SHELVES, span)
+        groups = assign_raid_groups(
+            "t", make_shelves(4, 7), 6, RaidType.RAID4, LayoutPolicy.SPAN_SHELVES, span
+        )
+        index = {key: g for g, group in enumerate(groups) for key in group.slot_keys}
+        want = [index[s.slot_key] for shelf in make_shelves(4, 7) for s in shelf.slots]
+        assert slot_group.tolist() == want and counts.tolist() == [len(groups)]
+
+    def test_bad_span_width(self):
+        with pytest.raises(TopologyError):
+            group_layout([2], [8], [4], LayoutPolicy.SPAN_SHELVES, span_width=0)
