@@ -175,23 +175,21 @@ def _columnar_unit_counts(
     table = deduped.table
     codes, names = table.scope_codes(scope)
 
-    duration = dataset.duration_seconds
-    eligible_ids = set()
-    n_units = 0
-    for system in dataset.fleet.systems:
-        if duration - system.deploy_time < window:
-            continue
-        eligible_ids.add(system.system_id)
-        n_units += (
-            system.shelf_count if scope == "shelf" else system.raid_group_count
-        )
+    # Eligibility and unit counts straight from the fleet's arrays.
+    fleet = dataset.fleet
+    fielded = ~(dataset.duration_seconds - fleet.deploy_time < window)
+    unit_start = (
+        fleet.system_shelf_start if scope == "shelf" else fleet.system_group_start
+    )
+    n_units = int(np.diff(unit_start)[fielded].sum())
 
-    system_values = table.system_ids.values
-    deploys = np.empty(len(system_values), dtype=np.float64)
-    eligible = np.zeros(len(system_values), dtype=bool)
-    for code, system_id in enumerate(system_values):
-        deploys[code] = dataset.fleet.system(system_id).deploy_time
-        eligible[code] = system_id in eligible_ids
+    rows = np.fromiter(
+        map(fleet.system_index, table.system_ids.values),
+        dtype=np.int64,
+        count=len(table.system_ids.values),
+    )
+    deploys = fleet.deploy_time[rows]
+    eligible = fielded[rows]
 
     detect = table.detect_time
     starts = deploys[table.system_codes]

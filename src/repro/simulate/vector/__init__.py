@@ -1,22 +1,23 @@
 """Batched hazard-sampling simulation engine for paper-scale fleets.
 
-Same failure model as the legacy per-unit injector, executed as
-whole-cohort NumPy draws writing straight into the columnar
+Same failure model as the legacy per-unit injector, executed
+stage-major — each stage once over every cohort, each cohort drawing
+from its own stream — writing straight into the columnar
 :class:`~repro.core.columns.EventTable` — see the package modules:
 
 - :mod:`~repro.simulate.vector.cohorts` — grouping by rate-determining
-  configuration;
+  configuration into one set of cohort-major arrays;
 - :mod:`~repro.simulate.vector.sampling` — batched shock / renewal /
   independent candidate draws;
 - :mod:`~repro.simulate.vector.queueing` — the lock-step disk
-  replacement chain;
+  replacement chain over every chained bay;
 - :mod:`~repro.simulate.vector.emit` — columnar emission and the
   lifetime-table update;
 - :mod:`~repro.simulate.vector.engine` — the facade and the
   ``REPRO_VECTOR_ENGINE`` switch.
 """
 
-from repro.simulate.vector.cohorts import Cohort, group_cohorts
+from repro.simulate.vector.cohorts import Cohort, CohortSet, group_cohorts
 from repro.simulate.vector.engine import (
     VECTOR_ENGINE_ENV,
     VectorFailureInjector,
@@ -28,6 +29,7 @@ from repro.simulate.vector.engine import (
 
 __all__ = [
     "Cohort",
+    "CohortSet",
     "VECTOR_ENGINE_ENV",
     "VectorFailureInjector",
     "VectorSimulationEngine",

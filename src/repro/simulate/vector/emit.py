@@ -3,16 +3,22 @@
 Three responsibilities sit at the boundary between the batched
 simulation and the rest of the library:
 
-* :func:`build_event_table` — concatenate per-cohort event blocks,
-  globally sort by detection time, and pack them straight into an
-  :class:`~repro.core.columns.EventTable` via its bulk constructor.
-  Identifier strings are produced per *unique bay*, not per event.
+* :func:`build_event_table` — globally sort the engine's one fleet-wide
+  block of delivered failures by detection time and pack it straight
+  into an :class:`~repro.core.columns.EventTable` via its bulk
+  constructor.  Identifier strings are produced per *unique bay*, not
+  per event.
 * :class:`RecoveredBatch` — recovered (masked / retried) incidents kept
   as flat arrays; the :class:`~repro.failures.events.ComponentError`
   dataclasses the log writer wants are materialized only on demand.
 * :func:`record_chains` — write disk removals and replacement
   installs into the fleet's lifetime table, so downstream exposure
   accounting sees the same lifetimes the legacy injector produces.
+
+Both the block and the batch are filled stage by stage over every
+cohort at once; each keeps, per cohort, the order a cohort-at-a-time
+run would produce, so tables, lifetimes and logs do not depend on the
+stage-major execution.
 """
 
 from __future__ import annotations
@@ -25,25 +31,23 @@ import numpy as np
 from repro.core.columns import EventTable
 from repro.failures.events import ComponentError
 from repro.failures.raidlayer import component_errors_for_recovery
-from repro.failures.types import ALL_FAILURE_TYPES, FailureType
+from repro.failures.types import ALL_FAILURE_TYPES
 from repro.fleet.fleet import Fleet
-from repro.simulate.vector.cohorts import Cohort
+from repro.simulate.vector.cohorts import CohortSet, first_appearance
 from repro.simulate.vector.queueing import DiskChain
-
-_TYPE_CODE = {
-    failure_type: code for code, failure_type in enumerate(ALL_FAILURE_TYPES)
-}
 
 
 @dataclasses.dataclass
-class EventBlock:
-    """One cohort's delivered failures, as parallel arrays.
+class DeliveredEvents:
+    """Every cohort's delivered failures, as parallel arrays.
 
-    ``slot``/``gen`` identify the failed-or-afflicted disk; the cohort
-    supplies every per-system constant (class, models, path flag).
+    ``slot``/``gen`` identify the failed-or-afflicted disk; the row's
+    cohort supplies every per-system constant (class, models, path
+    flag).  The engine hands these over cohort-major, each cohort's
+    rows in detection order.
     """
 
-    cohort: Cohort
+    cohort: np.ndarray
     slot: np.ndarray
     gen: np.ndarray
     occur: np.ndarray
@@ -55,21 +59,19 @@ class EventBlock:
     def __len__(self) -> int:
         return int(self.detect.shape[0])
 
+    @classmethod
+    def concat(cls, parts: List["DeliveredEvents"]) -> "DeliveredEvents":
+        return cls(
+            *(
+                np.concatenate([getattr(part, field.name) for part in parts])
+                for field in dataclasses.fields(cls)
+            )
+        )
 
-def _first_appearance(row_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique integer keys in first-appearance order, plus per-row codes.
-
-    The unique pass runs on integers — no per-row strings, no
-    object-array sort — and the code assignment matches what sequential
-    per-row interning would produce.
-    """
-    uniq, first, inverse = np.unique(
-        row_keys, return_index=True, return_inverse=True
-    )
-    rank = np.argsort(first, kind="stable")
-    code_of_key = np.empty(rank.size, dtype=np.int64)
-    code_of_key[rank] = np.arange(rank.size)
-    return uniq[rank], code_of_key[inverse]
+    def take(self, rows: np.ndarray) -> "DeliveredEvents":
+        return DeliveredEvents(
+            *(getattr(self, field.name)[rows] for field in dataclasses.fields(self))
+        )
 
 
 def _dedup(
@@ -96,74 +98,57 @@ def _dedup(
     return remap[codes], merged
 
 
-def build_event_table(fleet: Fleet, blocks: List[EventBlock]) -> EventTable:
-    """Pack cohort event blocks into one detection-sorted EventTable.
+def build_event_table(
+    fleet: Fleet, cohorts: CohortSet, events: DeliveredEvents
+) -> EventTable:
+    """Pack the fleet-wide block into one detection-sorted EventTable.
 
-    Every string column is derived from integer topology keys (slot,
-    shelf, system, cohort indices); the only Python-level string work is
-    one render per unique key, never per event row.
+    A stable sort of the cohort-major block by detection time orders
+    the rows exactly as concatenating per-cohort blocks would.  Every
+    string column is derived from integer topology keys (slot, shelf,
+    system, cohort indices); the only Python-level string work is one
+    render per unique key, never per event row.
     """
-    blocks = [block for block in blocks if len(block)]
-    if not blocks:
+    if not len(events):
         return EventTable.empty()
 
-    occur = np.concatenate([b.occur for b in blocks])
-    detect = np.concatenate([b.detect for b in blocks])
-    slot = np.concatenate([b.slot for b in blocks])
-    gen = np.concatenate([b.gen for b in blocks])
-    type_codes = np.concatenate([b.type_code for b in blocks])
-    cause_codes = np.concatenate([b.cause_code for b in blocks])
-    replaced = np.concatenate([b.replaced for b in blocks])
-    block_row = np.repeat(
-        np.arange(len(blocks), dtype=np.int64),
-        [len(b) for b in blocks],
-    )
-
-    order = np.argsort(detect, kind="stable")
-    slot = slot[order]
-    gen = gen[order]
-    block_row = block_row[order]
+    order = np.argsort(events.detect, kind="stable")
+    slot = events.slot[order]
+    gen = events.gen[order]
+    cohort = events.cohort[order]
     shelf_index = fleet.slot_shelf[slot]
     sys_index = fleet.shelf_system[shelf_index]
-    cohorts = [b.cohort for b in blocks]
 
     # disk_id: keyed by the (bay, generation) pair, packed into one
     # integer; distinct pairs give distinct ids, so no dedup needed.
     gen_span = int(gen.max()) + 1 if gen.size else 1
-    disk_keys, disk_codes = _first_appearance(slot * gen_span + gen)
+    disk_keys, disk_codes = first_appearance(slot * gen_span + gen)
     key_gens = (disk_keys % gen_span).tolist()
     slot_key_list = fleet.slot_keys(disk_keys // gen_span)
     disk_values = [
         "%s#%d" % (k, g) for k, g in zip(slot_key_list, key_gens)
     ]
 
-    shelf_keys, shelf_codes = _first_appearance(shelf_index)
+    shelf_keys, shelf_codes = first_appearance(shelf_index)
     shelf_ids = fleet.shelf_ids
     shelf_values = [shelf_ids[s] for s in shelf_keys.tolist()]
-    sys_keys, sys_codes = _first_appearance(sys_index)
+    sys_keys, sys_codes = first_appearance(sys_index)
     sys_values = [fleet.system_ids[s] for s in sys_keys.tolist()]
-    raid_keys, raid_codes = _first_appearance(slot)
+    raid_keys, raid_codes = first_appearance(slot)
     raid = _dedup(raid_codes, fleet.slot_group_ids(raid_keys))
-    blk_keys, blk_codes = _first_appearance(block_row)
-    blk_list = blk_keys.tolist()
-    classes = _dedup(
-        blk_codes, [cohorts[b].system_class.value for b in blk_list]
-    )
-    disk_models = _dedup(
-        blk_codes, [cohorts[b].disk_model for b in blk_list]
-    )
-    shelf_models = _dedup(
-        blk_codes, [cohorts[b].shelf_model for b in blk_list]
-    )
+    cohort_keys, cohort_codes = first_appearance(cohort)
+    keys = [cohorts.keys[c] for c in cohort_keys.tolist()]
+    classes = _dedup(cohort_codes, [key[0].value for key in keys])
+    disk_models = _dedup(cohort_codes, [key[2] for key in keys])
+    shelf_models = _dedup(cohort_codes, [key[1] for key in keys])
 
-    dual = np.asarray([c.dual_path for c in cohorts], dtype=bool)[block_row]
     return EventTable.from_columns(
-        occur_time=occur[order],
-        detect_time=detect[order],
-        type_codes=type_codes[order],
-        cause_codes=cause_codes[order],
-        dual_path=dual,
-        replaced_disk=replaced[order],
+        occur_time=events.occur[order],
+        detect_time=events.detect[order],
+        type_codes=events.type_code[order],
+        cause_codes=events.cause_code[order],
+        dual_path=cohorts.dual_path[cohort],
+        replaced_disk=events.replaced[order],
         disk_id=(disk_codes, disk_values),
         shelf_id=(shelf_codes, shelf_values),
         raid_group_id=raid,
@@ -183,40 +168,33 @@ class RecoveredBatch:
     recovery terminal — see
     :func:`repro.failures.raidlayer.component_errors_for_recovery`), so
     the count is known without materializing anything.
+
+    Incidents arrive stage by stage (masked faults type by type, then
+    precursors, then background noise), each stage over every cohort.
+    :meth:`materialize` restores the order a cohort-at-a-time run
+    records them in — per cohort, the stages in arrival order, each
+    stage's rows by failure type — before its stable time sort, so
+    records with equal times keep that order.
     """
 
     def __init__(self, fleet: Fleet) -> None:
         self._fleet = fleet
-        self._chunks: List[
-            Tuple[FailureType, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
+        self._chunks: List[Tuple[np.ndarray, ...]] = []
         self._incidents = 0
 
     def add(
         self,
-        failure_type: FailureType,
-        time: np.ndarray,
-        slot: np.ndarray,
-        gen: np.ndarray,
-    ) -> None:
-        """Append a batch of recovered incidents of one type."""
-        if time.size == 0:
-            return
-        self._chunks.append((failure_type, time, slot, gen))
-        self._incidents += int(time.size)
-
-    def add_mixed(
-        self,
+        cohort: np.ndarray,
         type_codes: np.ndarray,
         time: np.ndarray,
         slot: np.ndarray,
         gen: np.ndarray,
     ) -> None:
-        """Append incidents with per-row failure types (background noise)."""
-        for code, failure_type in enumerate(ALL_FAILURE_TYPES):
-            rows = np.flatnonzero(type_codes == code)
-            if rows.size:
-                self.add(failure_type, time[rows], slot[rows], gen[rows])
+        """Append one stage's incidents, cohort-major, with per-row types."""
+        if time.size == 0:
+            return
+        self._chunks.append((cohort, type_codes, time, slot, gen))
+        self._incidents += int(time.size)
 
     def __len__(self) -> int:
         return 3 * self._incidents
@@ -226,39 +204,35 @@ class RecoveredBatch:
         errors: List[ComponentError] = []
         if not self._chunks:
             return errors
-        # One key rendering for every chunk: chunks are many and small.
-        all_keys = self._fleet.slot_keys(
-            np.concatenate([slots for _, _, slots, _ in self._chunks])
+        arrival = np.repeat(
+            np.arange(len(self._chunks)), [chunk[2].size for chunk in self._chunks]
         )
-        start = 0
-        for failure_type, times, slots, gens in self._chunks:
-            keys = all_keys[start : start + slots.size]
-            start += slots.size
-            for t, key, g in zip(times, keys, gens):
-                disk_id = "%s#%d" % (key, int(g))
-                errors.extend(
-                    component_errors_for_recovery(
-                        failure_type, disk_id, float(t)
-                    )
+        cohort, type_codes, times, slots, gens = (
+            np.concatenate([chunk[column] for chunk in self._chunks])
+            for column in range(5)
+        )
+        order = np.lexsort((type_codes, arrival, cohort))
+        keys = self._fleet.slot_keys(slots[order])
+        for code, t, key, g in zip(
+            type_codes[order].tolist(), times[order].tolist(), keys, gens[order].tolist()
+        ):
+            errors.extend(
+                component_errors_for_recovery(
+                    ALL_FAILURE_TYPES[code], "%s#%d" % (key, g), t
                 )
+            )
         errors.sort(key=lambda error: error.time)
         return errors
 
 
-def record_chains(fleet: Fleet, chains: List[DiskChain]) -> None:
-    """Write the chains' disk removals and replacements into the fleet."""
-
-    def joined(name: str, dtype) -> np.ndarray:
-        return np.concatenate(
-            [getattr(chain, name) for chain in chains] + [np.zeros(0, dtype)]
-        )
-
+def record_chains(fleet: Fleet, chain: DiskChain) -> None:
+    """Write the chain's disk removals and replacements into the fleet."""
     fleet.record_lifetimes(
-        removed_slot=joined("ev_slot", np.int64),
-        removed_gen=joined("ev_gen", np.int64),
-        removed_at=joined("ev_detect", np.float64),
-        new_slot=joined("rep_slot", np.int64),
-        new_gen=joined("rep_gen", np.int64),
-        new_install=joined("rep_install", np.float64),
-        new_serial=joined("rep_serial", np.uint64),
+        removed_slot=chain.ev_slot,
+        removed_gen=chain.ev_gen,
+        removed_at=chain.ev_detect,
+        new_slot=chain.rep_slot,
+        new_gen=chain.rep_gen,
+        new_install=chain.rep_install,
+        new_serial=chain.rep_serial,
     )

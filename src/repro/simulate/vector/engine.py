@@ -3,8 +3,8 @@
 
 :class:`VectorFailureInjector` reproduces the legacy injector's failure
 model — same rates, same shock/renewal/independent decomposition, same
-replacement and masking semantics — but executes it per *cohort* (see
-:mod:`repro.simulate.vector.cohorts`) as batched NumPy draws, and
+replacement and masking semantics — but executes it over *cohorts*
+(see :mod:`repro.simulate.vector.cohorts`) as batched NumPy draws, and
 writes results straight into a columnar
 :class:`~repro.core.columns.EventTable`.  No
 :class:`~repro.failures.events.FailureEvent` or
@@ -12,6 +12,15 @@ writes results straight into a columnar
 path; both materialize lazily from
 :class:`~repro.failures.injector.InjectionResult` only when legacy
 consumers (the log writer, ``.events`` walkers) ask.
+
+Execution is stage-major (:func:`inject_cohorts`): each stage — shocks
+per type, disk renewals, independents per type, the replacement chain,
+attachment of non-disk failures to disks, then precursor and background
+noise — runs once over every cohort, on fleet-wide arrays keyed by
+cohort.  Only the draws loop over cohorts, and every cohort's stream is
+consumed in the same order, with the same sizes, as a cohort-at-a-time
+run: stage-major and cohort-at-a-time execution give byte-identical
+output.
 
 The two engines are *statistically* equivalent, not byte-identical:
 they consume randomness in different orders, so matched configs agree
@@ -26,7 +35,7 @@ like ``REPRO_LEGACY_EVENTS`` for the analysis side.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +52,20 @@ from repro.failures.types import (
     FAILURE_TYPE_ORDER,
     FailureType,
 )
-from repro.fleet.fleet import Fleet
+from repro.fleet.fleet import Fleet, offsets
 from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
 from repro.simulate.clock import SimulationClock
 from repro.simulate.engine import SimulationEngine
-from repro.simulate.vector.cohorts import Cohort, group_cohorts
+from repro.simulate.vector.cohorts import (
+    CohortSet,
+    group_cohorts,
+    joined,
+    nonempty,
+    segment_sums,
+)
 from repro.simulate.vector.emit import (
-    EventBlock,
+    DeliveredEvents,
     RecoveredBatch,
     build_event_table,
     record_chains,
@@ -71,6 +86,8 @@ _TYPE_CODE = {
     failure_type: code for code, failure_type in enumerate(ALL_FAILURE_TYPES)
 }
 
+Streams = Sequence[np.random.Generator]
+
 
 def vector_engine_enabled() -> bool:
     """Whether ``REPRO_VECTOR_ENGINE`` selects the batched engine."""
@@ -82,7 +99,7 @@ def build_frame(fleet: Fleet) -> Fleet:
 
     Cohorts and emission read the per-bay index arrays (bay -> shelf ->
     system); deriving them here, once per fleet, keeps that cost out of
-    the first cohort.
+    the first stage.
     """
     fleet.slot_system  # noqa: B018 - derives and caches the bay index
     return fleet
@@ -96,8 +113,8 @@ class VectorFailureInjector:
     same observability counters and fleet-event emission.
     """
 
-    #: Publishes per-cohort live-monitor progress itself, so the engine
-    #: must not add its own coarse per-run counts on top.
+    #: Publishes live-monitor progress itself, so the engine must not
+    #: add its own coarse per-run counts on top.
     reports_progress = True
 
     def __init__(self, config: Optional[InjectorConfig] = None) -> None:
@@ -108,37 +125,28 @@ class VectorFailureInjector:
         self, fleet: Fleet, random_source: RandomSource
     ) -> InjectionResult:
         config = self.config
-        backend = self.backend
-        window_end = fleet.duration_seconds
         frame = build_frame(fleet)
-        cohorts = group_cohorts(frame, config, backend)
-        blocks: List[EventBlock] = []
-        chains: List[DiskChain] = []
         recovered = RecoveredBatch(frame)
-        with obs.span(
-            "inject.vector",
-            systems=fleet.system_count,
-            cohorts=len(cohorts),
-        ):
-            for cohort in cohorts:
-                block, chain = _inject_cohort(
-                    cohort,
-                    config,
-                    random_source,
-                    window_end,
-                    recovered,
-                    backend,
-                )
-                blocks.append(block)
-                chains.append(chain)
-                # Live-monitor progress; one attribute check when no
-                # status directory is configured.
-                PROGRESS.advance("cohorts")
-                PROGRESS.advance("disks_advanced", cohort.n_slots)
-                PROGRESS.advance("events_emitted", len(block))
-            with obs.span("inject.vector.emit"):
-                table = build_event_table(frame, blocks)
-                record_chains(fleet, chains)
+        with obs.span("inject.vector", systems=fleet.system_count):
+            with obs.span("inject.vector.group"):
+                cohorts = group_cohorts(frame, config, self.backend)
+                streams = cohorts.streams(random_source)
+            events, chain = inject_cohorts(
+                cohorts,
+                streams,
+                config,
+                self.backend,
+                fleet.duration_seconds,
+                recovered,
+            )
+            with obs.span("inject.vector.emit", cohorts=len(cohorts)):
+                table = build_event_table(frame, cohorts, events)
+                record_chains(fleet, chain)
+        # Live-monitor progress; one attribute check when no status
+        # directory is configured.
+        PROGRESS.advance("cohorts", len(cohorts))
+        PROGRESS.advance("disks_advanced", int(cohorts.slots.size))
+        PROGRESS.advance("events_emitted", len(events))
         result = InjectionResult(
             table=table,
             recovered_errors=recovered if config.emit_recovered_errors else [],
@@ -159,131 +167,149 @@ class VectorFailureInjector:
         return result
 
 
-def _inject_cohort(
-    cohort: Cohort,
+def inject_cohorts(
+    cohorts: CohortSet,
+    streams: Streams,
     config: InjectorConfig,
-    source: RandomSource,
+    backend: HazardBackend,
     window_end: float,
     recovered: RecoveredBatch,
-    backend: HazardBackend,
-) -> Tuple[EventBlock, DiskChain]:
-    """Simulate one cohort: shocks, renewals, chain, attachment, noise.
+) -> Tuple[DeliveredEvents, DiskChain]:
+    """Simulate every cohort: shocks, renewals, chain, attachment, noise.
 
-    All stages draw from the cohort's single content-addressed stream,
-    in this fixed order — the vector analogue of the legacy injector
-    consuming one stream per system.  Every hazard draw dispatches
-    through the backend, mirroring the legacy injector's dispatch.
+    Stage-major: each stage runs once over all cohorts, and cohort
+    ``c`` draws from ``streams[c]`` — the vector analogue of the legacy
+    injector consuming one stream per system — in this fixed stage
+    order.  Every hazard draw dispatches through the backend, whose
+    policy is asked once per run.  Returns the delivered failures
+    (cohort-major, each cohort's in detection order) and the disk
+    chain; recovered incidents go to ``recovered``.
     """
-    rng = cohort.stream(source)
-    active = backend.active_types(config)
+    active = cohorts.active
     use_shocks = backend.uses_shocks(config)
-    shock_candidates = {
-        failure_type: CandidateSet.empty() for failure_type in active
+    renewal = {
+        failure_type: backend.uses_renewal(config, failure_type)
+        for failure_type in active
     }
-    if use_shocks:
-        for failure_type in active:
-            if failure_type not in config.shock_params:
-                continue  # extended types carry no shock share
-            shock_candidates[failure_type] = sample_shock_candidates(
-                rng,
-                cohort,
-                failure_type,
-                cohort.rates[failure_type],
-                config.shock_params[failure_type],
-                window_end,
-                config.multipath,
-            )
+    rates = {failure_type: cohorts.rate(failure_type) for failure_type in active}
+    multipath = config.multipath
 
-    def _indep_rate(failure_type: FailureType) -> float:
+    def independent(failure_type: FailureType) -> CandidateSet:
         share = (
             config.shock_params[failure_type].rho
             if use_shocks and failure_type in config.shock_params
             else 0.0
         )
-        return cohort.rates[failure_type] * (1.0 - share)
-
-    if backend.uses_renewal(config, FailureType.DISK):
-        renewals = sample_renewal_candidates(
-            rng,
-            cohort,
-            FailureType.DISK,
-            _indep_rate(FailureType.DISK),
-            backend,
-            config,
-            window_end,
-            config.multipath,
-        )
-    else:
-        renewals = sample_independent(
-            rng,
-            cohort,
-            FailureType.DISK,
-            _indep_rate(FailureType.DISK),
-            window_end,
-            config.multipath,
-        )
-    independents = {}
-    for failure_type in active:
-        if failure_type is FailureType.DISK:
-            continue
-        if backend.uses_renewal(config, failure_type):
-            independents[failure_type] = sample_renewal_candidates(
-                rng,
-                cohort,
+        indep_rates = rates[failure_type] * (1.0 - share)
+        if renewal[failure_type]:
+            return sample_renewal_candidates(
+                streams,
+                cohorts,
                 failure_type,
-                _indep_rate(failure_type),
+                indep_rates,
                 backend,
                 config,
                 window_end,
-                config.multipath,
+                multipath,
             )
-        else:
-            independents[failure_type] = sample_independent(
-                rng,
-                cohort,
-                failure_type,
-                _indep_rate(failure_type),
-                window_end,
-                config.multipath,
-            )
-
-    disk_candidates = CandidateSet.concat(
-        [shock_candidates[FailureType.DISK], renewals]
-    )
-    chain = run_disk_chain(
-        rng,
-        cohort,
-        disk_candidates.slot,
-        disk_candidates.time,
-        config,
-        cohort.rates[FailureType.DISK],
-        window_end,
-    )
-
-    # Non-disk failures attach to whichever disk occupied the bay.
-    parts_slot = [chain.ev_slot]
-    parts_gen = [chain.ev_gen]
-    parts_occur = [chain.ev_occur]
-    parts_detect = [chain.ev_detect]
-    parts_type = [np.full(chain.ev_slot.size, _TYPE_CODE[FailureType.DISK], np.int8)]
-    parts_cause = [np.full(chain.ev_slot.size, -1, np.int8)]
-    parts_replaced = [np.ones(chain.ev_slot.size, dtype=bool)]
-    for failure_type in active:
-        if failure_type is FailureType.DISK:
-            continue
-        candidates = CandidateSet.concat(
-            [shock_candidates[failure_type], independents[failure_type]]
+        return sample_independent(
+            streams, cohorts, failure_type, indep_rates, window_end, multipath
         )
+
+    with obs.span("inject.vector.shocks"):
+        shocks = {failure_type: CandidateSet.empty() for failure_type in active}
+        if use_shocks:
+            for failure_type in active:
+                if failure_type not in config.shock_params:
+                    continue  # extended types carry no shock share
+                shocks[failure_type] = sample_shock_candidates(
+                    streams,
+                    cohorts,
+                    failure_type,
+                    rates[failure_type],
+                    config.shock_params[failure_type],
+                    window_end,
+                    multipath,
+                )
+    with obs.span("inject.vector.renewal"):
+        renewals = independent(FailureType.DISK)
+    with obs.span("inject.vector.independent"):
+        others = {
+            failure_type: independent(failure_type)
+            for failure_type in active
+            if failure_type is not FailureType.DISK
+        }
+    with obs.span("inject.vector.chain"):
+        disk_candidates = CandidateSet.concat(
+            [shocks[FailureType.DISK], renewals]
+        )
+        chain = run_disk_chain(
+            streams,
+            cohorts,
+            disk_candidates.cohort,
+            disk_candidates.slot,
+            disk_candidates.time,
+            config,
+            rates[FailureType.DISK],
+            window_end,
+        )
+    with obs.span("inject.vector.attach"):
+        events = _attach(
+            streams, cohorts, config, shocks, others, chain, window_end, recovered
+        )
+    if config.emit_recovered_errors:
+        with obs.span("inject.vector.noise"):
+            _sample_noise(
+                streams, cohorts, config, chain, events, window_end, recovered
+            )
+    return events, chain
+
+
+def _attach(
+    streams: Streams,
+    cohorts: CohortSet,
+    config: InjectorConfig,
+    shocks: Dict[FailureType, CandidateSet],
+    others: Dict[FailureType, CandidateSet],
+    chain: DiskChain,
+    window_end: float,
+    recovered: RecoveredBatch,
+) -> DeliveredEvents:
+    """Non-disk failures attach to whichever disk occupied the bay.
+
+    Returns every delivered failure — the chain's disk failures, then
+    each non-disk type in ``active`` order — cohort-major and in
+    detection order within a cohort (ties keep that part order), so
+    downstream draw order is content-determined rather than
+    assembly-order-determined.
+    """
+    n_ev = int(chain.ev_slot.size)
+    parts = [
+        DeliveredEvents(
+            cohort=chain.ev_cohort,
+            slot=chain.ev_slot,
+            gen=chain.ev_gen,
+            occur=chain.ev_occur,
+            detect=chain.ev_detect,
+            type_code=np.full(n_ev, _TYPE_CODE[FailureType.DISK], np.int8),
+            cause_code=np.full(n_ev, -1, np.int8),
+            replaced=np.ones(n_ev, dtype=bool),
+        )
+    ]
+    for failure_type, independents in others.items():
+        code = _TYPE_CODE[failure_type]
+        candidates = CandidateSet.concat([shocks[failure_type], independents])
         if not len(candidates):
             continue
         gen, remove, present = chain.resolve_occupancy(
-            candidates.slot, candidates.time
+            candidates.cohort, candidates.slot, candidates.time
         )
         masked = candidates.masked & present
         if config.emit_recovered_errors and masked.any():
             rows = np.flatnonzero(masked)
             recovered.add(
-                failure_type,
+                candidates.cohort[rows],
+                np.full(rows.size, code, dtype=np.int8),
                 candidates.time[rows],
                 candidates.slot[rows],
                 gen[rows],
@@ -291,141 +317,159 @@ def _inject_cohort(
         live = np.flatnonzero(~candidates.masked & present)
         if live.size == 0:
             continue
-        detect = candidates.time[live] + rng.uniform(
-            0.0, config.detection_lag_max_seconds, size=live.size
+        sizes = np.bincount(candidates.cohort[live], minlength=len(cohorts))
+        detect = candidates.time[live] + joined(
+            [
+                streams[c].uniform(0.0, config.detection_lag_max_seconds, size=n)
+                for c, n in nonempty(sizes)
+            ],
+            np.float64,
         )
         valid = (detect < window_end) & (detect < remove[live])
         rows = live[valid]
         if rows.size == 0:
             continue
-        parts_slot.append(candidates.slot[rows])
-        parts_gen.append(gen[rows])
-        parts_occur.append(candidates.time[rows])
-        parts_detect.append(detect[valid])
-        parts_type.append(
-            np.full(rows.size, _TYPE_CODE[failure_type], dtype=np.int8)
+        parts.append(
+            DeliveredEvents(
+                cohort=candidates.cohort[rows],
+                slot=candidates.slot[rows],
+                gen=gen[rows],
+                occur=candidates.time[rows],
+                detect=detect[valid],
+                type_code=np.full(rows.size, code, dtype=np.int8),
+                cause_code=candidates.cause[rows],
+                replaced=np.zeros(rows.size, dtype=bool),
+            )
         )
-        parts_cause.append(candidates.cause[rows])
-        parts_replaced.append(np.zeros(rows.size, dtype=bool))
-
-    block = EventBlock(
-        cohort=cohort,
-        slot=np.concatenate(parts_slot),
-        gen=np.concatenate(parts_gen),
-        occur=np.concatenate(parts_occur),
-        detect=np.concatenate(parts_detect),
-        type_code=np.concatenate(parts_type),
-        cause_code=np.concatenate(parts_cause),
-        replaced=np.concatenate(parts_replaced),
-    )
-    # Detection order within the cohort, so downstream draw order is
-    # content-determined rather than assembly-order-determined.
-    order = np.argsort(block.detect, kind="stable")
-    block = EventBlock(
-        cohort=cohort,
-        slot=block.slot[order],
-        gen=block.gen[order],
-        occur=block.occur[order],
-        detect=block.detect[order],
-        type_code=block.type_code[order],
-        cause_code=block.cause_code[order],
-        replaced=block.replaced[order],
-    )
-
-    if config.emit_recovered_errors:
-        _sample_noise(
-            rng,
-            cohort,
-            config,
-            chain,
-            block,
-            window_end,
-            recovered,
-        )
-    return block, chain
+    events = DeliveredEvents.concat(parts)
+    return events.take(np.lexsort((events.detect, events.cohort)))
 
 
 def _sample_noise(
-    rng: np.random.Generator,
-    cohort: Cohort,
+    streams: Streams,
+    cohorts: CohortSet,
     config: InjectorConfig,
     chain: DiskChain,
-    block: EventBlock,
+    events: DeliveredEvents,
     window_end: float,
     recovered: RecoveredBatch,
 ) -> None:
     """Recovered retry noise: precursor warnings plus background errors."""
+    n_cohorts = len(cohorts)
     # Precursors: each delivered failure radiates Poisson-many recovered
-    # incidents on its component in the days before it occurs.
-    n_events = len(block)
-    if n_events:
-        counts = rng.poisson(
-            config.recovered_errors_per_failure, size=n_events
+    # incidents on its component in the days before it occurs, drawn
+    # in each cohort's detection order.
+    n_events = np.bincount(events.cohort, minlength=n_cohorts)
+    counts = joined(
+        [
+            streams[c].poisson(config.recovered_errors_per_failure, size=n)
+            for c, n in nonempty(n_events)
+        ],
+        np.int64,
+    )
+    totals = segment_sums(counts, offsets(n_events))
+    if totals.any():
+        event_of = np.repeat(np.arange(len(events)), counts)
+        leads = joined(
+            [
+                streams[c].exponential(config.warning_lead_mean_seconds, size=n)
+                for c, n in nonempty(totals)
+            ],
+            np.float64,
         )
-        total = int(counts.sum())
-        if total:
-            event_of = np.repeat(np.arange(n_events), counts)
-            leads = rng.exponential(
-                config.warning_lead_mean_seconds, size=total
-            )
-            times = block.occur[event_of] - leads
-            deploy = cohort.slot_deploy[
-                np.searchsorted(cohort.slots, block.slot[event_of])
-            ]
-            keep = times > deploy  # precursors cannot predate deployment
-            if keep.any():
-                rows = np.flatnonzero(keep)
-                recovered.add_mixed(
-                    block.type_code[event_of[rows]].astype(np.int64),
-                    times[rows],
-                    block.slot[event_of[rows]],
-                    block.gen[event_of[rows]],
-                )
+        times = events.occur[event_of] - leads
+        cohort = events.cohort[event_of]
+        slot = events.slot[event_of]
+        deploy = cohorts.slot_deploy[cohorts.slot_rows(cohort, slot)]
+        rows = np.flatnonzero(times > deploy)  # none predate deployment
+        recovered.add(
+            cohort[rows],
+            events.type_code[event_of[rows]],
+            times[rows],
+            slot[rows],
+            events.gen[event_of[rows]],
+        )
 
     # Background: every disk ever in service logs rare transient errors.
     background_rate = (
         config.background_error_rate_per_disk_year / SECONDS_PER_YEAR
     )
-    if background_rate <= 0.0 or cohort.n_slots == 0:
-        return
-    disk_slot = [cohort.slots]
-    disk_gen = [np.zeros(cohort.n_slots, dtype=np.int64)]
-    disk_install = [cohort.slot_deploy]
-    end0 = np.full(cohort.n_slots, window_end)
-    if chain.slots.size:
-        in_cohort = np.searchsorted(cohort.slots, chain.slots)
-        end0[in_cohort] = np.minimum(chain.rem[:, 0], window_end)
-        for generation in range(1, chain.inst.shape[1]):
-            live = np.flatnonzero(~np.isnan(chain.inst[:, generation]))
-            if live.size == 0:
-                break
-            disk_slot.append(chain.slots[live])
-            disk_gen.append(np.full(live.size, generation, dtype=np.int64))
-            disk_install.append(chain.inst[live, generation])
-            end0 = np.concatenate(
-                (end0, np.minimum(chain.rem[live, generation], window_end))
-            )
-    slots = np.concatenate(disk_slot)
-    gens = np.concatenate(disk_gen)
-    installs = np.concatenate(disk_install)
-    spans = end0 - installs
-    usable = spans > 0.0
-    slots, gens, installs, spans = (
-        slots[usable],
-        gens[usable],
-        installs[usable],
-        spans[usable],
+    if background_rate > 0.0:
+        _sample_background(
+            streams, cohorts, chain, background_rate, window_end, recovered
+        )
+
+
+def _sample_background(
+    streams: Streams,
+    cohorts: CohortSet,
+    chain: DiskChain,
+    rate: float,
+    window_end: float,
+    recovered: RecoveredBatch,
+) -> None:
+    """Background errors over every disk's service span.
+
+    Each cohort's disks are its bays' deploy-time disks in bay order,
+    then its replacement disks generation by generation: one fleet-wide
+    disk array, with each cohort's replacements inserted after its bays.
+    """
+    n_bays = cohorts.slots.size
+    end = np.full(n_bays, window_end)
+    if chain.key.size:
+        end[cohorts.slot_rows(chain.cohort, chain.slots)] = np.minimum(
+            chain.rem[:, 0], window_end
+        )
+    gens, rows = np.nonzero(~np.isnan(chain.inst[:, 1:].T))
+    by_cohort = np.argsort(chain.cohort[rows], kind="stable")
+    rows, gens = rows[by_cohort], gens[by_cohort] + 1
+    at = cohorts.slot_start[chain.cohort[rows] + 1]
+    install = np.insert(cohorts.slot_deploy, at, chain.inst[rows, gens])
+    spans = np.insert(end, at, np.minimum(chain.rem[rows, gens], window_end))
+    del end
+    spans -= install
+    bounds = offsets(
+        cohorts.slot_counts + np.bincount(chain.cohort[rows], minlength=len(cohorts))
     )
-    counts = rng.poisson(background_rate * spans)
-    total = int(counts.sum())
-    if total == 0:
+
+    usable = np.flatnonzero(spans > 0.0)
+    usable_bounds = np.searchsorted(usable, bounds)
+    lam = rate * spans[usable]
+    counts = np.zeros(usable.size, dtype=np.int64)
+    limits = usable_bounds.tolist()
+    for c, _ in nonempty(np.diff(usable_bounds)):
+        counts[limits[c] : limits[c + 1]] = streams[c].poisson(
+            lam[limits[c] : limits[c + 1]]
+        )
+    del lam
+    totals = segment_sums(counts, usable_bounds)
+    if not totals.any():
         return
-    disk_of = np.repeat(np.arange(slots.size), counts)
-    times = installs[disk_of] + rng.random(total) * spans[disk_of]
-    type_codes = rng.integers(
-        0, len(FAILURE_TYPE_ORDER), size=total, dtype=np.int64
+    disk_of = np.repeat(usable, counts)
+    del usable, counts
+    fractions = joined(
+        [streams[c].random(n) for c, n in nonempty(totals)], np.float64
     )
-    recovered.add_mixed(type_codes, times, slots[disk_of], gens[disk_of])
+    type_codes = joined(
+        [
+            streams[c].integers(0, len(FAILURE_TYPE_ORDER), size=n, dtype=np.int64)
+            for c, n in nonempty(totals)
+        ],
+        np.int64,
+    )
+    # Each picked disk's row in (bays, then replacements).
+    source = np.insert(np.arange(n_bays), at, n_bays + np.arange(rows.size))[disk_of]
+
+    def per_disk(bay_values: np.ndarray, replacement_values: np.ndarray) -> np.ndarray:
+        return np.concatenate((bay_values, replacement_values))[source]
+
+    recovered.add(
+        per_disk(cohorts.slot_cohort, chain.cohort[rows]),
+        type_codes,
+        install[disk_of] + fractions * spans[disk_of],
+        per_disk(cohorts.slots, chain.slots[rows]),
+        per_disk(np.zeros(n_bays, dtype=np.int64), gens),
+    )
 
 
 class VectorSimulationEngine(SimulationEngine):

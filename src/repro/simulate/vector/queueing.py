@@ -5,15 +5,16 @@ Disk failures are the one place the legacy injector is genuinely
 sequential: a bay's candidate only matters if it hits the disk
 *currently* in the bay, and each failure installs a replacement whose
 install time gates the next candidate.  The vector engine keeps that
-semantics but advances **all bays of a cohort together**: each round
-selects, per still-active bay, the earliest pending candidate (regular
-or infant-mortality), applies detection/replacement draws as batched
-vectors, and records the new disk generation.  The number of rounds is
-the maximum replacement-chain depth over the cohort (almost always 1-2),
-not the number of bays — which is what turns the per-unit loop into a
-constant number of vector passes.
+semantics but advances **every chained bay of every cohort together**:
+each round selects, per still-active bay, the earliest pending
+candidate (regular or infant-mortality), applies detection/replacement
+draws, and records the new disk generation.  The number of rounds is
+the maximum replacement-chain depth over the fleet (almost always
+1-2), not the number of bays or cohorts.  Within a round only the
+draws loop over cohorts, each from its own stream, so every stream
+sees the same calls, in the same order, as a cohort-at-a-time chain.
 
-The resulting :class:`DiskChain` doubles as the cohort's occupancy
+The resulting :class:`DiskChain` doubles as the fleet's occupancy
 index: non-disk candidates resolve "which disk generation occupied bay
 ``b`` at time ``t``" against its install/remove matrices without
 touching the fleet's lifetime table.
@@ -22,12 +23,12 @@ touching the fleet's lifetime table.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.failures.injector import InjectorConfig
-from repro.simulate.vector.cohorts import Cohort
+from repro.simulate.vector.cohorts import CohortSet, joined, nonempty
 
 #: Initial generation capacity of the install/remove matrices; grown
 #: geometrically for the rare bay that chews through more replacements.
@@ -36,24 +37,32 @@ _INITIAL_GENERATIONS = 4
 
 @dataclasses.dataclass
 class DiskChain:
-    """Replacement history of a cohort's chained bays.
+    """Replacement history of the chained bays of every cohort.
 
     Attributes:
-        slots: global slot indices with chain state, ascending.
+        key: ``cohort * slot_span + slot`` per chained bay, ascending
+            (so cohort-major, bays ascending within a cohort).
+        cohort / slots: the chained bays' cohorts and global slots.
+        slot_span: the cohort set's slot bound the keys use.
         inst: install time per (chained bay, generation); NaN where the
             generation never existed.  Generation 0 is the deploy-time
             disk.
         rem: remove (detection) time per (bay, generation); +inf while
             the disk was still in service at window end.
-        ev_slot / ev_gen / ev_occur / ev_detect: one row per delivered
-            disk failure, in round order.
+        ev_cohort / ev_slot / ev_gen / ev_occur / ev_detect: one row per
+            delivered disk failure, cohort-major, in round order within
+            a cohort.
         rep_slot / rep_gen / rep_install / rep_serial: one row per
             replacement disk that entered service.
     """
 
+    key: np.ndarray
+    cohort: np.ndarray
     slots: np.ndarray
+    slot_span: int
     inst: np.ndarray
     rem: np.ndarray
+    ev_cohort: np.ndarray
     ev_slot: np.ndarray
     ev_gen: np.ndarray
     ev_occur: np.ndarray
@@ -64,9 +73,9 @@ class DiskChain:
     rep_serial: np.ndarray
 
     def resolve_occupancy(
-        self, slot: np.ndarray, time: np.ndarray
+        self, cohort: np.ndarray, slot: np.ndarray, time: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Which disk occupied each (bay, time) query — vectorized.
+        """Which disk occupied each (cohort, bay, time) query — vectorized.
 
         Returns:
             ``(gen, remove_time, present)`` arrays: the occupying disk's
@@ -79,15 +88,14 @@ class DiskChain:
         gen = np.zeros(n, dtype=np.int64)
         remove = np.full(n, np.inf)
         present = np.ones(n, dtype=bool)
-        if n == 0 or self.slots.size == 0:
+        if n == 0 or self.key.size == 0:
             return gen, remove, present
-        pos = np.searchsorted(self.slots, slot)
-        pos_clip = np.minimum(pos, self.slots.size - 1)
-        chained = self.slots[pos_clip] == slot
-        rows = np.flatnonzero(chained)
+        query = cohort * self.slot_span + slot
+        pos = np.minimum(np.searchsorted(self.key, query), self.key.size - 1)
+        rows = np.flatnonzero(self.key[pos] == query)
         if rows.size == 0:
             return gen, remove, present
-        p = pos_clip[rows]
+        p = pos[rows]
         t = time[rows]
         found = np.full(rows.size, -1, dtype=np.int64)
         for g in range(self.inst.shape[1]):
@@ -103,51 +111,76 @@ class DiskChain:
 
 
 def _infant_times(
-    rng: np.random.Generator,
+    streams: Sequence[np.random.Generator],
+    cohort: np.ndarray,
     install: np.ndarray,
     config: InjectorConfig,
-    disk_rate: float,
+    extra_rates: List[float],
+    n_cohorts: int,
     window_end: float,
 ) -> np.ndarray:
-    """Batched early-life failure candidates (inf = none in the period)."""
-    factor = config.infant_mortality_factor
-    if factor <= 1.0 or disk_rate <= 0.0 or install.size == 0:
-        return np.full(install.size, np.inf)
-    extra_rate = (factor - 1.0) * disk_rate
-    times = install + rng.exponential(1.0 / extra_rate, size=install.size)
+    """Batched early-life failure candidates (inf = none in the period).
+
+    ``extra_rates[c]`` is cohort ``c``'s added early-life hazard, 0.0
+    where infant mortality is off; ``cohort`` is cohort-major.
+    """
+    times = np.full(install.size, np.inf)
+    sizes = np.bincount(cohort, minlength=n_cohorts)
+    sizes[np.asarray(extra_rates) <= 0.0] = 0
+    if not sizes.any():
+        return times
+    rows = np.flatnonzero(sizes[cohort])
+    times[rows] = install[rows] + joined(
+        [
+            streams[c].exponential(1.0 / extra_rates[c], size=n)
+            for c, n in nonempty(sizes)
+        ],
+        np.float64,
+    )
     cutoff = np.minimum(install + config.infant_period_seconds, window_end)
     return np.where(times < cutoff, times, np.inf)
 
 
 def run_disk_chain(
-    rng: np.random.Generator,
-    cohort: Cohort,
+    streams: Sequence[np.random.Generator],
+    cohorts: CohortSet,
+    cand_cohort: np.ndarray,
     cand_slot: np.ndarray,
     cand_time: np.ndarray,
     config: InjectorConfig,
-    disk_rate: float,
+    disk_rates: np.ndarray,
     window_end: float,
 ) -> DiskChain:
-    """Advance every chained bay of a cohort through its disk failures.
+    """Advance every chained bay of every cohort through its disk failures.
 
     Semantics mirror the legacy per-bay walk exactly: candidates in time
     order per bay; candidates inside a replacement gap are consumed
     without effect; an infant-mortality candidate preempts a regular one
     only when strictly earlier; detection beyond the window ends the
     bay's chain with the disk surviving; a replacement beyond the window
-    ends it with the bay empty.
+    ends it with the bay empty.  ``disk_rates`` holds each cohort's
+    delivered disk rate.
     """
-    infant_on = config.infant_mortality_factor > 1.0 and disk_rate > 0.0
-    if infant_on:
-        chain_slots = cohort.slots  # every bay has an infant candidate
-    else:
-        chain_slots = np.unique(cand_slot)
-    n = int(chain_slots.shape[0])
-    deploy = cohort.slot_deploy[np.searchsorted(cohort.slots, chain_slots)]
+    n_cohorts = len(cohorts)
+    span = cohorts.slot_span
+    factor = config.infant_mortality_factor
+    infant_on = (factor > 1.0) & (disk_rates > 0.0)
+    extra_rates = np.where(infant_on, (factor - 1.0) * disk_rates, 0.0).tolist()
+    # Chained bays: every bay with a candidate, plus every bay of a
+    # cohort with infant mortality on.
+    keys = [cand_cohort * span + cand_slot]
+    if infant_on.any():
+        every = np.repeat(infant_on, cohorts.slot_counts)
+        keys.append(cohorts.slot_key[every])
+    chain_key = np.unique(np.concatenate(keys))
+    chain_cohort = chain_key // span
+    chain_slots = chain_key % span
+    n = int(chain_key.shape[0])
+    deploy = cohorts.slot_deploy[cohorts.slot_rows(chain_cohort, chain_slots)]
 
     # Per-bay candidate segments: lexsort by (bay, time) and index by
     # contiguous [seg_lo, seg_hi) ranges.
-    bay_of = np.searchsorted(chain_slots, cand_slot)
+    bay_of = np.searchsorted(chain_key, cand_cohort * span + cand_slot)
     order = np.lexsort((cand_time, bay_of))
     ct = cand_time[order]
     cb = bay_of[order]
@@ -159,7 +192,9 @@ def run_disk_chain(
     install = deploy.copy()
     gen = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
-    infant = _infant_times(rng, install, config, disk_rate, window_end)
+    infant = _infant_times(
+        streams, chain_cohort, install, config, extra_rates, n_cohorts, window_end
+    )
 
     n_gens = _INITIAL_GENERATIONS
     inst = np.full((n, n_gens), np.nan)
@@ -167,8 +202,11 @@ def run_disk_chain(
     if n:
         inst[:, 0] = deploy
 
-    ev_slot, ev_gen, ev_occur, ev_detect = [], [], [], []
+    ev_cohort, ev_slot, ev_gen, ev_occur, ev_detect = [], [], [], [], []
     rep_slot, rep_gen, rep_install, rep_serial = [], [], [], []
+
+    def sizes_of(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(chain_cohort[rows], minlength=n_cohorts)
 
     while True:
         # Consume candidates that fell inside a replacement gap.
@@ -189,28 +227,45 @@ def run_disk_chain(
         occur = t_next[rows]
         infant[rows] = np.inf
 
-        detect = occur + rng.uniform(
-            0.0, config.detection_lag_max_seconds, size=rows.size
+        detect = occur + joined(
+            [
+                streams[c].uniform(0.0, config.detection_lag_max_seconds, size=k)
+                for c, k in nonempty(sizes_of(rows))
+            ],
+            np.float64,
         )
         observed = detect < window_end
         active[rows[~observed]] = False  # unobserved: the disk survives
         orows = rows[observed]
         if orows.size:
             o_detect = detect[observed]
+            ev_cohort.append(chain_cohort[orows])
             ev_slot.append(chain_slots[orows])
             ev_gen.append(gen[orows])
             ev_occur.append(occur[observed])
             ev_detect.append(o_detect)
             rem[orows, gen[orows]] = o_detect
 
-            new_install = o_detect + rng.exponential(
-                config.replacement_delay_mean_seconds, size=orows.size
+            new_install = o_detect + joined(
+                [
+                    streams[c].exponential(
+                        config.replacement_delay_mean_seconds, size=k
+                    )
+                    for c, k in nonempty(sizes_of(orows))
+                ],
+                np.float64,
             )
             in_window = new_install < window_end
             active[orows[~in_window]] = False  # bay stays empty
             irows = orows[in_window]
             if irows.size:
-                serials = rng.integers(0, 2**32, size=irows.size)
+                serials = joined(
+                    [
+                        streams[c].integers(0, 2**32, size=k)
+                        for c, k in nonempty(sizes_of(irows))
+                    ],
+                    np.int64,
+                )
                 gen[irows] += 1
                 top = int(gen[irows].max())
                 if top >= n_gens:
@@ -225,24 +280,32 @@ def run_disk_chain(
                 rep_install.append(new_install[in_window])
                 rep_serial.append(serials)
                 infant[irows] = _infant_times(
-                    rng, new_install[in_window], config, disk_rate, window_end
+                    streams,
+                    chain_cohort[irows],
+                    new_install[in_window],
+                    config,
+                    extra_rates,
+                    n_cohorts,
+                    window_end,
                 )
 
-    def _cat(parts, dtype):
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
-
+    # Events cohort-major, each cohort's in round order.
+    ev_cohort = joined(ev_cohort, np.int64)
+    by_cohort = np.argsort(ev_cohort, kind="stable")
     return DiskChain(
+        key=chain_key,
+        cohort=chain_cohort,
         slots=chain_slots,
+        slot_span=span,
         inst=inst,
         rem=rem,
-        ev_slot=_cat(ev_slot, np.int64),
-        ev_gen=_cat(ev_gen, np.int64),
-        ev_occur=_cat(ev_occur, np.float64),
-        ev_detect=_cat(ev_detect, np.float64),
-        rep_slot=_cat(rep_slot, np.int64),
-        rep_gen=_cat(rep_gen, np.int64),
-        rep_install=_cat(rep_install, np.float64),
-        rep_serial=_cat(rep_serial, np.uint64),
+        ev_cohort=ev_cohort[by_cohort],
+        ev_slot=joined(ev_slot, np.int64)[by_cohort],
+        ev_gen=joined(ev_gen, np.int64)[by_cohort],
+        ev_occur=joined(ev_occur, np.float64)[by_cohort],
+        ev_detect=joined(ev_detect, np.float64)[by_cohort],
+        rep_slot=joined(rep_slot, np.int64),
+        rep_gen=joined(rep_gen, np.int64),
+        rep_install=joined(rep_install, np.float64),
+        rep_serial=joined(rep_serial, np.uint64),
     )

@@ -19,9 +19,10 @@ import re
 import numpy as np
 import pytest
 
-from repro import envvars
+from repro import envvars, obs
 from repro.core.afr import dataset_afr
-from repro.failures.backends import resolve as resolve_backend
+from repro.failures.backends import Hazard, resolve as resolve_backend
+from repro.failures.backends.analytic import AnalyticBackend
 from repro.failures.injector import InjectorConfig
 from repro.failures.types import (
     ALL_FAILURE_TYPES,
@@ -29,18 +30,20 @@ from repro.failures.types import (
     FailureType,
 )
 from repro.fleet.builder import build_fleet
+from repro.fleet.partition import cell_of
 from repro.fleet.spec import FleetSpec
+from repro.obs.sampler import PROGRESS
 from repro.rng import RandomSource
 from repro.simulate.engine import SimulationEngine
 from repro.simulate.scenario import run_scenario
-from repro.simulate.vector.cohorts import Cohort, group_cohorts
+from repro.simulate.vector.cohorts import CohortSet, group_cohorts, system_cells
 from repro.simulate.vector.emit import RecoveredBatch
 from repro.simulate.vector.engine import (
     VECTOR_ENGINE_ENV,
     VectorFailureInjector,
     VectorSimulationEngine,
-    _inject_cohort,
     build_frame,
+    inject_cohorts,
     make_engine,
 )
 from repro.simulate.vector.sampling import (
@@ -133,33 +136,32 @@ class TestCohorts:
         assert cohorts[0].stream(source) is cohorts[0].stream(source)
 
 
-def _one_shelf_cohort(n_bays: int = 14) -> Cohort:
-    return Cohort(
-        system_class=SYSTEM_CLASS_ORDER[0],
-        shelf_model="test-shelf",
-        disk_model="test-disk",
-        dual_path=False,
+def _one_shelf_cohort(n_bays: int = 14) -> CohortSet:
+    """A one-cohort set: one system with one shelf of ``n_bays`` bays."""
+    return CohortSet(
+        keys=[(SYSTEM_CLASS_ORDER[0], "test-shelf", "test-disk", False, 0)],
+        rates=[{}],
+        active=FAILURE_TYPE_ORDER,
         systems=np.asarray([0], dtype=np.int64),
+        system_start=np.asarray([0, 1], dtype=np.int64),
         shelves=np.asarray([0], dtype=np.int64),
+        shelf_start=np.asarray([0, 1], dtype=np.int64),
         shelf_deploy=np.zeros(1),
         shelf_n_slots=np.asarray([n_bays], dtype=np.int64),
         shelf_offset=np.asarray([0], dtype=np.int64),
-        slots=np.arange(n_bays, dtype=np.int64),
-        slot_deploy=np.zeros(n_bays),
-        rates={},
     )
 
 
 class TestSampling:
     def test_zero_rate_is_empty(self, cohorts):
         rng = np.random.default_rng(0)
-        cohort = cohorts[0]
+        cohort = cohorts.select([0])
         config = InjectorConfig()
         empty = sample_shock_candidates(
-            rng,
+            [rng],
             cohort,
             FailureType.DISK,
-            0.0,
+            np.zeros(1),
             config.shock_params[FailureType.DISK],
             1.0e6,
             config.multipath,
@@ -169,10 +171,10 @@ class TestSampling:
         assert (
             len(
                 sample_renewal_candidates(
-                    rng,
+                    [rng],
                     cohort,
                     FailureType.DISK,
-                    0.0,
+                    np.zeros(1),
                     backend,
                     config,
                     1.0e6,
@@ -190,10 +192,10 @@ class TestSampling:
         rate, window = 2.0e-5, 1.0e6
         config = InjectorConfig(disk_renewal_shape=1.4)
         out = sample_renewal_candidates(
-            np.random.default_rng(7),
+            [np.random.default_rng(7)],
             cohort,
             FailureType.DISK,
-            rate,
+            np.asarray([rate]),
             resolve_backend("analytic"),
             config,
             window,
@@ -208,10 +210,10 @@ class TestSampling:
     def test_independent_interconnect_has_causes(self):
         cohort = _one_shelf_cohort(n_bays=10)
         out = sample_independent(
-            np.random.default_rng(3),
+            [np.random.default_rng(3)],
             cohort,
             FailureType.PHYSICAL_INTERCONNECT,
-            1.0e-5,
+            np.asarray([1.0e-5]),
             1.0e6,
             InjectorConfig().multipath,
         )
@@ -224,10 +226,10 @@ class TestSampling:
         rng = np.random.default_rng(1)
         config = InjectorConfig(disk_renewal_shape=1.4)
         a = sample_renewal_candidates(
-            rng,
+            [rng],
             cohort,
             FailureType.DISK,
-            1.0e-5,
+            np.asarray([1.0e-5]),
             resolve_backend("analytic"),
             config,
             1.0e6,
@@ -311,20 +313,22 @@ class TestVectorInjector:
         config = InjectorConfig()
         frame = build_frame(fleet)
         table = result.to_table()
-        for cohort in group_cohorts(frame, config):
+        cohorts = group_cohorts(frame, config)
+        for index, cohort in enumerate(cohorts):
             ids = {
                 frame.system_ids[i] for i in cohort.systems.tolist()
             }
             mask = table.system_member_mask(ids)
             if np.count_nonzero(mask):
                 break
-        block, _ = _inject_cohort(
-            cohort,
+        one = cohorts.select([index])
+        block, _ = inject_cohorts(
+            one,
+            one.streams(RandomSource(11)),
             config,
-            RandomSource(11),
+            resolve_backend("analytic"),
             fleet.duration_seconds,
             RecoveredBatch(frame),
-            resolve_backend("analytic"),
         )
         assert np.array_equal(
             np.sort(table.detect_time[mask]), np.sort(block.detect)
@@ -332,6 +336,168 @@ class TestVectorInjector:
         assert np.array_equal(
             np.sort(table.type_codes[mask]), np.sort(block.type_code)
         )
+
+
+class _ShortGapHazard(Hazard):
+    """Gaps a tenth of the advertised mean, so the renewal sampler's
+    first batch is too short and every process takes several rounds."""
+
+    def __init__(self, mean_seconds: float) -> None:
+        self.mean_seconds = mean_seconds
+
+    def sample_interarrivals(self, rng, n):
+        return rng.exponential(self.mean_seconds / 10.0, size=n)
+
+    @property
+    def mean(self) -> float:
+        return self.mean_seconds
+
+
+class _SeveralRoundsBackend(AnalyticBackend):
+    def hazard(self, config, failure_type, mean_seconds, system_class=None):
+        return _ShortGapHazard(mean_seconds)
+
+
+class TestStageMajor:
+    """Stage-major execution against one-cohort-at-a-time semantics."""
+
+    def test_cells_match_partition(self, frame):
+        cells = system_cells(frame.system_ids)
+        assert cells.tolist() == [cell_of(i) for i in frame.system_ids]
+        assert system_cells(["", "a", "sys-éé"]).tolist() == [
+            cell_of(i) for i in ("", "a", "sys-éé")
+        ]
+
+    @staticmethod
+    def _renewal_one_cohort(rng, cohort, indep_rate, backend, config, window_end):
+        """One cohort's renewal draws, one bay-count group after another:
+        the per-stream order the stage-major sampler must reproduce."""
+        times_parts, shelf_parts = [], []
+        for n_bays in np.unique(cohort.shelf_n_slots):
+            if n_bays == 0:
+                continue
+            group = np.flatnonzero(cohort.shelf_n_slots == n_bays)
+            hazard = backend.hazard(
+                config,
+                FailureType.DISK,
+                1.0 / (indep_rate * float(n_bays)),
+                cohort.system_class,
+            )
+            current = cohort.shelf_deploy[group] + hazard.equilibrium_delay(
+                rng, group.size
+            )
+            started = current < window_end
+            times_parts.append(current[started])
+            shelf_parts.append(group[started])
+            alive = np.flatnonzero(started)
+            if alive.size:
+                horizon = (window_end - current[alive].min()) / hazard.mean
+                batch = max(8, int(horizon + 4.0 * np.sqrt(horizon) + 4.0))
+            while alive.size:
+                gaps = hazard.sample_cohort(rng, (alive.size, batch))
+                arrivals = current[alive][:, None] + np.cumsum(gaps, axis=1)
+                rows, cols = np.nonzero(arrivals < window_end)
+                times_parts.append(arrivals[rows, cols])
+                shelf_parts.append(group[alive[rows]])
+                current[alive] = arrivals[:, -1]
+                alive = alive[arrivals[:, -1] < window_end]
+        times = np.concatenate(times_parts)
+        shelves = np.concatenate(shelf_parts)
+        locals_ = rng.integers(
+            0, cohort.shelf_n_slots[shelves], size=times.size, dtype=np.int64
+        )
+        return times, cohort.shelf_offset[shelves] + locals_
+
+    @pytest.mark.parametrize("backend", ["analytic", "several-rounds"])
+    def test_renewal_matches_cohort_at_a_time(self, backend):
+        # Mixed bay counts within a cohort (two groups, run in turn),
+        # unequal batch widths across cohorts (padded rows), processes
+        # that outlast their first batch, and an empty shelf.
+        bays = np.asarray([14, 24, 14, 12, 12, 0, 14], dtype=np.int64)
+        cohorts = CohortSet(
+            keys=[
+                (SYSTEM_CLASS_ORDER[c], "shelf", "disk", False, c)
+                for c in range(3)
+            ],
+            rates=[{}, {}, {}],
+            active=FAILURE_TYPE_ORDER,
+            systems=np.arange(3, dtype=np.int64),
+            system_start=np.arange(4, dtype=np.int64),
+            shelves=np.arange(bays.size, dtype=np.int64),
+            shelf_start=np.asarray([0, 3, 5, 7], dtype=np.int64),
+            shelf_deploy=np.asarray([0.0, 2.0e5, 4.0e5, 0.0, 1.0e5, 0.0, 3.0e5]),
+            shelf_n_slots=bays,
+            shelf_offset=np.concatenate(([0], np.cumsum(bays)[:-1])),
+        )
+        rates = np.asarray([2.0e-5, 9.0e-5, 1.0e-5])
+        config = InjectorConfig()
+        backend = (
+            resolve_backend("analytic")
+            if backend == "analytic"
+            else _SeveralRoundsBackend()
+        )
+        window = 1.0e6
+        out = sample_renewal_candidates(
+            [np.random.default_rng(40 + c) for c in range(3)],
+            cohorts,
+            FailureType.DISK,
+            rates,
+            backend,
+            config,
+            window,
+            config.multipath,
+        )
+        assert np.all(np.diff(out.cohort) >= 0)  # cohort-major
+        for c, cohort in enumerate(cohorts):
+            rng = np.random.default_rng(40 + c)
+            times, slots = self._renewal_one_cohort(
+                rng, cohort, rates[c], backend, config, window
+            )
+            rows = out.cohort == c
+            assert times.size > 0
+            assert np.array_equal(out.time[rows], times)
+            assert np.array_equal(out.slot[rows], slots)
+
+    def test_stage_spans_and_progress_totals(self):
+        fleet = _fresh_fleet(seed=5)
+        cohorts = group_cohorts(build_frame(fleet), InjectorConfig())
+        slot_count = fleet.slot_count
+        obs.configure(enable=True)
+        PROGRESS.reset()
+        PROGRESS.configure()
+        try:
+            result = VectorFailureInjector().inject(fleet, RandomSource(5))
+            spans = [
+                event
+                for event in obs.OBSERVER.tracer.events()
+                if event.get("type") == "span"
+            ]
+            counts = PROGRESS.counts()
+        finally:
+            obs.reset()
+            PROGRESS.reset()
+        (root,) = [s for s in spans if s["name"] == "inject.vector"]
+        children = sorted(
+            s["name"] for s in spans if s["parent_id"] == root["span_id"]
+        )
+        assert children == sorted(
+            "inject.vector." + stage
+            for stage in (
+                "group",
+                "shocks",
+                "renewal",
+                "independent",
+                "chain",
+                "attach",
+                "noise",
+                "emit",
+            )
+        )
+        assert counts == {
+            "cohorts": len(cohorts),
+            "disks_advanced": slot_count,
+            "events_emitted": result.n_events(),
+        }
 
 
 class TestEngineFacade:
