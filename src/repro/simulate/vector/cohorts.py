@@ -144,7 +144,8 @@ class Cohort:
         self.rates = owner.rates[index]
         shelf = slice(*owner.shelf_start[index : index + 2].tolist())
         slot = slice(*owner.slot_start[index : index + 2].tolist())
-        self.systems = owner.systems[slice(*owner.system_start[index : index + 2].tolist())]
+        systems = slice(*owner.system_start[index : index + 2].tolist())
+        self.systems = owner.systems[systems]
         self.shelves = owner.shelves[shelf]
         self.shelf_deploy = owner.shelf_deploy[shelf]
         self.shelf_n_slots = owner.shelf_n_slots[shelf]

@@ -79,9 +79,9 @@ def _dedup(
 ) -> Tuple[np.ndarray, List[str]]:
     """Merge duplicate strings in a provisional (codes, values) column.
 
-    Distinct integer keys may share a value — bays of one RAID group,
-    cohorts of one disk model — and :class:`StringTable` codes must be
-    per distinct *string*.
+    Distinct integer keys may share a value — ungrouped bays, cohorts of
+    one disk model — and :class:`StringTable` codes must be per distinct
+    *string*.
     """
     index = {}
     remap = np.empty(len(values), dtype=np.int64)
@@ -134,8 +134,12 @@ def build_event_table(
     shelf_values = [shelf_ids[s] for s in shelf_keys.tolist()]
     sys_keys, sys_codes = first_appearance(sys_index)
     sys_values = [fleet.system_ids[s] for s in sys_keys.tolist()]
-    raid_keys, raid_codes = first_appearance(slot)
-    raid = _dedup(raid_codes, fleet.slot_group_ids(raid_keys))
+    group_keys, group_codes = first_appearance(fleet.slot_group[slot])
+    group_ids = fleet.group_ids
+    raid = _dedup(
+        group_codes,
+        [group_ids[g] if g >= 0 else "" for g in group_keys.tolist()],
+    )
     cohort_keys, cohort_codes = first_appearance(cohort)
     keys = [cohorts.keys[c] for c in cohort_keys.tolist()]
     classes = _dedup(cohort_codes, [key[0].value for key in keys])

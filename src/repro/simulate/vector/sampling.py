@@ -261,14 +261,13 @@ def sample_renewal_candidates(
     # distribution and advance as one group, groups in ascending bay
     # count.  A cohort's second group starts only after its first has
     # finished, so groups run by rank within their cohort ("level").
-    row_cohort = cohorts.shelf_cohort[rows]
     row_bays = cohorts.shelf_n_slots[rows]
+    bay_span = int(row_bays.max()) + 1
     group_keys, group_of_row = np.unique(
-        row_cohort * (int(row_bays.max()) + 1) + row_bays, return_inverse=True
+        cohorts.shelf_cohort[rows] * bay_span + row_bays, return_inverse=True
     )
     group_of_row = group_of_row.reshape(-1)
-    group_cohort = group_keys // (int(row_bays.max()) + 1)
-    group_bays = group_keys % (int(row_bays.max()) + 1)
+    group_cohort, group_bays = np.divmod(group_keys, bay_span)
     first_group = np.searchsorted(group_cohort, group_cohort)
     group_level = np.arange(group_keys.size) - first_group
 
@@ -372,7 +371,9 @@ def sample_renewal_candidates(
     highs = cohorts.shelf_n_slots[shelf_rows]
     locals_ = joined(
         [
-            streams[c].integers(0, highs[bounds[c] : bounds[c + 1]], size=n, dtype=np.int64)
+            streams[c].integers(
+                0, highs[bounds[c] : bounds[c + 1]], size=n, dtype=np.int64
+            )
             for c, n in nonempty(sizes)
         ],
         np.int64,
