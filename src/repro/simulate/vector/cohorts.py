@@ -44,6 +44,8 @@ from repro.topology.classes import SystemClass
 
 #: A cohort's grouping key: class, shelf model, disk model, path flag, cell.
 CohortKey = Tuple[SystemClass, str, str, bool, int]
+#: One random stream per cohort, indexed by cohort.
+Streams = Sequence[np.random.Generator]
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)

@@ -35,7 +35,7 @@ like ``REPRO_LEGACY_EVENTS`` for the analysis side.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.simulate.clock import SimulationClock
 from repro.simulate.engine import SimulationEngine
 from repro.simulate.vector.cohorts import (
     CohortSet,
+    Streams,
     group_cohorts,
     joined,
     nonempty,
@@ -85,8 +86,6 @@ VECTOR_ENGINE_ENV = "REPRO_VECTOR_ENGINE"
 _TYPE_CODE = {
     failure_type: code for code, failure_type in enumerate(ALL_FAILURE_TYPES)
 }
-
-Streams = Sequence[np.random.Generator]
 
 
 def vector_engine_enabled() -> bool:

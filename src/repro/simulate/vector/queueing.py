@@ -23,12 +23,12 @@ touching the fleet's lifetime table.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.failures.injector import InjectorConfig
-from repro.simulate.vector.cohorts import CohortSet, joined, nonempty
+from repro.simulate.vector.cohorts import CohortSet, Streams, joined, nonempty
 
 #: Initial generation capacity of the install/remove matrices; grown
 #: geometrically for the rare bay that chews through more replacements.
@@ -111,12 +111,11 @@ class DiskChain:
 
 
 def _infant_times(
-    streams: Sequence[np.random.Generator],
+    streams: Streams,
     cohort: np.ndarray,
     install: np.ndarray,
     config: InjectorConfig,
     extra_rates: List[float],
-    n_cohorts: int,
     window_end: float,
 ) -> np.ndarray:
     """Batched early-life failure candidates (inf = none in the period).
@@ -125,7 +124,7 @@ def _infant_times(
     where infant mortality is off; ``cohort`` is cohort-major.
     """
     times = np.full(install.size, np.inf)
-    sizes = np.bincount(cohort, minlength=n_cohorts)
+    sizes = np.bincount(cohort, minlength=len(extra_rates))
     sizes[np.asarray(extra_rates) <= 0.0] = 0
     if not sizes.any():
         return times
@@ -142,7 +141,7 @@ def _infant_times(
 
 
 def run_disk_chain(
-    streams: Sequence[np.random.Generator],
+    streams: Streams,
     cohorts: CohortSet,
     cand_cohort: np.ndarray,
     cand_slot: np.ndarray,
@@ -173,8 +172,7 @@ def run_disk_chain(
         every = np.repeat(infant_on, cohorts.slot_counts)
         keys.append(cohorts.slot_key[every])
     chain_key = np.unique(np.concatenate(keys))
-    chain_cohort = chain_key // span
-    chain_slots = chain_key % span
+    chain_cohort, chain_slots = np.divmod(chain_key, span)
     n = int(chain_key.shape[0])
     deploy = cohorts.slot_deploy[cohorts.slot_rows(chain_cohort, chain_slots)]
 
@@ -193,7 +191,7 @@ def run_disk_chain(
     gen = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     infant = _infant_times(
-        streams, chain_cohort, install, config, extra_rates, n_cohorts, window_end
+        streams, chain_cohort, install, config, extra_rates, window_end
     )
 
     n_gens = _INITIAL_GENERATIONS
@@ -285,7 +283,6 @@ def run_disk_chain(
                     new_install[in_window],
                     config,
                     extra_rates,
-                    n_cohorts,
                     window_end,
                 )
 

@@ -21,7 +21,7 @@ order.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.fleet.calibration import ShockParams
 from repro.fleet.fleet import offsets
 from repro.simulate.vector.cohorts import (
     CohortSet,
+    Streams,
     joined,
     nonempty,
     ranges,
@@ -56,8 +57,6 @@ _MASKABLE = np.asarray(
 #: is sized to the expected arrival count so most shelves finish in one
 #: vector pass.
 _RENEWAL_BATCH_FLOOR = 8
-
-Streams = Sequence[np.random.Generator]
 
 
 @dataclasses.dataclass
