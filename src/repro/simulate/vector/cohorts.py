@@ -72,6 +72,19 @@ def nonempty(sizes: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(index.tolist(), sizes[index].tolist()))
 
 
+def segment_poisson(
+    streams: Streams, lam: np.ndarray, bounds: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """Poisson counts for ``lam[bounds[c]:bounds[c + 1]]`` from stream
+    ``c``, one draw per live cohort; 0 elsewhere."""
+    counts = np.zeros(lam.size, dtype=np.int64)
+    limits = bounds.tolist()
+    for c in np.flatnonzero(live).tolist():
+        lo, hi = limits[c], limits[c + 1]
+        counts[lo:hi] = streams[c].poisson(lam[lo:hi])
+    return counts
+
+
 def joined(parts: Sequence[np.ndarray], dtype) -> np.ndarray:
     """Per-cohort draws, concatenated in cohort order."""
     if not parts:

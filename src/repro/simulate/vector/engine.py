@@ -63,6 +63,7 @@ from repro.simulate.vector.cohorts import (
     group_cohorts,
     joined,
     nonempty,
+    segment_poisson,
     segment_sums,
 )
 from repro.simulate.vector.emit import (
@@ -354,11 +355,10 @@ def _sample_noise(
     recovered: RecoveredBatch,
 ) -> None:
     """Recovered retry noise: precursor warnings plus background errors."""
-    n_cohorts = len(cohorts)
     # Precursors: each delivered failure radiates Poisson-many recovered
     # incidents on its component in the days before it occurs, drawn
     # in each cohort's detection order.
-    n_events = np.bincount(events.cohort, minlength=n_cohorts)
+    n_events = np.bincount(events.cohort, minlength=len(cohorts))
     counts = joined(
         [
             streams[c].poisson(config.recovered_errors_per_failure, size=n)
@@ -434,12 +434,7 @@ def _sample_background(
     usable = np.flatnonzero(spans > 0.0)
     usable_bounds = np.searchsorted(usable, bounds)
     lam = rate * spans[usable]
-    counts = np.zeros(usable.size, dtype=np.int64)
-    limits = usable_bounds.tolist()
-    for c, _ in nonempty(np.diff(usable_bounds)):
-        counts[limits[c] : limits[c + 1]] = streams[c].poisson(
-            lam[limits[c] : limits[c + 1]]
-        )
+    counts = segment_poisson(streams, lam, usable_bounds, np.diff(usable_bounds) > 0)
     del lam
     totals = segment_sums(counts, usable_bounds)
     if not totals.any():

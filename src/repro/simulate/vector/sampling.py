@@ -36,6 +36,7 @@ from repro.simulate.vector.cohorts import (
     joined,
     nonempty,
     ranges,
+    segment_poisson,
     segment_sums,
 )
 
@@ -174,11 +175,7 @@ def sample_shock_candidates(
     spans = np.maximum(window_end - cohorts.shelf_deploy, 0.0)
     onset_rate = params.rho * rates / params.hit_prob
     lam = np.repeat(onset_rate, cohorts.shelf_counts) * spans
-    bounds = cohorts.shelf_start.tolist()
-    counts = np.zeros(spans.size, dtype=np.int64)
-    for c in np.flatnonzero(live).tolist():
-        lo, hi = bounds[c], bounds[c + 1]
-        counts[lo:hi] = streams[c].poisson(lam[lo:hi])
+    counts = segment_poisson(streams, lam, cohorts.shelf_start, live)
     totals = segment_sums(counts, cohorts.shelf_start)
     if not totals.any():
         return CandidateSet.empty()
@@ -407,11 +404,7 @@ def sample_independent(
     spans = np.maximum(window_end - cohorts.slot_deploy, 0.0)
     lam = np.repeat(indep_rates, cohorts.slot_counts)
     lam *= spans
-    bounds = cohorts.slot_start.tolist()
-    counts = np.zeros(spans.size, dtype=np.int64)
-    for c in np.flatnonzero(live).tolist():
-        lo, hi = bounds[c], bounds[c + 1]
-        counts[lo:hi] = streams[c].poisson(lam[lo:hi])
+    counts = segment_poisson(streams, lam, cohorts.slot_start, live)
     del lam
     totals = segment_sums(counts, cohorts.slot_start)
     if not totals.any():
