@@ -14,9 +14,10 @@ For each engine (legacy / vector, selected through
   type, ``filter_systems``, ``excluding_disk_family``,
   ``deduplicated``, and the deduplication of a synthetic chain of
   near-duplicate reports;
-- at scale 0.02, seed 1: ``evaluate_findings`` and the
-  ``whatif-dualpath`` and ``target-ranking`` experiments (text, data,
-  checks).
+- at scale 0.02, seed 1: ``evaluate_findings``, and the text, data and
+  checks of the fig4a, fig9a and fig10a experiments and of the two
+  that build datasets from event lists, ``whatif-dualpath`` and
+  ``target-ranking``.
 
 Every value is digested through :func:`canonical`: dicts keep their
 key order, dataclasses their field order, floats are written with
@@ -49,7 +50,7 @@ LOGS_SCALE = 0.002
 LOGS_SEED = 9
 MIDSIZE_SCALE = 0.02
 MIDSIZE_SEED = 1
-EXPERIMENTS = ("whatif-dualpath", "target-ranking")
+EXPERIMENTS = ("fig4a", "fig9a", "fig10a", "whatif-dualpath", "target-ranking")
 SECTIONS = tuple("seed-%d" % seed for seed in SEEDS) + (
     "via-logs",
     "methods",
@@ -192,7 +193,7 @@ def method_outputs(dataset) -> dict:
 
 
 def midsize_outputs() -> dict:
-    """Findings and the list-built experiments at scale 0.02, seed 1."""
+    """Findings and the experiments at scale 0.02, seed 1."""
     from repro.core.findings import evaluate_findings
     from repro.experiments import ExperimentContext, run_experiment
 
