@@ -1,12 +1,12 @@
-"""Bench: the analysis layer on a ~10x fleet — columnar vs legacy.
+"""Bench: the analysis layer on a ~10x fleet.
 
-The columnar event core (``repro.core.columns``) rewrites the paper's
-hot aggregations as array reductions; this file pins the speedup on a
-fleet ten times the size of the shared figure-bench fixture (scale 0.5
-vs 0.05, ~75,000 events).  Each aggregation is timed twice — once on
-the legacy list-walking path (``REPRO_LEGACY_EVENTS=1``) and once on
-the columnar path — and the pair lands in ``BENCH_ANALYSIS.json`` via
-``make bench-seed``, starting the analysis-layer perf trajectory.
+The columnar event core (``repro.core.columns``) computes the paper's
+hot aggregations as array reductions; this file times them on a fleet
+ten times the size of the shared figure-bench fixture (scale 0.5 vs
+0.05, ~75,000 events), and ``make bench-seed`` records the timings in
+``BENCH_ANALYSIS.json``.  That file's ``*_legacy`` rows are history:
+they timed the list-walking implementations the analyses once kept
+beside the columnar ones.
 
 ``REPRO_BENCH_ANALYSIS_SCALE`` overrides the fleet scale (CI uses a
 smaller fleet to stay inside the smoke-job budget).
@@ -20,7 +20,6 @@ from repro import envvars
 from repro.core.afr import afr_stack
 from repro.core.breakdown import afr_by_class
 from repro.core.bursts import summarize_bursts
-from repro.core.columns import LEGACY_EVENTS_ENV
 from repro.core.correlation import correlation_by_type
 from repro.core.timebetween import gaps_by_scope
 from repro.experiments import ExperimentContext
@@ -36,89 +35,31 @@ def big_dataset():
     return context.dataset("paper-default")
 
 
-@pytest.fixture
-def legacy_path(monkeypatch):
-    """Force the legacy list-walking analysis implementations."""
-    monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
-
-
-@pytest.fixture
-def columnar_path(monkeypatch):
-    """Force the columnar (vectorized) analysis implementations."""
-    monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-
-
-def _materialize_both(dataset):
-    # Charge neither representation's construction to the timed body.
-    dataset.events
-    dataset.table
-
-
 @pytest.mark.benchmark(group="analysis-afr")
-def test_bench_afr_stack_legacy(benchmark, big_dataset, legacy_path):
-    _materialize_both(big_dataset)
+def test_bench_afr_stack_columnar(benchmark, big_dataset):
     stack = benchmark(afr_stack, big_dataset)
     assert sum(e.count for e in stack.values()) == len(big_dataset)
 
 
 @pytest.mark.benchmark(group="analysis-afr")
-def test_bench_afr_stack_columnar(benchmark, big_dataset, columnar_path):
-    _materialize_both(big_dataset)
-    stack = benchmark(afr_stack, big_dataset)
-    assert sum(e.count for e in stack.values()) == len(big_dataset)
-
-
-@pytest.mark.benchmark(group="analysis-afr")
-def test_bench_fig4_afr_by_class_legacy(benchmark, big_dataset, legacy_path):
-    _materialize_both(big_dataset)
-    rows = benchmark(afr_by_class, big_dataset)
-    assert len(rows) >= 2
-
-
-@pytest.mark.benchmark(group="analysis-afr")
-def test_bench_fig4_afr_by_class_columnar(benchmark, big_dataset, columnar_path):
-    _materialize_both(big_dataset)
+def test_bench_fig4_afr_by_class_columnar(benchmark, big_dataset):
     rows = benchmark(afr_by_class, big_dataset)
     assert len(rows) >= 2
 
 
 @pytest.mark.benchmark(group="analysis-gaps")
-def test_bench_fig9_gaps_shelf_legacy(benchmark, big_dataset, legacy_path):
-    _materialize_both(big_dataset)
-    gaps = benchmark(gaps_by_scope, big_dataset, "shelf")
-    assert gaps.size > 0
-
-
-@pytest.mark.benchmark(group="analysis-gaps")
-def test_bench_fig9_gaps_shelf_columnar(benchmark, big_dataset, columnar_path):
-    _materialize_both(big_dataset)
+def test_bench_fig9_gaps_shelf_columnar(benchmark, big_dataset):
     gaps = benchmark(gaps_by_scope, big_dataset, "shelf")
     assert gaps.size > 0
 
 
 @pytest.mark.benchmark(group="analysis-correlation")
-def test_bench_fig10_correlation_legacy(benchmark, big_dataset, legacy_path):
-    _materialize_both(big_dataset)
-    results = benchmark(correlation_by_type, big_dataset, "shelf")
-    assert len(results) == 4
-
-
-@pytest.mark.benchmark(group="analysis-correlation")
-def test_bench_fig10_correlation_columnar(benchmark, big_dataset, columnar_path):
-    _materialize_both(big_dataset)
+def test_bench_fig10_correlation_columnar(benchmark, big_dataset):
     results = benchmark(correlation_by_type, big_dataset, "shelf")
     assert len(results) == 4
 
 
 @pytest.mark.benchmark(group="analysis-bursts")
-def test_bench_bursts_shelf_legacy(benchmark, big_dataset, legacy_path):
-    _materialize_both(big_dataset)
-    summary = benchmark(summarize_bursts, big_dataset, "shelf")
-    assert summary.n_bursts > 0
-
-
-@pytest.mark.benchmark(group="analysis-bursts")
-def test_bench_bursts_shelf_columnar(benchmark, big_dataset, columnar_path):
-    _materialize_both(big_dataset)
+def test_bench_bursts_shelf_columnar(benchmark, big_dataset):
     summary = benchmark(summarize_bursts, big_dataset, "shelf")
     assert summary.n_bursts > 0

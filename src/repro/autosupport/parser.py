@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.autosupport.messages import LogLine, parse_line
 from repro.autosupport.writer import LogArchive
 from repro.autosupport.snapshot import parse_snapshot
-from repro.core.columns import EventTable, use_columnar
+from repro.core.columns import EventTable
 from repro.core.dataset import DEDUP_WINDOW_SECONDS, FailureDataset
 from repro.errors import LogFormatError
 from repro.failures.events import FailureEvent
@@ -166,10 +166,6 @@ def _locate(system: StorageSystem, disk_id: str) -> Optional[Tuple[str, str, str
     )
 
 
-#: Backwards-compatible alias from before the helper was public.
-_build_event = build_event
-
-
 def parse_archive(
     archive: LogArchive,
     clock: SimulationClock = SimulationClock(),
@@ -196,10 +192,6 @@ def parse_archive(
                 raise LogFormatError("log for unknown system %r" % system_id)
             continue
         events.extend(parse_system_log(text, system, clock, strict))
-    if use_columnar():
-        # Columnarize once at the parse boundary; detect-time sorting
-        # happens on the arrays instead of the dataclass list.
-        return FailureDataset(
-            events=EventTable.from_events(events), fleet=fleet
-        )
-    return FailureDataset(events=events, fleet=fleet)
+    # Columnarize once at the parse boundary; detect-time sorting
+    # happens on the arrays instead of the dataclass list.
+    return FailureDataset(events=EventTable.from_events(events), fleet=fleet)

@@ -13,12 +13,7 @@
 - :mod:`repro.core.report` — plain-text rendering of analysis tables.
 """
 
-from repro.core.columns import (
-    EventTable,
-    StringTable,
-    legacy_events_enabled,
-    use_columnar,
-)
+from repro.core.columns import EventTable, StringTable
 from repro.core.dataset import FailureDataset
 from repro.core.afr import AFREstimate, afr_estimate
 from repro.core.breakdown import (
@@ -35,8 +30,6 @@ from repro.core.findings import Finding, evaluate_findings
 __all__ = [
     "EventTable",
     "StringTable",
-    "legacy_events_enabled",
-    "use_columnar",
     "FailureDataset",
     "AFREstimate",
     "afr_estimate",

@@ -14,7 +14,6 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.columns import use_columnar
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import (
@@ -88,9 +87,6 @@ def dataset_afr(
         kept_ids = {
             s.system_id for s in dataset.fleet.systems if system_predicate(s)
         }
-    # Counting is a pure reduction with one observable answer, so unlike
-    # the grouped analyses there is no legacy list-walking twin here —
-    # the columnar count *is* the implementation.
     count = _columnar_count(dataset, failure_type, kept_ids)
     return afr_estimate(count, exposure, confidence)
 
@@ -118,54 +114,33 @@ def afr_stack(
     confidence: float = 0.995,
 ) -> Dict[FailureType, AFREstimate]:
     """Per-type AFRs over one group — one stacked bar of Figs. 4-7."""
-    if use_columnar():
-        # One bincount replaces a per-type pass over the event list; the
-        # exposure denominator is shared across the whole stack.
-        with obs.span("core.afr.stack", path="columnar", events=len(dataset)):
-            exposure = dataset.exposure_years(system_predicate)
-            table = dataset.table
-            if system_predicate is None:
-                counts = table.counts_by_type()
-            else:
-                kept_ids = {
-                    s.system_id
-                    for s in dataset.fleet.systems
-                    if system_predicate(s)
-                }
-                member = table.system_member_mask(kept_ids)
-                counts = np.bincount(
-                    table.type_codes[member].astype(np.int64),
-                    minlength=len(ALL_FAILURE_TYPES),
-                )
-            # The paper's four types are always in the stack; extended
-            # types (operator error) appear only when events exist, so
-            # default-backend output keeps the four-bar shape.
-            stack = {
-                failure_type: afr_estimate(
-                    int(counts[code]), exposure, confidence
-                )
-                for code, failure_type in enumerate(FAILURE_TYPE_ORDER)
+    # One bincount counts every type; the exposure denominator is
+    # shared across the whole stack.
+    with obs.span("core.afr.stack", events=len(dataset)):
+        exposure = dataset.exposure_years(system_predicate)
+        table = dataset.table
+        if system_predicate is None:
+            counts = table.counts_by_type()
+        else:
+            kept_ids = {
+                s.system_id for s in dataset.fleet.systems if system_predicate(s)
             }
-            for failure_type in EXTENDED_FAILURE_TYPES:
-                count = int(counts[ALL_FAILURE_TYPES.index(failure_type)])
-                if count:
-                    stack[failure_type] = afr_estimate(
-                        count, exposure, confidence
-                    )
-            return stack
-    with obs.span("core.afr.stack", path="legacy", events=len(dataset)):
-        stack = {
-            failure_type: dataset_afr(
-                dataset, failure_type, system_predicate, confidence
+            member = table.system_member_mask(kept_ids)
+            counts = np.bincount(
+                table.type_codes[member].astype(np.int64),
+                minlength=len(ALL_FAILURE_TYPES),
             )
-            for failure_type in FAILURE_TYPE_ORDER
+        # The paper's four types are always in the stack; extended
+        # types (operator error) appear only when events exist, so
+        # default-backend output keeps the four-bar shape.
+        stack = {
+            failure_type: afr_estimate(int(counts[code]), exposure, confidence)
+            for code, failure_type in enumerate(FAILURE_TYPE_ORDER)
         }
         for failure_type in EXTENDED_FAILURE_TYPES:
-            estimate = dataset_afr(
-                dataset, failure_type, system_predicate, confidence
-            )
-            if estimate.count:
-                stack[failure_type] = estimate
+            count = int(counts[ALL_FAILURE_TYPES.index(failure_type)])
+            if count:
+                stack[failure_type] = afr_estimate(count, exposure, confidence)
         return stack
 
 

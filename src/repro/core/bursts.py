@@ -16,10 +16,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.columns import first_occurrence_ranks, use_columnar
+from repro.core.columns import first_occurrence_ranks
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
-from repro.failures.events import FailureEvent
 from repro.failures.types import FailureType
 from repro.units import BURST_GAP_SECONDS
 
@@ -86,51 +85,33 @@ def find_bursts(
         raise AnalysisError("gap threshold must be positive")
     if min_size < 2:
         raise AnalysisError("a burst needs at least 2 failures")
-    deduped = dataset.deduplicated()
-    if use_columnar():
-        # Run boundaries fall out of one sorted pass: a new run starts
-        # wherever the scope unit changes or the gap reaches the
-        # threshold.  Only qualifying runs materialize events.
-        with obs.span("core.bursts", path="columnar", scope=scope):
-            bursts = []
-            table = deduped.table
-            if len(table) >= min_size:
-                codes, names = table.scope_codes(scope)
-                ranks = first_occurrence_ranks(codes)
-                order = np.lexsort((table.detect_time, ranks))
-                times = table.detect_time[order]
-                units = ranks[order]
-                breaks = (units[1:] != units[:-1]) | (
-                    times[1:] - times[:-1] >= gap_threshold
-                )
-                starts = np.concatenate(([0], np.flatnonzero(breaks) + 1))
-                ends = np.concatenate((starts[1:], [len(table)]))
-                for start, end in zip(starts, ends):
-                    if end - start < min_size:
-                        continue
-                    members = order[start:end]
-                    bursts.append(
-                        Burst(
-                            scope_id=names.value(int(codes[members[0]])),
-                            events=tuple(table.rows(members)),
-                        )
-                    )
-            bursts.sort(key=lambda b: (-b.size, b.events[0].detect_time))
-            return bursts
-    with obs.span("core.bursts", path="legacy", scope=scope):
+    # Run boundaries fall out of one sorted pass: a new run starts
+    # wherever the scope unit changes or the gap reaches the threshold.
+    # Only qualifying runs materialize events.
+    with obs.span("core.bursts", scope=scope):
         bursts = []
-        for scope_id, events in deduped.events_by_scope(scope).items():
-            events = sorted(events, key=lambda e: e.detect_time)
-            run: List[FailureEvent] = [events[0]]
-            for event in events[1:]:
-                if event.detect_time - run[-1].detect_time < gap_threshold:
-                    run.append(event)
-                else:
-                    if len(run) >= min_size:
-                        bursts.append(Burst(scope_id=scope_id, events=tuple(run)))
-                    run = [event]
-            if len(run) >= min_size:
-                bursts.append(Burst(scope_id=scope_id, events=tuple(run)))
+        table = dataset.deduplicated().table
+        if len(table) >= min_size:
+            codes, names = table.scope_codes(scope)
+            ranks = first_occurrence_ranks(codes)
+            order = np.lexsort((table.detect_time, ranks))
+            times = table.detect_time[order]
+            units = ranks[order]
+            breaks = (units[1:] != units[:-1]) | (
+                times[1:] - times[:-1] >= gap_threshold
+            )
+            starts = np.concatenate(([0], np.flatnonzero(breaks) + 1))
+            ends = np.concatenate((starts[1:], [len(table)]))
+            for start, end in zip(starts, ends):
+                if end - start < min_size:
+                    continue
+                members = order[start:end]
+                bursts.append(
+                    Burst(
+                        scope_id=names.value(int(codes[members[0]])),
+                        events=tuple(table.rows(members)),
+                    )
+                )
         bursts.sort(key=lambda b: (-b.size, b.events[0].detect_time))
         return bursts
 

@@ -28,9 +28,11 @@ view** (:meth:`events` / :meth:`rows`); when the table was built from an
 existing event sequence the view is the very same objects, so code that
 still walks dataclasses sees no copies.
 
-``REPRO_LEGACY_EVENTS=1`` forces every analysis back onto the original
-list-walking implementations — the escape hatch differential tests use
-to prove the columnar path reproduces the legacy path exactly.
+Every analysis aggregates over these columns; there is no second,
+list-walking implementation.  Group-bys enumerate units in
+first-occurrence order (:func:`first_occurrence_ranks`), so pooled
+float reductions come out in the order a per-group walk over the
+detection-sorted events would produce them.
 """
 
 from __future__ import annotations
@@ -39,16 +41,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import envvars
 from repro.failures.events import FailureEvent
 from repro.failures.types import (
     ALL_FAILURE_TYPES,
     FailureType,
     InterconnectCause,
 )
-
-#: Environment variable forcing the legacy list-walking analysis path.
-LEGACY_EVENTS_ENV = "REPRO_LEGACY_EVENTS"
 
 #: Fixed code order for interconnect causes (code -1 = no cause).
 CAUSE_ORDER: Tuple[InterconnectCause, ...] = tuple(InterconnectCause)
@@ -63,23 +61,12 @@ _CAUSE_CODE: Dict[InterconnectCause, int] = {
 }
 
 
-def legacy_events_enabled() -> bool:
-    """Whether ``REPRO_LEGACY_EVENTS`` forces the legacy analysis path."""
-    return envvars.get_flag(LEGACY_EVENTS_ENV)
-
-
-def use_columnar() -> bool:
-    """Whether analyses should take the columnar (vectorized) path."""
-    return not legacy_events_enabled()
-
-
 class StringTable:
     """An interned string table: dense integer code <-> string.
 
     Codes are assigned in first-intern order, so tables built from an
-    event sequence enumerate ids in first-occurrence order — which is
-    what keeps columnar group-bys byte-identical to the legacy dict
-    insertion order.
+    event sequence enumerate ids in first-occurrence order — the group
+    order every analysis pools in.
     """
 
     __slots__ = ("_values", "_index")
@@ -648,11 +635,11 @@ class EventTable:
 def first_occurrence_ranks(codes: np.ndarray) -> np.ndarray:
     """Rank each code by its first occurrence position in ``codes``.
 
-    Reproduces the legacy group-by ordering: Python dicts enumerate
-    groups in insertion order, i.e. in order of each group's first
-    event.  ``np.lexsort((times, ranks[codes]))`` then visits groups
-    and their members exactly as the legacy per-group loops did —
-    keeping pooled float reductions byte-identical.
+    Groups come in order of each group's first event — the order a dict
+    keyed by unit id enumerates them.  ``np.lexsort((times,
+    ranks[codes]))`` then visits groups, and their members in time
+    order, in that fixed order, which pins the order of pooled float
+    reductions (tests/goldens/analysis_goldens.json).
     """
     if codes.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -665,9 +652,6 @@ def first_occurrence_ranks(codes: np.ndarray) -> np.ndarray:
 __all__ = [
     "CAUSE_ORDER",
     "EventTable",
-    "LEGACY_EVENTS_ENV",
     "StringTable",
     "first_occurrence_ranks",
-    "legacy_events_enabled",
-    "use_columnar",
 ]

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.columns import use_columnar
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import (
@@ -105,38 +104,12 @@ def correlation_for(
     if window_years <= 0.0:
         raise AnalysisError("window must be positive")
     window = window_years * SECONDS_PER_YEAR
-    deduped = dataset.deduplicated()
-    if use_columnar():
-        with obs.span(
-            "core.correlation", path="columnar", scope=scope, type=failure_type.value
-        ):
-            n_units, unit_counts = _columnar_unit_counts(
-                dataset, deduped, failure_type, scope, window
-            )
-            exactly = {
-                1: int(np.count_nonzero(unit_counts == 1)),
-                2: int(np.count_nonzero(unit_counts == 2)),
-            }
-    else:
-        with obs.span(
-            "core.correlation", path="legacy", scope=scope, type=failure_type.value
-        ):
-            events_by_unit = deduped.events_by_scope(scope, failure_type)
-            n_units = 0
-            exactly = {1: 0, 2: 0}
-            for unit_id, system in deduped.scope_population(scope):
-                in_field = dataset.duration_seconds - system.deploy_time
-                if in_field < window:
-                    continue
-                n_units += 1
-                start = system.deploy_time
-                count = sum(
-                    1
-                    for event in events_by_unit.get(unit_id, [])
-                    if start <= event.detect_time < start + window
-                )
-                if count in exactly:
-                    exactly[count] += 1
+    with obs.span("core.correlation", scope=scope, type=failure_type.value):
+        n_units, unit_counts = _unit_counts(dataset, failure_type, scope, window)
+        exactly = {
+            1: int(np.count_nonzero(unit_counts == 1)),
+            2: int(np.count_nonzero(unit_counts == 2)),
+        }
     if n_units == 0:
         raise AnalysisError("no scope units fielded >= %.2f years" % window_years)
 
@@ -159,9 +132,8 @@ def correlation_for(
     )
 
 
-def _columnar_unit_counts(
+def _unit_counts(
     dataset: FailureDataset,
-    deduped: FailureDataset,
     failure_type: Optional[FailureType],
     scope: str,
     window: float,
@@ -169,10 +141,11 @@ def _columnar_unit_counts(
     """Eligible-unit total and per-unit in-window event counts.
 
     ``n_units`` comes from the fleet topology (units that never failed
-    still count); the counts array is indexed by the deduped table's
-    scope codes, so units absent from it simply have zero events.
+    still count); the counts array is indexed by the deduplicated
+    table's scope codes, so units absent from it simply have zero
+    events.
     """
-    table = deduped.table
+    table = dataset.deduplicated().table
     codes, names = table.scope_codes(scope)
 
     # Eligibility and unit counts straight from the fleet's arrays.
@@ -280,29 +253,12 @@ def count_distribution(
     Useful for inspecting the full P(N) profile beyond P(1) and P(2).
     """
     window = window_years * SECONDS_PER_YEAR
-    deduped = dataset.deduplicated()
-    histogram = {n: 0 for n in range(max_n + 1)}
-    if use_columnar():
-        n_units, unit_counts = _columnar_unit_counts(
-            dataset, deduped, failure_type, scope, window
-        )
-        nonzero = unit_counts[unit_counts > 0]
-        binned = np.bincount(
-            np.minimum(nonzero, max_n).astype(np.int64), minlength=max_n + 1
-        )
-        histogram[0] = n_units - int(nonzero.size)
-        for n in range(1, max_n + 1):
-            histogram[n] = int(binned[n])
-        return histogram
-    events_by_unit = deduped.events_by_scope(scope, failure_type)
-    for unit_id, system in deduped.scope_population(scope):
-        if dataset.duration_seconds - system.deploy_time < window:
-            continue
-        start = system.deploy_time
-        count = sum(
-            1
-            for event in events_by_unit.get(unit_id, [])
-            if start <= event.detect_time < start + window
-        )
-        histogram[min(count, max_n)] += 1
+    n_units, unit_counts = _unit_counts(dataset, failure_type, scope, window)
+    nonzero = unit_counts[unit_counts > 0]
+    binned = np.bincount(
+        np.minimum(nonzero, max_n).astype(np.int64), minlength=max_n + 1
+    )
+    histogram = {0: n_units - int(nonzero.size)}
+    for n in range(1, max_n + 1):
+        histogram[n] = int(binned[n])
     return histogram

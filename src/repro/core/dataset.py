@@ -7,13 +7,11 @@ ratio of event counts to in-service disk time, and every grouping
 fleet's configuration metadata — exactly what the weekly AutoSupport
 configuration snapshots provide in the real study (§2.5).
 
-Since the columnar refactor the canonical event representation is the
-structure-of-arrays :class:`~repro.core.columns.EventTable`; the
-``events`` list of :class:`FailureEvent` dataclasses remains available
-as a lazy materialized view, so existing callers are unaffected.  The
-constructor accepts either representation.  Setting
-``REPRO_LEGACY_EVENTS=1`` forces the original list-walking
-implementations of every method (differential testing).
+A dataset holds one event representation, the structure-of-arrays
+:class:`~repro.core.columns.EventTable`, in detection-time order.  The
+constructor accepts a table or an iterable of :class:`FailureEvent`
+dataclasses; a list is stable-sorted by detection time and interned
+once, and ``events`` is the table's view of those same objects.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Un
 import numpy as np
 
 from repro import obs
-from repro.core.columns import EventTable, use_columnar
+from repro.core.columns import EventTable
 from repro.errors import AnalysisError
 from repro.failures.events import FailureEvent
 from repro.failures.types import (
@@ -43,25 +41,13 @@ from repro.units import seconds_to_years
 DEDUP_WINDOW_SECONDS = 3_600.0
 
 
-def _is_sorted_by_detect(events: List[FailureEvent]) -> bool:
-    """Linear sortedness check — filters of sorted datasets stay sorted,
-    so the common case skips the old unconditional O(n log n) re-sort."""
-    previous = float("-inf")
-    for event in events:
-        t = event.detect_time
-        if t < previous:
-            return False
-        previous = t
-    return True
-
-
 class FailureDataset:
     """Failure events plus the fleet that produced them.
 
     Attributes:
         events: subsystem failure events, sorted by detection time
             (a lazily materialized list view over :attr:`table`).
-        table: the canonical columnar event store.
+        table: the columnar event store, in detection-time order.
         fleet: the fleet (with final disk lifetimes) for exposure and
             configuration lookups.
     """
@@ -74,31 +60,19 @@ class FailureDataset:
         self.fleet = fleet
         self._dedup_cache: Dict[float, "FailureDataset"] = {}
         self._events: Optional[List[FailureEvent]] = None
-        self._table: Optional[EventTable] = None
         if isinstance(events, EventTable):
-            self._table = events.sorted_by_detect()
+            self.table = events.sorted_by_detect()
         else:
-            materialized = list(events)
-            if not _is_sorted_by_detect(materialized):
-                materialized.sort(key=lambda e: e.detect_time)
-            self._events = materialized
-
-    # -- representations ----------------------------------------------------
+            ordered = sorted(events, key=lambda e: e.detect_time)
+            with obs.span("dataset.columnarize", events=len(ordered)):
+                self.table = EventTable.from_events(ordered)
 
     @property
     def events(self) -> List[FailureEvent]:
         """The events as dataclasses (materialized on first access)."""
         if self._events is None:
-            self._events = list(self._table.events())
+            self._events = list(self.table.events())
         return self._events
-
-    @property
-    def table(self) -> EventTable:
-        """The columnar event table (built on first access)."""
-        if self._table is None:
-            with obs.span("dataset.columnarize", events=len(self._events)):
-                self._table = EventTable.from_events(self._events)
-        return self._table
 
     # -- serialization -------------------------------------------------------
 
@@ -109,22 +83,16 @@ class FailureDataset:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.fleet = state["fleet"]
+        self.table = state["table"]
         self._dedup_cache = {}
         self._events = None
-        self._table = None
-        if "table" in state:
-            self._table = state["table"]
-        else:  # entry pickled before the columnar refactor
-            self._events = list(state.get("events", []))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_injection(cls, injection) -> "FailureDataset":
         """Build from a :class:`~repro.failures.injector.InjectionResult`."""
-        if use_columnar():
-            return cls(events=injection.to_table(), fleet=injection.fleet)
-        return cls(events=list(injection.events), fleet=injection.fleet)
+        return cls(events=injection.to_table(), fleet=injection.fleet)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -134,36 +102,27 @@ class FailureDataset:
         return self.fleet.duration_seconds
 
     def __len__(self) -> int:
-        return len(self._table) if self._table is not None else len(self._events)
+        return len(self.table)
 
     def events_of_type(self, failure_type: FailureType) -> List[FailureEvent]:
         """All events of one failure type."""
-        if use_columnar():
-            table = self.table
-            return table.rows(np.flatnonzero(table.type_mask(failure_type)))
-        return [e for e in self.events if e.failure_type is failure_type]
+        table = self.table
+        return table.rows(np.flatnonzero(table.type_mask(failure_type)))
 
     def counts_by_type(self) -> Dict[FailureType, int]:
         """Event counts per type."""
-        if use_columnar():
-            counts = self.table.counts_by_type()
-            by_type = {
-                failure_type: int(counts[code])
-                for code, failure_type in enumerate(FAILURE_TYPE_ORDER)
-            }
-            # Extended types (operator error) join the dict only when
-            # present, keeping default-backend output four-keyed.
-            for failure_type in EXTENDED_FAILURE_TYPES:
-                count = int(counts[ALL_FAILURE_TYPES.index(failure_type)])
-                if count:
-                    by_type[failure_type] = count
-            return by_type
-        counts = {failure_type: 0 for failure_type in FAILURE_TYPE_ORDER}
-        for event in self.events:
-            if event.failure_type not in counts:
-                counts[event.failure_type] = 0
-            counts[event.failure_type] += 1
-        return counts
+        counts = self.table.counts_by_type()
+        by_type = {
+            failure_type: int(counts[code])
+            for code, failure_type in enumerate(FAILURE_TYPE_ORDER)
+        }
+        # Extended types (operator error) join the dict only when
+        # present, keeping default-backend output four-keyed.
+        for failure_type in EXTENDED_FAILURE_TYPES:
+            count = int(counts[ALL_FAILURE_TYPES.index(failure_type)])
+            if count:
+                by_type[failure_type] = count
+        return by_type
 
     def system_of(self, event: FailureEvent) -> StorageSystem:
         """The system an event happened on."""
@@ -182,12 +141,9 @@ class FailureDataset:
         kept = [i for i, s in enumerate(self.fleet.systems) if predicate(s)]
         kept_ids = {self.fleet.system_ids[i] for i in kept}
         subset = self.fleet.select(kept)
-        if use_columnar():
-            table = self.table
-            kept = table.select(table.system_member_mask(kept_ids))
-            return FailureDataset(events=kept, fleet=subset)
-        events = [e for e in self.events if e.system_id in kept_ids]
-        return FailureDataset(events=events, fleet=subset)
+        table = self.table
+        kept = table.select(table.system_member_mask(kept_ids))
+        return FailureDataset(events=kept, fleet=subset)
 
     def excluding_disk_family(
         self, family: str = PROBLEMATIC_DISK_FAMILY
@@ -208,30 +164,18 @@ class FailureDataset:
     ) -> "FailureDataset":
         """Collapse duplicate reports (same disk, same type, close in time).
 
-        Columnar datasets cache the result per window: the dataset is
-        immutable by convention and every Fig. 9/10 aggregation starts
-        with this same collapse.
+        The result is cached per window: the dataset is immutable by
+        convention and every Fig. 9/10 aggregation starts with this same
+        collapse.
         """
-        if use_columnar():
-            cached = self._dedup_cache.get(window_seconds)
-            if cached is None:
-                with obs.span("dataset.dedup", path="columnar", events=len(self)):
-                    table = self.table
-                    kept = table.select(table.dedup_keep_mask(window_seconds))
-                    cached = FailureDataset(events=kept, fleet=self.fleet)
-                self._dedup_cache[window_seconds] = cached
-            return cached
-        with obs.span("dataset.dedup", path="legacy", events=len(self.events)):
-            seen: Dict[Tuple[str, FailureType], float] = {}
-            kept_events: List[FailureEvent] = []
-            for event in self.events:  # already sorted by detect_time
-                key = (event.disk_id, event.failure_type)
-                last = seen.get(key)
-                if last is not None and event.detect_time - last < window_seconds:
-                    continue
-                seen[key] = event.detect_time
-                kept_events.append(event)
-            return FailureDataset(events=kept_events, fleet=self.fleet)
+        cached = self._dedup_cache.get(window_seconds)
+        if cached is None:
+            with obs.span("dataset.dedup", events=len(self)):
+                table = self.table
+                kept = table.select(table.dedup_keep_mask(window_seconds))
+                cached = FailureDataset(events=kept, fleet=self.fleet)
+            self._dedup_cache[window_seconds] = cached
+        return cached
 
     # -- exposure accounting ---------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.columns import first_occurrence_ranks, use_columnar
+from repro.core.columns import first_occurrence_ranks
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import ALL_FAILURE_TYPES, FailureType
@@ -47,36 +47,25 @@ def gaps_by_scope(
     Returns:
         Array of gaps in seconds (empty if no scope unit saw 2+ events).
     """
-    deduped = dataset.deduplicated()
-    if use_columnar():
-        # Gaps are consecutive diffs inside (scope unit) segments of the
-        # detect-time column; sorting by (first-occurrence rank, detect)
-        # pools them in exactly the order the legacy per-group loop did,
-        # so downstream float reductions stay byte-identical.
-        with obs.span("core.gaps", path="columnar", scope=scope):
-            table = deduped.table
-            detect = table.detect_time
-            codes, _ = table.scope_codes(scope)
-            if failure_type is not None:
-                mask = table.type_mask(failure_type)
-                detect = detect[mask]
-                codes = codes[mask]
-            if detect.size < 2:
-                return np.zeros(0, dtype=float)
-            ranks = first_occurrence_ranks(codes)
-            order = np.lexsort((detect, ranks))
-            times = detect[order]
-            units = ranks[order]
-            return (times[1:] - times[:-1])[units[1:] == units[:-1]]
-    with obs.span("core.gaps", path="legacy", scope=scope):
-        grouped = deduped.events_by_scope(scope, failure_type)
-        gaps: List[float] = []
-        for events in grouped.values():
-            if len(events) < 2:
-                continue
-            times = sorted(e.detect_time for e in events)
-            gaps.extend(b - a for a, b in zip(times, times[1:]))
-        return np.asarray(gaps, dtype=float)
+    # Gaps are consecutive diffs inside (scope unit) segments of the
+    # detect-time column; sorting by (first-occurrence rank, detect)
+    # pools units in order of their first failure, which fixes the
+    # order downstream float reductions sum in.
+    with obs.span("core.gaps", scope=scope):
+        table = dataset.deduplicated().table
+        detect = table.detect_time
+        codes, _ = table.scope_codes(scope)
+        if failure_type is not None:
+            mask = table.type_mask(failure_type)
+            detect = detect[mask]
+            codes = codes[mask]
+        if detect.size < 2:
+            return np.zeros(0, dtype=float)
+        ranks = first_occurrence_ranks(codes)
+        order = np.lexsort((detect, ranks))
+        times = detect[order]
+        units = ranks[order]
+        return (times[1:] - times[:-1])[units[1:] == units[:-1]]
 
 
 @dataclasses.dataclass

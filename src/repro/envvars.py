@@ -16,9 +16,8 @@ see docs/LINTING.md).  Centralizing the reads buys three things:
 * consistent parsing — flag variables share one truthiness rule
   (:func:`get_flag`) instead of per-call-site reimplementations.
 
-This module must stay stdlib-only: it is imported by ``repro.obs`` and
-``repro.core.columns`` during package init, and by tooling that runs
-without numpy installed.
+This module must stay stdlib-only: it is imported by ``repro.obs``
+during package init, and by tooling that runs without numpy installed.
 """
 
 from __future__ import annotations
@@ -102,15 +101,6 @@ REGISTRY: Dict[str, EnvVar] = {
             consumer="repro.runtime.cache",
             description="On-disk location of the content-addressed result "
             "cache (same as --cache-dir).",
-        ),
-        EnvVar(
-            name="REPRO_LEGACY_EVENTS",
-            kind="flag",
-            default="0",
-            consumer="repro.core.columns",
-            description="Force every analysis onto the legacy list-walking "
-            "path instead of the columnar EventTable path (the escape hatch "
-            "the differential golden tests flip).",
         ),
         EnvVar(
             name="REPRO_BENCH_ANALYSIS_SCALE",

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import CalibrationError
-from repro.core.columns import EventTable, use_columnar
+from repro.core.columns import EventTable
 from repro.failures.backends import resolve as resolve_backend
 from repro.failures.events import ComponentError, FailureEvent
 from repro.failures.hazards import renewal_arrivals
@@ -213,11 +213,7 @@ class InjectionResult:
         self._recovered_batch = None
         self.fleet = state["fleet"]
         self._events = None
-        self._table = None
-        if "table" in state:
-            self._table = state["table"]
-        else:  # entry pickled before the columnar refactor
-            self._events = list(state.get("events", []))
+        self._table = state["table"]
 
     def counts_by_type(self) -> Dict[FailureType, int]:
         """Event counts per failure type (Table 1's rightmost column).
@@ -225,16 +221,11 @@ class InjectionResult:
         The paper's four types always appear; extended types (operator
         error) only when they actually produced events.
         """
-        if use_columnar():
-            table_counts = self.to_table().counts_by_type()
-            counts = {
-                failure_type: int(table_counts[code])
-                for code, failure_type in enumerate(ALL_FAILURE_TYPES)
-            }
-        else:
-            counts = {failure_type: 0 for failure_type in ALL_FAILURE_TYPES}
-            for event in self.events:
-                counts[event.failure_type] += 1
+        table_counts = self.to_table().counts_by_type()
+        counts = {
+            failure_type: int(table_counts[code])
+            for code, failure_type in enumerate(ALL_FAILURE_TYPES)
+        }
         for failure_type in EXTENDED_FAILURE_TYPES:
             if not counts[failure_type]:
                 del counts[failure_type]

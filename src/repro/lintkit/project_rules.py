@@ -55,10 +55,6 @@ ENTRY_POINT_NAMES = ("run_scenario", "execute_job")
 #: cannot change a cached result's *content*.
 CACHE_NEUTRAL_ENVVARS: Dict[str, str] = {
     "REPRO_CACHE_DIR": "where results are stored, not what they contain",
-    "REPRO_LEGACY_EVENTS": (
-        "toggles materializing the legacy .events list view; the event "
-        "table underneath is byte-identical either way"
-    ),
     "REPRO_SHARD_SPILL_DIR": "spill location for shard merge scratch files",
     "REPRO_TRACE_WORKERS": (
         "whether forked workers emit trace spans; telemetry only, "

@@ -182,12 +182,12 @@ class EventsMaterialization(Rule):
     code = "RPL003"
     title = ".events materialization in repro.core analysis code"
     rationale = (
-        "The columnar EventTable (PR 5) keeps analyses vectorized; "
-        "touching `.events` re-materializes per-event dataclasses and "
-        "silently defeats it. Analysis modules aggregate over `.table` "
-        "columns; the legacy list-walking bodies kept for the "
-        "REPRO_LEGACY_EVENTS escape hatch are grandfathered in the "
-        "committed baseline."
+        "The columnar EventTable keeps analyses vectorized; touching "
+        "`.events` re-materializes per-event dataclasses and silently "
+        "defeats it. Analysis modules aggregate over `.table` columns; "
+        "the few consumers that need the event objects themselves "
+        "(export, validation, what-if edits, reports) are grandfathered "
+        "in the committed baseline."
     )
 
     #: The modules that *implement* the event storage are exempt.

@@ -42,7 +42,7 @@ from repro.runtime.jobs import (
     execute_job,
     execute_payload,
 )
-from repro.runtime.metrics import LatencyHistogram, RuntimeMetrics
+from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import WorkerPool
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.shard import (
@@ -58,7 +58,6 @@ __all__ = [
     "Job",
     "KIND_EXPERIMENT",
     "KIND_SCENARIO",
-    "LatencyHistogram",
     "MISSING",
     "ResultCache",
     "RuntimeConfig",

@@ -13,17 +13,12 @@ veneer over :class:`repro.obs.MetricsRegistry` — it inherits labels,
 gauges, the label-cardinality cap, thread-safe recording, and
 Prometheus export (``repro.obs.render_prometheus``) for free, while
 keeping the historical wire format: snapshots taken by pre-obs
-versions still merge cleanly.  ``LatencyHistogram`` remains as an
-alias of :class:`repro.obs.Histogram`.
+versions still merge cleanly.
 """
 
 from __future__ import annotations
 
-from repro.obs.registry import DEFAULT_BOUNDS, Histogram, MetricsRegistry
-
-#: Backwards-compatible name for the histogram class that moved to
-#: :mod:`repro.obs.registry`.
-LatencyHistogram = Histogram
+from repro.obs.registry import DEFAULT_BOUNDS, MetricsRegistry
 
 
 class RuntimeMetrics(MetricsRegistry):
@@ -40,4 +35,4 @@ class RuntimeMetrics(MetricsRegistry):
         return super().report(title)
 
 
-__all__ = ["DEFAULT_BOUNDS", "LatencyHistogram", "RuntimeMetrics"]
+__all__ = ["DEFAULT_BOUNDS", "RuntimeMetrics"]

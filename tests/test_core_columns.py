@@ -1,91 +1,62 @@
-"""Differential golden tests: columnar path == legacy path, exactly.
+"""The columnar event core: the event table, and the analyses over it.
 
-The columnar event core must be invisible in the numbers: every
-aggregation taken over the structure-of-arrays ``EventTable`` has to
-reproduce the legacy list-walking implementation byte for byte — same
-counts, same float AFRs, same pooled gap arrays (float summation is
-order-sensitive, so even the *order* of pooling must match), same
-findings, same rendered experiment text.  ``REPRO_LEGACY_EVENTS=1``
-flips the implementations on the same dataset objects, which is what
-these tests exercise across multiple seeds, directly simulated and via
-the AutoSupport log pipeline.
+Every analysis aggregates over the structure-of-arrays ``EventTable``,
+and its outputs are pinned byte for byte in
+tests/goldens/analysis_goldens.json (same counts, same float AFRs, same
+pooled gap arrays in the same order, same findings, same rendered
+experiment text).  tests/test_analysis_goldens.py replays the whole
+capture on both engines; the tests here check the same goldens method
+by method through the shared session datasets, on the engine the
+environment selects, so a drift names the method that moved.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.afr import afr_stack
-from repro.core.breakdown import afr_by_class
-from repro.core.bursts import find_bursts, summarize_bursts
-from repro.core.columns import (
-    LEGACY_EVENTS_ENV,
-    EventTable,
-    StringTable,
-    first_occurrence_ranks,
-    legacy_events_enabled,
-    use_columnar,
-)
-from repro.core.correlation import correlation_by_type, count_distribution
+from repro.core.columns import EventTable, StringTable, first_occurrence_ranks
 from repro.core.dataset import FailureDataset
 from repro.core.findings import evaluate_findings
-from repro.core.timebetween import gaps_by_scope
 from repro.errors import AnalysisError
 from repro.experiments import ExperimentContext, run_experiment
 from repro.failures.types import FAILURE_TYPE_ORDER
-from repro.simulate.scenario import run_scenario
+from repro.simulate.vector.engine import vector_engine_enabled
 
-#: Small fleets, three seeds — enough events for every scope to repeat.
-DIFF_SEEDS = (3, 5, 7)
-DIFF_SCALE = 0.005
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
+import capture_analysis_goldens as capture  # noqa: E402
 
-@pytest.fixture
-def legacy(monkeypatch):
-    monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
+GOLDENS = json.loads((ROOT / "tests/goldens/analysis_goldens.json").read_text())
 
 
-def _on_both_paths(monkeypatch, fn):
-    """Run ``fn`` on the columnar then the legacy path; return both."""
-    monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-    columnar = fn()
-    monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
-    legacy = fn()
-    monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-    return columnar, legacy
+def _assert_golden(section, outputs):
+    """``outputs`` digest to the active engine's entries in ``section``."""
+    engine = "vector" if vector_engine_enabled() else "legacy"
+    want = GOLDENS["engines"][engine][section]
+    got = {name: capture.canonical(value) for name, value in outputs.items()}
+    assert got == {name: want[name] for name in got}
 
 
-def _assert_identical(a, b, where=""):
-    """Deep exact equality, including dtype-exact numpy comparison."""
-    assert type(a) is type(b) or (
-        isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
-    ), "type mismatch at %s: %r vs %r" % (where, type(a), type(b))
-    if isinstance(a, np.ndarray):
-        assert a.shape == b.shape, "shape mismatch at %s" % where
-        assert np.array_equal(a, b), "array mismatch at %s" % where
-    elif isinstance(a, dict):
-        assert list(a.keys()) == list(b.keys()), "key mismatch at %s" % where
-        for key in a:
-            _assert_identical(a[key], b[key], "%s[%r]" % (where, key))
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b), "length mismatch at %s" % where
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_identical(x, y, "%s[%d]" % (where, i))
-    else:
-        assert a == b, "value mismatch at %s: %r vs %r" % (where, a, b)
+@pytest.fixture(scope="module")
+def method_outputs(small_dataset):
+    """The dataset methods' outputs on the session dataset."""
+    return capture.method_outputs(small_dataset)
 
 
-class TestEscapeHatch:
-    def test_env_flag_flips_path(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-        assert use_columnar() and not legacy_events_enabled()
-        monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
-        assert legacy_events_enabled() and not use_columnar()
-        monkeypatch.setenv(LEGACY_EVENTS_ENV, "0")
-        assert use_columnar()
+@pytest.fixture(scope="module")
+def midsize_context():
+    """One experiment context at the goldens' scale 0.02, seed 1."""
+    return ExperimentContext(
+        scale=capture.MIDSIZE_SCALE, seed=capture.MIDSIZE_SEED
+    )
 
 
 class TestEventTable:
@@ -145,124 +116,72 @@ class TestEventTable:
 
 
 class TestDatasetColumnarEquivalence:
-    """Method-level equality on the shared session dataset."""
+    """Method-level outputs on the shared session dataset."""
 
-    def test_counts_by_type(self, small_dataset, monkeypatch):
-        col, leg = _on_both_paths(monkeypatch, small_dataset.counts_by_type)
-        _assert_identical(col, leg, "counts_by_type")
-
-    def test_events_of_type(self, small_dataset, monkeypatch):
-        for failure_type in FAILURE_TYPE_ORDER:
-            col, leg = _on_both_paths(
-                monkeypatch,
-                lambda ft=failure_type: small_dataset.events_of_type(ft),
-            )
-            assert col == leg
-
-    def test_filter_systems(self, small_dataset, monkeypatch):
-        predicate = lambda s: s.system_id.endswith(("0", "1"))  # noqa: E731
-        col, leg = _on_both_paths(
-            monkeypatch,
-            lambda: small_dataset.filter_systems(predicate).events,
+    def test_counts_by_type(self, small_dataset):
+        _assert_golden(
+            "seed-%d" % capture.METHOD_SEED,
+            {"counts": small_dataset.counts_by_type()},
         )
-        assert col == leg
 
-    def test_excluding_disk_family(self, small_dataset, monkeypatch):
-        col, leg = _on_both_paths(
-            monkeypatch,
-            lambda: small_dataset.excluding_disk_family().events,
+    def test_events_of_type(self, method_outputs):
+        _assert_golden(
+            "methods",
+            {
+                name: value
+                for name, value in method_outputs.items()
+                if name.startswith("events_of_type:")
+            },
         )
-        assert col == leg
 
-    def test_deduplicated(self, small_dataset, monkeypatch):
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: small_dataset.deduplicated().events
+    def test_filter_systems(self, method_outputs):
+        _assert_golden(
+            "methods", {"filter_systems": method_outputs["filter_systems"]}
         )
-        assert col == leg
 
-    def test_dedup_synthetic_chain(self, small_dataset, monkeypatch):
+    def test_excluding_disk_family(self, method_outputs):
+        name = "excluding_disk_family"
+        _assert_golden("methods", {name: method_outputs[name]})
+
+    def test_deduplicated(self, method_outputs):
+        _assert_golden("methods", {"deduplicated": method_outputs["deduplicated"]})
+
+    def test_dedup_synthetic_chain(self, small_dataset):
         """A chain of near-duplicates exercises the last-KEPT window rule."""
-        import dataclasses as dc
-
-        base = small_dataset.events[0]
-        chain = [
-            dc.replace(
-                base,
-                occur_time=base.occur_time + offset,
-                detect_time=base.detect_time + offset,
-            )
-            # 0.6h apart: each is within an hour of the previous *report*
-            # but only every other one is within an hour of the last
-            # *kept* event — the semantics the mask must reproduce.
-            for offset in (2160.0, 4320.0, 6480.0)
-        ]
-        events = sorted(
-            list(small_dataset.events) + chain, key=lambda e: e.detect_time
+        chained = capture.synthetic_chain(small_dataset)
+        assert len(chained) == len(small_dataset) + 3
+        _assert_golden(
+            "methods",
+            {"dedup_synthetic_chain": chained.deduplicated().events},
         )
-        dataset = FailureDataset(events=events, fleet=small_dataset.fleet)
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: dataset.deduplicated().events
-        )
-        assert col == leg
 
 
 class TestAnalysisEquivalence:
-    """Aggregation-level equality across seeds and pipelines."""
+    """Aggregation-level outputs across seeds and pipelines."""
 
-    @pytest.mark.parametrize("seed", DIFF_SEEDS)
-    def test_direct_simulation(self, seed, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        dataset = run_scenario(
-            "paper-default", scale=DIFF_SCALE, seed=seed
-        ).dataset
+    @pytest.mark.parametrize("seed", capture.SEEDS)
+    def test_direct_simulation(self, seed):
+        section = "seed-%d" % seed
+        _assert_golden(section, capture.section_outputs(section))
 
-        def aggregate():
-            return {
-                "counts": dataset.counts_by_type(),
-                "afr": afr_stack(dataset),
-                "by_class": afr_by_class(dataset),
-                "by_class_no_h": afr_by_class(dataset.excluding_disk_family()),
-                "gaps_shelf": gaps_by_scope(dataset, "shelf"),
-                "gaps_rg": gaps_by_scope(dataset, "raid_group"),
-                "bursts": find_bursts(dataset, "shelf"),
-                "burst_summary": summarize_bursts(dataset, "raid_group"),
-                "correlation": correlation_by_type(dataset, "shelf"),
-                "count_dist": count_distribution(dataset, None, "raid_group"),
-            }
+    def test_via_logs_pipeline(self, logged_sim):
+        _assert_golden("via-logs", capture.logs_outputs(logged_sim.dataset))
 
-        col, leg = _on_both_paths(monkeypatch, aggregate)
-        _assert_identical(col, leg, "seed=%d" % seed)
-
-    def test_via_logs_pipeline(self, logged_sim, monkeypatch):
-        dataset = logged_sim.dataset
-
-        def aggregate():
-            return {
-                "counts": dataset.counts_by_type(),
-                "afr": afr_stack(dataset),
-                "gaps_shelf": gaps_by_scope(dataset, "shelf"),
-                "correlation": correlation_by_type(dataset, "shelf"),
-            }
-
-        col, leg = _on_both_paths(monkeypatch, aggregate)
-        _assert_identical(col, leg, "via_logs")
-
-    def test_findings_report(self, midsize_dataset, monkeypatch):
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: evaluate_findings(midsize_dataset)
-        )
-        assert col == leg
+    def test_findings_report(self, midsize_context):
+        findings = evaluate_findings(midsize_context.dataset("paper-default"))
+        _assert_golden("midsize", {"findings": findings})
 
     @pytest.mark.parametrize("experiment_id", ["fig4a", "fig9a", "fig10a"])
-    def test_figure_experiments(self, experiment_id, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        context = ExperimentContext(scale=0.02, seed=1)
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: run_experiment(experiment_id, context)
+    def test_figure_experiments(self, experiment_id, midsize_context):
+        result = run_experiment(experiment_id, midsize_context)
+        _assert_golden(
+            "midsize",
+            {
+                experiment_id + ":text": result.text,
+                experiment_id + ":data": result.data,
+                experiment_id + ":checks": result.checks,
+            },
         )
-        assert col.text == leg.text
-        _assert_identical(col.data, leg.data, experiment_id)
-        assert col.checks == leg.checks
 
 
 class TestSerialization:
@@ -278,19 +197,24 @@ class TestSerialization:
         assert restored.events == small_sim.injection.events
         assert restored.counts_by_type() == small_sim.injection.counts_by_type()
 
-    def test_old_format_state_tolerated(self, small_dataset):
-        stale = FailureDataset.__new__(FailureDataset)
-        stale.__setstate__(
-            {"events": list(small_dataset.events), "fleet": small_dataset.fleet}
-        )
-        assert stale.counts_by_type() == small_dataset.counts_by_type()
-
 
 class TestSortedness:
     def test_sorted_input_list_not_copied(self, small_dataset):
         events = list(small_dataset.events)
         dataset = FailureDataset(events=events, fleet=small_dataset.fleet)
         assert dataset.events == events
+
+    def test_shuffled_list_is_sorted_then_interned(self, small_dataset):
+        events = list(small_dataset.events)
+        random.Random(11).shuffle(events)
+        dataset = FailureDataset(events=events, fleet=small_dataset.fleet)
+        ordered = sorted(events, key=lambda e: e.detect_time)
+        # The digest covers the string tables, so it fixes interning order.
+        assert (
+            dataset.table.content_digest()
+            == EventTable.from_events(ordered).content_digest()
+        )
+        assert all(a is b for a, b in zip(dataset.events, ordered))
 
     def test_unsorted_input_sorted_once(self, small_dataset):
         events = list(reversed(small_dataset.events))

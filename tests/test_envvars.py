@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import envvars
-from repro.core.columns import legacy_events_enabled
+from repro.simulate.vector.engine import vector_engine_enabled
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_PATH = os.path.join(REPO_ROOT, "docs", "ENVIRONMENT.md")
@@ -38,7 +38,6 @@ def test_known_variables_registered():
         "REPRO_PROFILE",
         "REPRO_PROFILE_DIR",
         "REPRO_CACHE_DIR",
-        "REPRO_LEGACY_EVENTS",
         "REPRO_BENCH_ANALYSIS_SCALE",
     ):
         assert name in envvars.REGISTRY
@@ -74,10 +73,10 @@ def test_get_returns_value_or_default(monkeypatch):
     ],
 )
 def test_get_flag_truthiness(monkeypatch, raw, expected):
-    monkeypatch.setenv("REPRO_LEGACY_EVENTS", raw)
-    assert envvars.get_flag("REPRO_LEGACY_EVENTS") is expected
-    # The columnar escape hatch reads through the registry.
-    assert legacy_events_enabled() is expected
+    monkeypatch.setenv("REPRO_VECTOR_ENGINE", raw)
+    assert envvars.get_flag("REPRO_VECTOR_ENGINE") is expected
+    # Engine selection reads through the registry.
+    assert vector_engine_enabled() is expected
 
 
 def test_get_float(monkeypatch):
