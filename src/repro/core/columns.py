@@ -28,11 +28,10 @@ view** (:meth:`events` / :meth:`rows`); when the table was built from an
 existing event sequence the view is the very same objects, so code that
 still walks dataclasses sees no copies.
 
-Every analysis aggregates over these columns; there is no second,
-list-walking implementation.  Group-bys enumerate units in
-first-occurrence order (:func:`first_occurrence_ranks`), so pooled
-float reductions come out in the order a per-group walk over the
-detection-sorted events would produce them.
+Every analysis aggregates over these columns.  Group-bys enumerate
+units in first-occurrence order (:func:`first_occurrence_ranks`), so
+pooled float reductions come out in one fixed order: units by their
+first failure, each unit's failures by detection time.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ test suite pins the tolerances) rather than on individual draws.
 ``REPRO_VECTOR_ENGINE=1`` routes :func:`make_engine` (and with it
 ``run_scenario`` and every experiment) through the vector engine; the
 legacy engine stays the default and the differential oracle.  Both
-engines feed the same analyses: there is one analysis path, over the
-columnar event table either engine delivers.
+engines deliver an :class:`~repro.core.columns.EventTable`, the one
+representation every analysis reads.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def test_section_matches_golden(engine, section):
     assert capture.capture_section(engine, section) == want
 
 
-def test_canonical_form_separates_what_equality_separates():
+def test_canonical_digest_tells_containers_order_and_dtypes_apart():
     import numpy as np
 
     assert capture.canonical([1, 2.0]) != capture.canonical((1, 2.0))
