@@ -15,8 +15,8 @@ check:
 	PYTHONPATH=src python -m pytest -x -q
 
 # Lint gate: style (ruff or the bundled fallback) + invariants
-# (reprolint per-file rules, then the whole-program RPL101-RPL104
-# pass — see docs/LINTING.md).
+# (reprolint per-file rules, RPL007 among them, then the whole-program
+# RPL102-RPL104 pass — see docs/LINTING.md).
 lint:
 	python tools/lint.py
 

@@ -58,6 +58,7 @@ from repro.core.findings import evaluate_findings
 from repro.core.report import format_findings, format_overview
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS
+from repro.runconfig import RunConfig
 from repro.simulate.scenario import SCENARIOS, run_scenario
 from repro.version import __version__
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_cmd = sub.add_parser("simulate", help="export a log archive")
     sim_cmd.add_argument("scenario", choices=sorted(SCENARIOS))
     sim_cmd.add_argument("--out", required=True, help="output directory")
-    _common(sim_cmd)
+    _simulation_flags(sim_cmd)
 
     predict_cmd = sub.add_parser(
         "predict", help="train and evaluate a failure predictor"
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon-days", type=float, default=14.0,
         help="prediction horizon (days)",
     )
-    _common(predict_cmd)
+    _simulation_flags(predict_cmd)
 
     export_cmd = sub.add_parser("export", help="export failure events to CSV")
     export_cmd.add_argument("--out", required=True, help="output CSV path")
@@ -245,10 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common(cmd: argparse.ArgumentParser) -> None:
+def _simulation_flags(cmd: argparse.ArgumentParser) -> None:
+    """What one direct simulation takes: scale, seed, backend, obs."""
     cmd.add_argument("--scale", type=float, default=0.05,
                      help="fleet scale vs the paper's 39,000 systems")
     cmd.add_argument("--seed", type=int, default=1, help="root random seed")
+    cmd.add_argument(
+        "--hazard-backend", default=None, metavar="SPEC",
+        help="hazard backend for both engines: analytic, trace:<events>, "
+        "or fitted:<events> (default: $REPRO_HAZARD_BACKEND or analytic)",
+    )
+    _obs_flags(cmd)
+
+
+def _common(cmd: argparse.ArgumentParser) -> None:
+    """Simulation flags plus the runtime's: logs, jobs, shards, cache."""
+    _simulation_flags(cmd)
     cmd.add_argument(
         "--via-logs",
         action="store_true",
@@ -270,13 +283,7 @@ def _common(cmd: argparse.ArgumentParser) -> None:
         help="skip the on-disk result cache (results are still shared "
         "in memory within this run)",
     )
-    cmd.add_argument(
-        "--hazard-backend", default=None, metavar="SPEC",
-        help="hazard backend for both engines: analytic, trace:<events>, "
-        "or fitted:<events> (default: $REPRO_HAZARD_BACKEND or analytic)",
-    )
     _cache_dir_option(cmd)
-    _obs_flags(cmd)
 
 
 def _cache_dir_option(cmd: argparse.ArgumentParser) -> None:
@@ -335,12 +342,6 @@ def _print_metrics(runtime) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "hazard_backend", None):
-        # Funnel through the registry so the spec reaches pool workers
-        # (they re-resolve from the environment) with the typo check on.
-        from repro import envvars
-
-        envvars.override("REPRO_HAZARD_BACKEND", args.hazard_backend)
     sampler = None
     if args.command not in ("obs", "fit-hazards"):
         # ``repro obs`` and ``repro fit-hazards`` *read* trace/metrics/
@@ -384,6 +385,11 @@ def _start_sampler(command: str):
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    # The run's engine and hazard backend, resolved once: the flag,
+    # then $REPRO_*, then the defaults; every job and worker carries it.
+    config = RunConfig.from_env(
+        hazard_backend=getattr(args, "hazard_backend", None)
+    )
     if args.command == "list":
         print("experiments:")
         for experiment_id, (title, _runner) in sorted(EXPERIMENTS.items()):
@@ -413,6 +419,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     via_logs=args.via_logs,
                     shards=_shards(args),
+                    config=config,
                 )
                 for experiment_id in ids
             ]
@@ -439,14 +446,14 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "findings":
         runtime = _runtime(args)
-        dataset = _dataset(args, runtime)
+        dataset = _dataset(args, config, runtime)
         findings = evaluate_findings(dataset)
         print(format_findings(findings))
         _print_metrics(runtime)
         return 0 if all(f.passed for f in findings) else 1
 
     if args.command == "report":
-        dataset = _dataset(args)
+        dataset = _dataset(args, config)
         print(format_overview(dataset))
         print()
         from repro.core.breakdown import afr_by_class
@@ -462,7 +469,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         result = run_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, via_logs=True
+            args.scenario,
+            scale=args.scale,
+            seed=args.seed,
+            via_logs=True,
+            config=config,
         )
         assert result.archive is not None  # via_logs=True guarantees it
         result.archive.save_to(args.out)
@@ -475,7 +486,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "predict":
         from repro.predict import PredictorConfig, train_failure_predictor
 
-        result = run_scenario("paper-default", scale=args.scale, seed=args.seed)
+        result = run_scenario(
+            "paper-default", scale=args.scale, seed=args.seed, config=config
+        )
         _model, report = train_failure_predictor(
             result.injection,
             PredictorConfig(horizon_days=args.horizon_days),
@@ -486,7 +499,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "export":
         from repro.core.export import events_to_csv
 
-        dataset = _dataset(args)
+        dataset = _dataset(args, config)
         with open(args.out, "w") as handle:
             handle.write(events_to_csv(dataset))
         print("wrote %d events to %s" % (len(dataset.events), args.out))
@@ -495,14 +508,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "plot":
         from repro.core.plots import figure9_ascii
 
-        dataset = _dataset(args)
+        dataset = _dataset(args, config)
         print(figure9_ascii(dataset, args.scope, width=args.width))
         return 0
 
     if args.command == "doctor":
         from repro.core.validate import doctor
 
-        report = doctor(_dataset(args))
+        report = doctor(_dataset(args, config))
         print(report)
         return 0 if "no issues" in report else 1
 
@@ -526,6 +539,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             scale=args.scale,
             seeds=seeds,
             runtime=_runtime(args),
+            config=config,
         )
         print("Seed spread over seeds %s (scale %.3f):" % (seeds, args.scale))
         for spread in spreads.values():
@@ -783,7 +797,7 @@ def _split_metric_key(key: str) -> tuple:
     return name, labels
 
 
-def _dataset(args: argparse.Namespace, runtime=None):
+def _dataset(args: argparse.Namespace, config: RunConfig, runtime=None):
     if runtime is None:
         runtime = _runtime(args)
     return runtime.run_scenario(
@@ -792,6 +806,7 @@ def _dataset(args: argparse.Namespace, runtime=None):
         seed=args.seed,
         via_logs=args.via_logs,
         shards=_shards(args),
+        config=config,
     ).dataset
 
 

@@ -114,10 +114,11 @@ REGISTRY: Dict[str, EnvVar] = {
             name="REPRO_VECTOR_ENGINE",
             kind="flag",
             default="0",
-            consumer="repro.simulate.vector",
-            description="Route make_engine/run_scenario through the "
-            "batched (vectorized) simulation engine; the legacy per-unit "
-            "engine stays the default and the differential oracle.",
+            consumer="repro.runconfig",
+            description="Default engine of `RunConfig.from_env()` (the CLI, "
+            "and API calls given no config): on selects the batched "
+            "(vectorized) engine; the legacy per-unit engine stays the "
+            "default and the differential oracle.",
         ),
         EnvVar(
             name="REPRO_BENCH_SIMULATE_SCALE",
@@ -176,10 +177,10 @@ REGISTRY: Dict[str, EnvVar] = {
             name="REPRO_HAZARD_BACKEND",
             kind="string",
             default="analytic",
-            consumer="repro.failures.backends",
-            description="Default hazard backend spec for both engines "
-            "(same as --hazard-backend): `analytic`, `trace:<events>`, "
-            "or `fitted:<events>`.",
+            consumer="repro.runconfig",
+            description="Default hazard backend spec of "
+            "`RunConfig.from_env()` for both engines (--hazard-backend "
+            "wins): `analytic`, `trace:<events>`, or `fitted:<events>`.",
         ),
         EnvVar(
             name="REPRO_STATUS_DIR",
@@ -246,68 +247,6 @@ def get_int(name: str, default: int) -> int:
     return int(value)
 
 
-class _Override:
-    """Handle of one :func:`override` write; restores on exit.
-
-    Usable three ways, all backward compatible with the original
-    plain-setter ``override``:
-
-    * fire-and-forget: ``envvars.override(name, value)`` — the write
-      sticks (the handle is simply dropped);
-    * scoped: ``with envvars.override(name, value): ...`` — the prior
-      value (or absence) is restored on exit, exceptions included;
-    * nested: inner ``with`` blocks capture the outer block's value,
-      so unwinding restores each layer in LIFO order.
-    """
-
-    def __init__(self, name: str, value: Optional[str]) -> None:
-        self.name = name
-        self.value = value
-        self._had_prior = name in os.environ
-        self._prior = os.environ.get(name)
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-
-    def __enter__(self) -> "_Override":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.restore()
-
-    def restore(self) -> None:
-        """Put back the value captured when the override was applied."""
-        if self._had_prior:
-            os.environ[self.name] = self._prior  # type: ignore[assignment]
-        else:
-            os.environ.pop(self.name, None)
-
-
-def override(name: str, value: Optional[str]) -> _Override:
-    """Set (or, with ``None``, clear) a *registered* variable.
-
-    The CLI funnels flag values that must reach pool workers —
-    ``--hazard-backend``, engine selection — through here instead of
-    touching ``os.environ`` directly, keeping every write inside the
-    registry's typo check (and this RPL004-exempt module).
-
-    Returns a handle that is also a context manager: used bare, the
-    write persists (the historical behavior); used in a ``with``
-    statement, the prior value is restored on exit — including on
-    exception unwind — and nested overrides restore in LIFO order.
-
-    Raises:
-        KeyError: when ``name`` was never registered.
-    """
-    if name not in REGISTRY:
-        raise KeyError(
-            "unregistered environment variable %r; add it to "
-            "repro.envvars.REGISTRY" % (name,)
-        )
-    return _Override(name, value)
-
-
 def markdown_table() -> str:
     """The authoritative ``REPRO_*`` table (docs/ENVIRONMENT.md body)."""
     rows: List[str] = [
@@ -357,7 +296,6 @@ __all__ = [
     "get_float",
     "get_int",
     "markdown_table",
-    "override",
     "render_docs",
     "undocumented",
 ]

@@ -11,6 +11,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from repro import obs
 from repro.core.dataset import FailureDataset
 from repro.errors import SpecificationError
+from repro.runconfig import RunConfig
 from repro.simulate.scenario import run_scenario
 
 #: Default fleet scale for experiments: 1:20 of the paper's 39,000
@@ -41,6 +42,9 @@ class ExperimentContext:
             spill-to-disk shards (see :mod:`repro.runtime.shard`);
             sharding always routes through a runtime context (a default
             one is built lazily when none was provided).
+        config: engine and hazard backend of every simulation
+            (``RunConfig.from_env()`` when not given); experiments
+            that build their own engines pass it to ``make_engine``.
     """
 
     scale: float = DEFAULT_SCALE
@@ -48,6 +52,11 @@ class ExperimentContext:
     via_logs: bool = False
     runtime: Optional["RuntimeContext"] = None
     shards: int = 1
+    # A lambda rather than the bound method: from_env is looked up when
+    # a context is built, so a test that patches it sees every one.
+    config: RunConfig = dataclasses.field(
+        default_factory=lambda: RunConfig.from_env()
+    )
 
     def __post_init__(self) -> None:
         self._results: Dict[str, object] = {}
@@ -68,6 +77,7 @@ class ExperimentContext:
                     seed=self.seed,
                     via_logs=self.via_logs,
                     shards=self.shards,
+                    config=self.config,
                 )
             else:
                 result = run_scenario(
@@ -75,6 +85,7 @@ class ExperimentContext:
                     scale=self.scale,
                     seed=self.seed,
                     via_logs=self.via_logs,
+                    config=self.config,
                 )
             self._results[scenario] = result
         return self._results[scenario]

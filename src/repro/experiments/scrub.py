@@ -34,6 +34,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
             injector_config=InjectorConfig(
                 detection_lag_max_seconds=hours * SECONDS_PER_HOUR
             ),
+            config=context.config,
         )
         dataset: FailureDataset = engine.run(seed=context.seed).dataset
         lags = np.array(

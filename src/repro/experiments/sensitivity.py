@@ -32,7 +32,9 @@ from repro.simulate.vector.engine import make_engine
 
 def _simulate(context: ExperimentContext, config: InjectorConfig) -> FailureDataset:
     engine = make_engine(
-        FleetSpec.paper_default(scale=context.scale), injector_config=config
+        FleetSpec.paper_default(scale=context.scale),
+        injector_config=config,
+        config=context.config,
     )
     return engine.run(seed=context.seed).dataset
 

@@ -29,8 +29,10 @@ once and runs on either engine.  Three backends ship:
 
 Backends are selected by a spec string — ``"analytic"``,
 ``"trace:<path>"``, ``"fitted:<path>"`` — carried on
-:attr:`repro.failures.injector.InjectorConfig.hazard_backend`, the
-``repro run --hazard-backend`` flag, or ``REPRO_HAZARD_BACKEND``.
+:attr:`repro.runconfig.RunConfig.hazard_backend` (set by the
+``--hazard-backend`` flag or ``REPRO_HAZARD_BACKEND``), or on
+:attr:`repro.failures.injector.InjectorConfig.hazard_backend`, which
+takes precedence.
 
 The *extended* operator-error failure type also enters here: every
 backend activates :data:`~repro.failures.types.FailureType.OPERATOR_ERROR`
@@ -45,7 +47,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import envvars
 from repro.errors import SpecificationError
 from repro.failures.types import (
     EXTENDED_FAILURE_TYPES,
@@ -54,9 +55,6 @@ from repro.failures.types import (
 )
 from repro.fleet import calibration
 from repro.units import SECONDS_PER_YEAR, afr_percent_to_rate_per_second
-
-#: Environment variable selecting the default hazard backend.
-HAZARD_BACKEND_ENV = "REPRO_HAZARD_BACKEND"
 
 #: The spec both engines use when nothing is configured.
 DEFAULT_BACKEND = "analytic"
@@ -212,15 +210,13 @@ def parse_spec(spec: str) -> Tuple[str, Optional[str]]:
 
 
 def resolve(spec: Optional[str] = None) -> HazardBackend:
-    """The backend a spec (or the environment) selects.
+    """The backend a spec selects (``None``: the analytic default).
 
-    Resolution order: explicit ``spec`` argument (from
-    ``InjectorConfig.hazard_backend``), then ``REPRO_HAZARD_BACKEND``,
-    then the analytic default.  Instances are cached per spec string —
-    data-driven backends read and index their trace once per process.
+    Instances are cached per spec string — data-driven backends read
+    and index their trace once per process.
     """
     if spec is None:
-        spec = envvars.get(HAZARD_BACKEND_ENV) or DEFAULT_BACKEND
+        spec = DEFAULT_BACKEND
     cached = _CACHE.get(spec)
     if cached is not None:
         return cached
@@ -258,7 +254,6 @@ _CACHE: dict = {}
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "HAZARD_BACKEND_ENV",
     "Hazard",
     "HazardBackend",
     "parse_spec",

@@ -87,9 +87,10 @@ class InjectorConfig:
             failure elevation, which this knob lets users model).
         infant_period_seconds: length of the elevated-hazard period.
         hazard_backend: hazard backend spec (``"analytic"``,
-            ``"trace:<path>"``, ``"fitted:<path>"``); ``None`` defers to
-            ``REPRO_HAZARD_BACKEND`` and then the analytic default.
-            See :mod:`repro.failures.backends`.
+            ``"trace:<path>"``, ``"fitted:<path>"``); ``None`` takes the
+            run's :class:`~repro.runconfig.RunConfig` backend in
+            ``make_engine`` and the analytic default elsewhere.  See
+            :mod:`repro.failures.backends`.
         operator_error_rate_per_disk_year: delivered rate of the
             extended *operator error* failure type (mis-pulled drives,
             botched maintenance); 0.0 — the default — keeps the paper's

@@ -12,15 +12,17 @@ actually rests on and that no general-purpose linter knows about:
   aggregate over ``.table`` columns, never by re-materializing
   ``.events`` lists (RPL003);
 * configuration hygiene: every ``REPRO_*`` environment variable is
-  read through the :mod:`repro.envvars` registry (RPL004);
+  read through the :mod:`repro.envvars` registry (RPL004) under a
+  registered name (RPL006), and simulation code reads none at all —
+  engine and hazard backend arrive as a
+  :class:`~repro.runconfig.RunConfig` (RPL007);
 * generic footguns: mutable default arguments (RPL901) and bare
   ``except`` (RPL902).
 
-A second, *whole-program* pass (``--project``) builds a module graph,
-an approximate call graph, and dataflow summaries over ``src/repro``
-to check the cross-module invariants no single file can witness:
-cache-key soundness (RPL101), fork-safety of worker-reachable module
-state (RPL102), import-time environment reads (RPL103), and
+A second, *whole-program* pass (``--project``) builds a module graph
+and dataflow summaries over ``src/repro`` to check the cross-module
+invariants no single file can witness: fork-safety of worker-reachable
+module state (RPL102), import-time environment reads (RPL103), and
 engine-dispatch discipline (RPL104).  See
 :mod:`repro.lintkit.project_rules`.
 
@@ -37,8 +39,7 @@ Entry points::
 
     python -m repro.lintkit                 # check the repo, exit 1 on findings
     python -m repro.lintkit src/repro/core  # explicit paths (pre-commit)
-    python -m repro.lintkit --project       # whole-program pass (RPL101-104)
-    python -m repro.lintkit --project --graph callgraph.json
+    python -m repro.lintkit --project       # whole-program pass (RPL102-104)
     python -m repro.lintkit --json out.json # machine-readable report
     python -m repro.lintkit --write-baseline
     make lint / make lint-baseline
@@ -51,7 +52,6 @@ from repro.lintkit.baseline import (
     render_baseline,
     write_baseline,
 )
-from repro.lintkit.callgraph import CallGraph, find_entry_points
 from repro.lintkit.cli import main as cli_main
 from repro.lintkit.dataflow import ProjectSummary, analyze_project
 from repro.lintkit.engine import (
@@ -75,7 +75,6 @@ from repro.lintkit.report import render_json, render_text
 from repro.lintkit.rules import RULES, Rule, rule_catalog
 
 __all__ = [
-    "CallGraph",
     "Finding",
     "LintResult",
     "ModuleGraph",
@@ -90,7 +89,6 @@ __all__ = [
     "check_file",
     "check_source",
     "cli_main",
-    "find_entry_points",
     "fingerprint",
     "iter_python_files",
     "load_baseline",

@@ -54,14 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="run the whole-program pass (RPL101-RPL104) over src/repro "
+        help="run the whole-program pass (RPL102-RPL104) over src/repro "
         "instead of the per-file rules",
-    )
-    parser.add_argument(
-        "--graph",
-        metavar="FILE",
-        default=None,
-        help="with --project: export the import/call graph as JSON to FILE",
     )
     parser.add_argument(
         "--json",
@@ -99,9 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("%s  %s" % (code, title))
         return 0
 
-    if args.graph and not args.project:
-        print("reprolint: --graph requires --project", file=sys.stderr)
-        return 2
     if args.project and args.paths:
         print(
             "reprolint: --project analyzes the whole package; explicit "
@@ -137,7 +128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = engine.run(
             root, paths=args.paths or None, baseline=None, select=select
         )
-        project_result, _ctx = engine.run_project(
+        project_result = engine.run_project(
             root, baseline=None, select=select
         )
         findings = result.findings + project_result.findings
@@ -158,18 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     if args.project:
-        result, ctx = engine.run_project(
-            root, baseline=baseline, select=select
-        )
-        if args.graph:
-            graph_doc = ctx.callgraph.to_json()
-            graph_doc["imports"] = ctx.graph.to_json()
-            payload = json.dumps(graph_doc, indent=2) + "\n"
-            if args.graph == "-":
-                sys.stdout.write(payload)
-            else:
-                with open(args.graph, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
+        result = engine.run_project(root, baseline=baseline, select=select)
     else:
         result = engine.run(
             root, paths=args.paths or None, baseline=baseline, select=select

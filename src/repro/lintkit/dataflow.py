@@ -3,26 +3,19 @@
 For every function (and class body) in a :class:`ModuleGraph` this
 pass records the facts the cross-module rules consume:
 
-* **call sites** — resolved to canonical project names where name
-  resolution allows, or kept as bare method names for the call graph's
-  over-approximation (``obj.inject(...)`` with an unknown receiver
-  links to *every* project method named ``inject``);
-* **attribute reads** — ``job.scale`` where ``job`` is inferred (from
-  parameter annotations, ``self``, or a visible constructor call) to
-  be a project class: the raw material of the RPL101 cache-key check;
-* **environment reads** — ``envvars.get*("REPRO_...")`` calls, with
-  the module-scope ones split out (RPL103: workers never see overrides
-  applied after import);
+* **call sites** — calls whose target the module graph resolves to a
+  canonical dotted name (RPL104 engine dispatch);
+* **module-scope environment reads** — ``envvars.get*("REPRO_...")``
+  executed at import time (RPL103: the value freezes at import);
 * **module-level mutable state** and every site that mutates it from
   function scope (RPL102 fork-safety), plus whether the module is
   fork-aware (``os.register_at_fork`` / an ``adopt`` hook);
 * **worker task functions** — first arguments of ``.map(fn, ...)``
   calls that resolve to project functions (the fork boundary RPL102
-  measures reachability from).
+  measures import reachability from).
 
-Everything is intraprocedural; propagation happens later along
-:mod:`repro.lintkit.callgraph` edges.  The pass never imports the
-analyzed code.
+Everything is intraprocedural and name-based.  The pass never imports
+the analyzed code.
 """
 
 from __future__ import annotations
@@ -31,15 +24,8 @@ import ast
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lintkit.modgraph import ModuleGraph, ModuleInfo, resolve_annotation
-
-#: ``repro.envvars`` readers whose first argument names a variable.
-ENVVAR_READERS = (
-    "repro.envvars.get",
-    "repro.envvars.get_flag",
-    "repro.envvars.get_float",
-    "repro.envvars.get_int",
-)
+from repro.lintkit.modgraph import ModuleGraph, ModuleInfo
+from repro.lintkit.rules import ENVVAR_READERS
 
 #: Constructors whose module-level result is mutable *container* state
 #: (flagged by RPL102 only when something mutates it at runtime).
@@ -91,30 +77,18 @@ _FORK_HOOK_MARKERS = ("adopt", "fork", "reset")
 
 @dataclasses.dataclass
 class EnvRead:
-    """One ``envvars.get*`` call with a statically-known variable name."""
+    """One module-scope ``envvars.get*`` call with a known variable name."""
 
     name: str
-    line: int
-    col: int
-    module_scope: bool = False
-
-
-@dataclasses.dataclass
-class AttrRead:
-    """One ``<obj>.<attr>`` load with an inferred project class."""
-
-    cls: str
-    attr: str
     line: int
     col: int
 
 
 @dataclasses.dataclass
 class CallSite:
-    """One call: resolved canonical target, or a bare method name."""
+    """One call with a resolved canonical target."""
 
-    target: Optional[str]
-    method: Optional[str]
+    target: str
     line: int
 
 
@@ -127,28 +101,17 @@ class FunctionSummary:
     name: str
     line: int
     calls: List[CallSite] = dataclasses.field(default_factory=list)
-    attr_reads: List[AttrRead] = dataclasses.field(default_factory=list)
-    env_reads: List[EnvRead] = dataclasses.field(default_factory=list)
-    #: Every string literal in the body (RPL101 mines ``canonical()``
-    #: bodies for ``field=`` tokens and ``REPRO_*`` mentions).
-    strings: List[str] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass
 class ClassSummary:
-    """One class: fields, methods, bases, and its body pseudo-function."""
+    """One class and its body pseudo-function (methods are functions)."""
 
     qualname: str
     module: str
     name: str
     line: int
-    bases: List[str] = dataclasses.field(default_factory=list)
-    fields: List[str] = dataclasses.field(default_factory=list)
-    methods: Dict[str, FunctionSummary] = dataclasses.field(default_factory=dict)
     body: Optional[FunctionSummary] = None
-
-    def has_method(self, name: str) -> bool:
-        return name in self.methods
 
 
 @dataclasses.dataclass
@@ -189,10 +152,6 @@ class ProjectSummary:
     modules: Dict[str, ModuleSummary] = dataclasses.field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = dataclasses.field(default_factory=dict)
     classes: Dict[str, ClassSummary] = dataclasses.field(default_factory=dict)
-    #: bare method name -> canonical qualnames defining it.
-    methods_by_name: Dict[str, List[str]] = dataclasses.field(default_factory=dict)
-    #: canonical function qualname -> resolved return class, if any.
-    returns: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     def worker_tasks(self) -> List[str]:
         tasks: List[str] = []
@@ -207,7 +166,6 @@ def analyze_project(graph: ModuleGraph) -> ProjectSummary:
     analyzer = _Analyzer(graph, project)
     for name in sorted(graph.modules):
         analyzer.analyze_module(graph.modules[name])
-    analyzer.finish()
     return project
 
 
@@ -215,8 +173,6 @@ class _Analyzer:
     def __init__(self, graph: ModuleGraph, project: ProjectSummary) -> None:
         self.graph = graph
         self.project = project
-        # Deferred: return annotations resolve after all classes exist.
-        self._returns: List[Tuple[str, str, ast.expr]] = []
 
     # -- module walk -------------------------------------------------
 
@@ -261,7 +217,6 @@ class _Analyzer:
             if isinstance(child, ast.Call):
                 read = self._env_read(info, child)
                 if read is not None:
-                    read.module_scope = True
                     summary.module_env_reads.append(read)
 
     # -- functions and classes ---------------------------------------
@@ -272,46 +227,25 @@ class _Analyzer:
         summary: ModuleSummary,
         node: ast.AST,
         owner: Optional[ClassSummary],
-    ) -> FunctionSummary:
-        if owner is not None:
-            qualname = "%s.%s" % (owner.qualname, node.name)
-        else:
-            qualname = "%s.%s" % (info.name, node.name)
+    ) -> None:
+        prefix = owner.qualname if owner is not None else info.name
         fn = FunctionSummary(
-            qualname=qualname,
+            qualname="%s.%s" % (prefix, node.name),
             module=info.name,
             name=node.name,
             line=node.lineno,
         )
-        env = self._parameter_types(info, node, owner)
-        self._analyze_body(info, fn, node, env)
-        if node.returns is not None:
-            self._returns.append((qualname, info.name, node.returns))
-        if owner is not None:
-            owner.methods[node.name] = fn
-            self.project.methods_by_name.setdefault(node.name, []).append(
-                qualname
-            )
-        else:
+        self._record_calls(info, fn, _walk_body(node))
+        if owner is None:
             summary.functions[node.name] = fn
-        self.project.functions[qualname] = fn
-        return fn
+        self.project.functions[fn.qualname] = fn
 
     def _add_class(
         self, info: ModuleInfo, summary: ModuleSummary, node: ast.ClassDef
     ) -> None:
         qualname = "%s.%s" % (info.name, node.name)
         cls = ClassSummary(
-            qualname=qualname,
-            module=info.name,
-            name=node.name,
-            line=node.lineno,
-            bases=[
-                resolved
-                for base in node.bases
-                for resolved in [resolve_annotation(self.graph, info.name, base)]
-                if resolved is not None
-            ],
+            qualname=qualname, module=info.name, name=node.name, line=node.lineno
         )
         body = FunctionSummary(
             qualname="%s.<body>" % qualname,
@@ -323,104 +257,21 @@ class _Analyzer:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, summary, child, owner=cls)
             else:
-                if isinstance(child, ast.AnnAssign) and isinstance(
-                    child.target, ast.Name
-                ):
-                    cls.fields.append(child.target.id)
-                elif isinstance(child, ast.Assign):
-                    for target in child.targets:
-                        if isinstance(target, ast.Name):
-                            cls.fields.append(target.id)
-                self._analyze_body(info, body, child, env={}, is_statement=True)
-        init = cls.methods.get("__init__")
-        if init is not None:
-            for read in _self_assignments(init):
-                if read not in cls.fields:
-                    cls.fields.append(read)
+                self._record_calls(info, body, _walk_body(child))
         cls.body = body
         self.project.functions[body.qualname] = body
         summary.classes[node.name] = cls
         self.project.classes[qualname] = cls
 
-    def _parameter_types(
-        self,
-        info: ModuleInfo,
-        node: ast.AST,
-        owner: Optional[ClassSummary],
-    ) -> Dict[str, str]:
-        env: Dict[str, str] = {}
-        args = node.args
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            resolved = resolve_annotation(self.graph, info.name, arg.annotation)
-            if resolved is not None and resolved in self.project.classes:
-                env[arg.arg] = resolved
-            elif resolved is not None:
-                env[arg.arg] = resolved  # may become a class later
-        if owner is not None and (args.posonlyargs or args.args):
-            first = (list(args.posonlyargs) + list(args.args))[0].arg
-            env[first] = owner.qualname
-        return env
-
-    # -- body analysis -----------------------------------------------
-
-    def _analyze_body(
-        self,
-        info: ModuleInfo,
-        fn: FunctionSummary,
-        node: ast.AST,
-        env: Dict[str, str],
-        is_statement: bool = False,
+    def _record_calls(
+        self, info: ModuleInfo, fn: FunctionSummary, nodes: List[ast.AST]
     ) -> None:
-        """Walk one body, folding nested functions into the parent."""
-        nodes = _walk_body(node) if not is_statement else _walk_body_stmt(node)
-        env = dict(env)
+        """Record every call in ``nodes`` whose target resolves."""
         for child in nodes:
-            if isinstance(child, ast.Assign) and isinstance(
-                child.value, ast.Call
-            ):
-                inferred = self._inferred_call_class(info, child.value)
-                if inferred is not None:
-                    for target in child.targets:
-                        if isinstance(target, ast.Name):
-                            env[target.id] = inferred
-            elif isinstance(child, ast.AnnAssign) and isinstance(
-                child.target, ast.Name
-            ):
-                resolved = resolve_annotation(
-                    self.graph, info.name, child.annotation
-                )
-                if resolved is not None:
-                    env[child.target.id] = resolved
-        for child in nodes:
-            if isinstance(child, ast.Constant) and isinstance(child.value, str):
-                fn.strings.append(child.value)
-            elif isinstance(child, ast.Call):
-                self._record_call(info, fn, child, env)
-            elif isinstance(child, ast.Attribute) and isinstance(
-                child.ctx, ast.Load
-            ):
-                if isinstance(child.value, ast.Name):
-                    cls = env.get(child.value.id)
-                    if cls is not None:
-                        fn.attr_reads.append(
-                            AttrRead(
-                                cls=cls,
-                                attr=child.attr,
-                                line=child.lineno,
-                                col=child.col_offset,
-                            )
-                        )
-
-    def _inferred_call_class(
-        self, info: ModuleInfo, call: ast.Call
-    ) -> Optional[str]:
-        """Class of ``x = C(...)`` / ``x = f(...)-> C``, if inferable."""
-        target = self._resolve_callable(info, call.func)
-        if target is None:
-            return None
-        if target in self.project.classes:
-            return target
-        return self.project.returns.get(target)
+            if isinstance(child, ast.Call):
+                target = self._resolve_callable(info, child.func)
+                if target is not None:
+                    fn.calls.append(CallSite(target=target, line=child.lineno))
 
     def _resolve_callable(
         self, info: ModuleInfo, func: ast.expr
@@ -438,36 +289,6 @@ class _Analyzer:
         if resolved == ".".join(parts) and parts[0] not in info.bindings:
             return None  # local variable or builtin
         return resolved
-
-    def _record_call(
-        self,
-        info: ModuleInfo,
-        fn: FunctionSummary,
-        call: ast.Call,
-        env: Dict[str, str],
-    ) -> None:
-        read = self._env_read(info, call)
-        if read is not None:
-            fn.env_reads.append(read)
-        target = self._resolve_callable(info, call.func)
-        if target is not None:
-            fn.calls.append(CallSite(target=target, method=None, line=call.lineno))
-            return
-        if isinstance(call.func, ast.Attribute):
-            if isinstance(call.func.value, ast.Name):
-                cls = env.get(call.func.value.id)
-                if cls is not None:
-                    fn.calls.append(
-                        CallSite(
-                            target="%s.%s" % (cls, call.func.attr),
-                            method=None,
-                            line=call.lineno,
-                        )
-                    )
-                    return
-            fn.calls.append(
-                CallSite(target=None, method=call.func.attr, line=call.lineno)
-            )
 
     def _env_read(self, info: ModuleInfo, call: ast.Call) -> Optional[EnvRead]:
         target = self._resolve_callable(info, call.func)
@@ -647,30 +468,11 @@ class _Analyzer:
         if self.graph.module_of(target) is not None:
             summary.worker_tasks.append(self.graph.canonicalize(target))
 
-    # -- finish ------------------------------------------------------
-
-    def finish(self) -> None:
-        """Resolve deferred return annotations to project classes."""
-        for qualname, module, annotation in self._returns:
-            resolved = resolve_annotation(self.graph, module, annotation)
-            if resolved is not None and resolved in self.project.classes:
-                self.project.returns[qualname] = resolved
-
 
 def is_fork_hook_name(name: str) -> bool:
     """Whether a function name marks a fork-reset hook (RPL102)."""
     lowered = name.lower()
     return any(marker in lowered for marker in _FORK_HOOK_MARKERS)
-
-
-def _self_assignments(fn: FunctionSummary) -> List[str]:
-    """Field names ``__init__`` assigns onto ``self`` (via attr reads).
-
-    The body walk records ``self.x`` *loads*; stores are recovered from
-    the summary's attribute reads union — good enough for field
-    discovery because ``__init__`` conventionally reads what it sets.
-    """
-    return [read.attr for read in fn.attr_reads]
 
 
 def _walk_body(node: ast.AST) -> List[ast.AST]:
@@ -680,10 +482,6 @@ def _walk_body(node: ast.AST) -> List[ast.AST]:
         if child is not node:
             found.append(child)
     return found
-
-
-def _walk_body_stmt(node: ast.AST) -> List[ast.AST]:
-    return [node] + _walk_body(node)
 
 
 def _walk_scope(node: ast.AST) -> List[ast.AST]:
@@ -702,10 +500,8 @@ def _walk_scope(node: ast.AST) -> List[ast.AST]:
 
 
 __all__ = [
-    "AttrRead",
     "CallSite",
     "ClassSummary",
-    "ENVVAR_READERS",
     "EnvRead",
     "FunctionSummary",
     "GlobalVar",

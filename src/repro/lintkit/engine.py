@@ -427,21 +427,19 @@ def run_project(
     select: Optional[Sequence[str]] = None,
     package_dirs: Optional[Sequence[str]] = None,
 ):
-    """Run the whole-program pass (RPL101-RPL104) over ``root``.
+    """Run the whole-program pass (RPL102-RPL104) over ``root``.
 
-    Builds the module graph, dataflow summaries, and call graph (see
-    :mod:`repro.lintkit.modgraph` et al.), runs the project rules, and
-    applies the shared baseline scoped to the executed project codes.
-
-    Returns ``(LintResult, ProjectContext)`` — the context carries the
-    graphs for the ``--graph`` export.
+    Builds the module graph and dataflow summaries (see
+    :mod:`repro.lintkit.modgraph` and :mod:`repro.lintkit.dataflow`),
+    runs the project rules, and applies the shared baseline scoped to
+    the executed project codes.
     """
     from repro.lintkit.baseline import apply_baseline
     from repro.lintkit.modgraph import ModuleGraph
     from repro.lintkit.project_rules import PROJECT_RULES, run_project_rules
 
     graph = ModuleGraph.load(root, package_dirs=package_dirs)
-    findings, suppressed, ctx = run_project_rules(graph, select=select)
+    findings, suppressed = run_project_rules(graph, select=select)
     for error in graph.parse_errors:
         findings.append(error)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
@@ -466,4 +464,4 @@ def run_project(
         result.findings = kept
         result.baselined = baselined
         result.stale_baseline = stale
-    return result, ctx
+    return result

@@ -1,6 +1,6 @@
 """Project module graph: import resolution over the ``repro`` package.
 
-The whole-program rules (RPL101-RPL104, see
+The whole-program rules (RPL102-RPL104, see
 :mod:`repro.lintkit.project_rules`) need facts no single file can
 provide: which module a name *canonically* lives in (chasing
 re-exports like ``from repro.simulate import make_engine`` back to
@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lintkit.engine import (
     Finding,
@@ -269,60 +269,9 @@ class ModuleGraph:
             )
         return seen
 
-    def to_json(self) -> Dict[str, object]:
-        """Import-graph summary (part of the ``--graph`` export)."""
-        return {
-            "modules": {
-                name: {
-                    "path": info.source.relpath,
-                    "imports": sorted(info.imports),
-                }
-                for name, info in sorted(self.modules.items())
-            },
-            "parse_errors": [f.location() for f in self.parse_errors],
-        }
-
-
-def resolve_annotation(
-    graph: ModuleGraph, module: str, node: Optional[ast.expr]
-) -> Optional[str]:
-    """Canonical class name an annotation refers to, if resolvable.
-
-    Unwraps ``Optional[X]``, ``X | None``, and quoted forward
-    references; anything fancier resolves to ``None``.
-    """
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, ast.Subscript):  # Optional[X] / List[X] -> X
-        inner = node.slice
-        if isinstance(inner, ast.Tuple) and inner.elts:
-            inner = inner.elts[0]
-        return resolve_annotation(graph, module, inner)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        for side in (node.left, node.right):
-            if not (isinstance(side, ast.Constant) and side.value is None):
-                return resolve_annotation(graph, module, side)
-        return None
-    parts: List[str] = []
-    probe: ast.expr = node
-    while isinstance(probe, ast.Attribute):
-        parts.append(probe.attr)
-        probe = probe.value
-    if not isinstance(probe, ast.Name):
-        return None
-    parts.append(probe.id)
-    parts.reverse()
-    return graph.qualify(module, ".".join(parts))
-
 
 __all__ = [
     "DEFAULT_PACKAGE_DIRS",
     "ModuleGraph",
     "ModuleInfo",
-    "resolve_annotation",
 ]

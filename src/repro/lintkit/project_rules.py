@@ -1,28 +1,27 @@
-"""Cross-module rules (RPL101-RPL104): whole-program invariants.
+"""Cross-module rules (RPL102-RPL104): whole-program invariants.
 
-These rules consume the :class:`~repro.lintkit.modgraph.ModuleGraph`,
-the :mod:`~repro.lintkit.dataflow` summaries, and the
-:class:`~repro.lintkit.callgraph.CallGraph` — facts no single file can
-provide.  They guard the reproduction's three load-bearing
-cross-module contracts:
+These rules consume the :class:`~repro.lintkit.modgraph.ModuleGraph`
+and the :mod:`~repro.lintkit.dataflow` summaries — facts no single
+file can provide.  They guard three cross-module contracts:
 
-* **RPL101 cache-key soundness** — every config attribute and
-  environment variable that can influence a simulation result must be
-  folded into ``Job.canonical()``; otherwise two differently-configured
-  runs share a cache address and silently cross-serve results (the
-  PR 7 engine-token and PR 10 hazard-token bug class).
 * **RPL102 fork-safety** — module-level mutable state in any module a
   worker task can import must be fork-aware (``os.register_at_fork``
   or reset in an ``adopt``/``fork``-named hook) or allowlisted with a
   rationale; otherwise state mutated in the parent leaks into forked
   workers nondeterministically.
 * **RPL103 import-time environment reads** — ``envvars.get*`` at
-  module scope freezes the value at import; workers and tests never
-  see later overrides.
+  module scope freezes the value at import; tests that patch the
+  environment afterwards are silently ignored.
 * **RPL104 engine-dispatch discipline** — the two simulation engines
   are statistically, not byte, equivalent; every construction must go
-  through ``make_engine`` so the ``REPRO_VECTOR_ENGINE`` switch (and
-  its cache token) stays authoritative.
+  through ``make_engine`` so the run's
+  :class:`~repro.runconfig.RunConfig` (and with it the cache key)
+  stays authoritative.
+
+Cache-key soundness needs no rule: the run configuration is one
+explicit :class:`~repro.runconfig.RunConfig` that both cache keys
+embed, and per-file rule RPL007 keeps simulation code from reading
+the environment around it.
 
 Allowlists are deliberate: every entry names its rationale, and new
 entries are a reviewed diff, exactly like the fingerprint baseline.
@@ -30,10 +29,8 @@ entries are a reviewed diff, exactly like the fingerprint baseline.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
-from repro.lintkit.callgraph import CallGraph, find_entry_points
 from repro.lintkit.dataflow import (
     ProjectSummary,
     analyze_project,
@@ -44,23 +41,6 @@ from repro.lintkit.modgraph import ModuleGraph
 
 #: code -> rule instance; populated by :func:`register_project`.
 PROJECT_RULES: Dict[str, "ProjectRule"] = {}
-
-#: Bare names that anchor the RPL101 reachability analysis.  Matching
-#: by name (not path) keeps the anchor through file moves; losing every
-#: anchor is itself reported, so the rule can never silently go blind.
-ENTRY_POINT_NAMES = ("run_scenario", "execute_job")
-
-#: Environment variables that may be read on the simulation path
-#: without appearing in ``Job.canonical()`` — each with the reason it
-#: cannot change a cached result's *content*.
-CACHE_NEUTRAL_ENVVARS: Dict[str, str] = {
-    "REPRO_CACHE_DIR": "where results are stored, not what they contain",
-    "REPRO_SHARD_SPILL_DIR": "spill location for shard merge scratch files",
-    "REPRO_TRACE_WORKERS": (
-        "whether forked workers emit trace spans; telemetry only, "
-        "never feeds the simulation"
-    ),
-}
 
 #: Module-level mutable globals that are fork-safe by design.
 FORK_SAFE_GLOBALS: Dict[str, str] = {
@@ -92,8 +72,6 @@ ENGINE_CLASS_NAMES = (
 #: The one blessed dispatch function.
 ENGINE_FACTORY_NAME = "make_engine"
 
-_FIELD_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=")
-
 
 class ProjectContext:
     """Everything a project rule consumes, built once per run."""
@@ -101,7 +79,6 @@ class ProjectContext:
     def __init__(self, graph: ModuleGraph) -> None:
         self.graph = graph
         self.summary: ProjectSummary = analyze_project(graph)
-        self.callgraph = CallGraph(self.summary)
 
     def finding(
         self, code: str, module: str, line: int, col: int, message: str
@@ -137,118 +114,6 @@ class ProjectRule:
 
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-
-@register_project
-class CacheKeySoundness(ProjectRule):
-    """RPL101: config influence missing from ``Job.canonical()``."""
-
-    code = "RPL101"
-    title = "config read on the simulation path missing from Job.canonical()"
-    rationale = (
-        "Results are content-addressed by Job.canonical(); a config "
-        "attribute or environment variable read (transitively) from a "
-        "simulation entry point but absent from the canonical string "
-        "lets two differently-configured runs share a cache address "
-        "and cross-serve stale results."
-    )
-
-    def check(self, ctx: ProjectContext) -> Iterator[Finding]:
-        summary = ctx.summary
-        cache_classes = [
-            cls
-            for cls in summary.classes.values()
-            if cls.has_method("canonical")
-        ]
-        if not cache_classes:
-            return
-        entries = find_entry_points(summary, ENTRY_POINT_NAMES)
-        if not entries:
-            # The anchor is load-bearing: with no entry points the rule
-            # would silently pass on everything, so losing them is
-            # itself a violation (re-anchor ENTRY_POINT_NAMES).
-            for cls in sorted(cache_classes, key=lambda c: c.qualname):
-                finding = ctx.finding(
-                    self.code,
-                    cls.module,
-                    cls.line,
-                    0,
-                    "cache-key class %s found but no simulation entry "
-                    "points (%s) exist; RPL101 reachability is unanchored"
-                    % (cls.name, "/".join(ENTRY_POINT_NAMES)),
-                )
-                if finding is not None:
-                    yield finding
-            return
-        reachable = ctx.callgraph.reachable(entries)
-        # One token set per cache-key class: field names mentioned as
-        # `field=` plus every string (environment names appear as the
-        # envvars.get*() literal arguments inside canonical()).
-        tokens: Dict[str, set] = {}
-        texts: Dict[str, str] = {}
-        for cls in cache_classes:
-            canonical = cls.methods["canonical"]
-            mentioned = set()
-            for text in canonical.strings:
-                mentioned.update(_FIELD_TOKEN_RE.findall(text))
-            tokens[cls.qualname] = mentioned
-            texts[cls.qualname] = "\n".join(canonical.strings)
-        fields = {cls.qualname: set(cls.fields) for cls in cache_classes}
-        seen = set()
-        for qualname in sorted(reachable):
-            fn = summary.functions.get(qualname)
-            if fn is None:
-                continue
-            for read in fn.attr_reads:
-                if read.cls not in tokens:
-                    continue
-                if read.attr not in fields[read.cls]:
-                    continue  # method access, not config state
-                if read.attr in tokens[read.cls]:
-                    continue
-                key = (read.cls, read.attr)
-                if key in seen:
-                    continue
-                seen.add(key)
-                finding = ctx.finding(
-                    self.code,
-                    fn.module,
-                    read.line,
-                    read.col,
-                    "%s.%s is read on the simulation path (in %s) but "
-                    "never appears as '%s=' in %s.canonical(); add it "
-                    "or the cache will cross-serve results"
-                    % (
-                        read.cls.rsplit(".", 1)[-1],
-                        read.attr,
-                        qualname,
-                        read.attr,
-                        read.cls.rsplit(".", 1)[-1],
-                    ),
-                )
-                if finding is not None:
-                    yield finding
-            for read in fn.env_reads:
-                if read.name in CACHE_NEUTRAL_ENVVARS:
-                    continue
-                if any(read.name in text for text in texts.values()):
-                    continue
-                key = ("env", read.name, qualname)
-                if key in seen:
-                    continue
-                seen.add(key)
-                finding = ctx.finding(
-                    self.code,
-                    fn.module,
-                    read.line,
-                    read.col,
-                    "environment variable %s is read on the simulation "
-                    "path (in %s) but is neither folded into canonical() "
-                    "nor allowlisted as cache-neutral"
-                    % (read.name, qualname),
-                )
-                if finding is not None:
-                    yield finding
 
 
 @register_project
@@ -326,9 +191,9 @@ class ImportTimeEnvRead(ProjectRule):
     title = "environment variable read at import time"
     rationale = (
         "A module-scope envvars.get*() freezes the value when the "
-        "module is first imported; envvars.override() in tests and "
-        "late exports in workers are silently ignored.  Read inside "
-        "the function that needs the value."
+        "module is first imported; environment changes made later (a "
+        "test's monkeypatch, a caller's export) are silently ignored.  "
+        "Read inside the function that needs the value."
     )
 
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
@@ -356,9 +221,9 @@ class EngineDispatch(ProjectRule):
     title = "engine constructed directly instead of via make_engine()"
     rationale = (
         "The two engines are statistically, not byte, equivalent; "
-        "make_engine() is the single point where REPRO_VECTOR_ENGINE "
-        "selects one and the cache token records the choice.  Direct "
-        "construction elsewhere bypasses both."
+        "make_engine() is the single point where the run's RunConfig "
+        "selects one, and the cache key records the same config.  "
+        "Direct construction elsewhere bypasses both."
     )
 
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
@@ -400,8 +265,8 @@ class EngineDispatch(ProjectRule):
                     site.line,
                     0,
                     "%s is constructed directly in %s; route through "
-                    "make_engine() so the engine switch and its cache "
-                    "token stay authoritative"
+                    "make_engine() so the run's RunConfig and its cache "
+                    "key stay authoritative"
                     % (target.rsplit(".", 1)[-1], qualname),
                 )
                 if finding is not None:
@@ -419,12 +284,10 @@ def project_rule_catalog() -> List[Tuple[str, str, str]]:
 def run_project_rules(
     graph: ModuleGraph,
     select: Optional[List[str]] = None,
-) -> Tuple[List[Finding], int, ProjectContext]:
+) -> Tuple[List[Finding], int]:
     """Run the project rules over ``graph``.
 
-    Returns ``(findings, suppressed count, context)`` — the context is
-    handed back so the CLI can export the call graph without a second
-    analysis pass.
+    Returns ``(findings, suppressed count)``.
     """
     ctx = ProjectContext(graph)
     by_relpath = {
@@ -443,13 +306,11 @@ def run_project_rules(
             else:
                 findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings, suppressed, ctx
+    return findings, suppressed
 
 
 __all__ = [
-    "CACHE_NEUTRAL_ENVVARS",
     "ENGINE_CLASS_NAMES",
-    "ENTRY_POINT_NAMES",
     "FORK_SAFE_GLOBALS",
     "PROJECT_RULES",
     "ProjectContext",

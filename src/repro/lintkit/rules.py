@@ -22,6 +22,14 @@ from repro.lintkit.engine import Finding, SourceModule
 #: code -> rule instance; populated by :func:`register` at import time.
 RULES: Dict[str, "Rule"] = {}
 
+#: The ``repro.envvars`` readers; their first argument names a variable.
+ENVVAR_READERS = (
+    "repro.envvars.get",
+    "repro.envvars.get_flag",
+    "repro.envvars.get_float",
+    "repro.envvars.get_int",
+)
+
 
 def register(cls: Type["Rule"]) -> Type["Rule"]:
     rule = cls()
@@ -290,16 +298,8 @@ class UnregisteredEnvVarRead(Rule):
         "only on the code path that actually reads the variable; a "
         "misspelled name in a rarely-taken branch ships silently. This "
         "rule cross-checks every literal name passed to the get/"
-        "get_flag/get_float/get_int/override family against the "
-        "registry at lint time."
-    )
-
-    READERS = (
-        "repro.envvars.get",
-        "repro.envvars.get_flag",
-        "repro.envvars.get_float",
-        "repro.envvars.get_int",
-        "repro.envvars.override",
+        "get_flag/get_float/get_int family against the registry at "
+        "lint time."
     )
 
     def applies(self, module: SourceModule) -> bool:
@@ -326,7 +326,7 @@ class UnregisteredEnvVarRead(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
-            if module.resolve(node.func) not in self.READERS:
+            if module.resolve(node.func) not in ENVVAR_READERS:
                 continue
             arg = node.args[0]
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -342,6 +342,47 @@ class UnregisteredEnvVarRead(Rule):
                     "envvars read of %r, which is not in "
                     "repro.envvars.REGISTRY; register it (and rerun "
                     "`make docs`) or fix the name" % (name,),
+                )
+
+
+@register
+class SimulationEnvRead(Rule):
+    """RPL007: environment read inside simulation code."""
+
+    code = "RPL007"
+    title = "environment read in simulation code"
+    rationale = (
+        "Engine and hazard backend reach simulation code as one "
+        "explicit RunConfig, which every cache key embeds and every "
+        "worker payload carries; a value read from the environment "
+        "inside simulate/failures/fleet/core/experiments bypasses both, "
+        "so two differently configured runs can share a cache address. "
+        "Resolve it at the CLI/API boundary (repro.runconfig) and pass "
+        "it in."
+    )
+
+    PACKAGES = (
+        "repro.simulate",
+        "repro.failures",
+        "repro.fleet",
+        "repro.core",
+        "repro.experiments",
+    )
+
+    def applies(self, module: SourceModule) -> bool:
+        return _under(module, *self.PACKAGES)
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Call)
+                and module.resolve(node.func) in ENVVAR_READERS
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    "simulation code reads the environment; take the "
+                    "value from the run's RunConfig (repro.runconfig)",
                 )
 
 
@@ -462,7 +503,7 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
     """``(code, title, rationale)`` rows, sorted by code (docs/tests).
 
     Covers both registries: the per-file rules here and the
-    whole-program rules (RPL101-RPL104) from
+    whole-program rules (RPL102-RPL104) from
     :mod:`repro.lintkit.project_rules` — one catalog, one docs page.
     """
     from repro.lintkit.project_rules import project_rule_catalog

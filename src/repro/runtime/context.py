@@ -14,6 +14,7 @@ from typing import Dict, Optional
 
 from repro import obs
 from repro.obs.sampler import PROGRESS
+from repro.runconfig import RunConfig
 from repro.runtime.cache import MISSING, ResultCache
 from repro.runtime.jobs import KIND_SCENARIO, Job, execute_job
 from repro.runtime.metrics import RuntimeMetrics
@@ -113,9 +114,16 @@ class RuntimeContext:
         seed: int,
         via_logs: bool = False,
         shards: int = 1,
+        config: Optional[RunConfig] = None,
     ):
-        """Cached scenario simulation (the experiment-context hook)."""
-        return self.run_job(Job.scenario(name, scale, seed, via_logs, shards))
+        """Cached scenario simulation (the experiment-context hook).
+
+        ``config`` is the run's engine and hazard backend
+        (``RunConfig.from_env()`` when None).
+        """
+        return self.run_job(
+            Job.scenario(name, scale, seed, via_logs, shards, config)
+        )
 
     # -- pool wiring -----------------------------------------------------------
 

@@ -2,11 +2,13 @@
 
 A :class:`Job` names *what* to compute — a scenario simulation or a
 registered experiment — together with everything the result depends on
-(scale, seed, log routing).  Its :meth:`Job.key` is the SHA-256 of a
-canonical string that also embeds the package version, which is what
-makes results content-addressable: identical keys are guaranteed to
-denote identical results, so the cache and the deduplicating scheduler
-both operate purely on keys.
+(scale, seed, log routing, shards, and the
+:class:`~repro.runconfig.RunConfig` choosing engine and hazard
+backend).  Its :meth:`Job.key` is the SHA-256 of a canonical string
+that also embeds the package version, which is what makes results
+content-addressable: identical keys are guaranteed to denote identical
+results, so the cache and the deduplicating scheduler both operate
+purely on keys.
 
 :func:`execute_payload` is the worker-process entry point used by the
 pool: it rebuilds a runtime context from a picklable config dict (one
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro import envvars
 from repro.errors import SpecificationError
+from repro.runconfig import RunConfig
 from repro.version import __version__
 
 KIND_SCENARIO = "scenario"
@@ -47,6 +49,8 @@ class Job:
         shards: split simulations into this many spill-to-disk shards
             (1 = classic unsharded execution; see
             :mod:`repro.runtime.shard`).
+        config: engine and hazard backend (``RunConfig.from_env()``
+            when not given).
     """
 
     kind: str
@@ -55,6 +59,11 @@ class Job:
     seed: int
     via_logs: bool = False
     shards: int = 1
+    # A lambda rather than the bound method: from_env is looked up when
+    # a Job is built, so a test that patches it sees every construction.
+    config: RunConfig = dataclasses.field(
+        default_factory=lambda: RunConfig.from_env()
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_SCENARIO, KIND_EXPERIMENT):
@@ -72,11 +81,12 @@ class Job:
         seed: int,
         via_logs: bool = False,
         shards: int = 1,
+        config: Optional[RunConfig] = None,
     ) -> "Job":
         """A job that simulates the named scenario."""
         return cls(
             KIND_SCENARIO, name, float(scale), int(seed), bool(via_logs),
-            int(shards),
+            int(shards), config or RunConfig.from_env(),
         )
 
     @classmethod
@@ -87,22 +97,23 @@ class Job:
         seed: int,
         via_logs: bool = False,
         shards: int = 1,
+        config: Optional[RunConfig] = None,
     ) -> "Job":
         """A job that runs the registered experiment ``name``."""
         return cls(
             KIND_EXPERIMENT, name, float(scale), int(seed), bool(via_logs),
-            int(shards),
+            int(shards), config or RunConfig.from_env(),
         )
 
     def canonical(self) -> str:
         """The canonical string the content-address is derived from.
 
-        Embeds the package version so a new release invalidates every
-        cached result, and the simulation-engine selection
-        (``REPRO_VECTOR_ENGINE``) because the two engines produce
-        statistically — not byte — equivalent results, so one flag's
-        cached simulations must never be served to the other; floats
-        use ``repr`` so the string is exact.
+        Embeds the package version, so a new release invalidates every
+        cached result, and :meth:`RunConfig.canonical` — the engine
+        (the two engines are statistically, not byte, equivalent) and
+        any non-default hazard backend — so one config's results are
+        never served to another; floats use ``repr`` so the string is
+        exact.
 
         Sharded jobs (``shards != 1``) append a ``shards=`` term —
         unsharded canonicals are unchanged, so existing cache entries
@@ -112,17 +123,9 @@ class Job:
         shard workers), and must never be served to a consumer that
         asked for the unsharded result, even though its event table and
         fleet are byte-identical.
-
-        A non-default hazard backend (``REPRO_HAZARD_BACKEND``) appends
-        a ``hazard=<cache_token>`` term by the same append-only rule:
-        the token content-addresses the backend's inputs (a trace
-        backend digests its trace file), so re-recording a trace or
-        switching specs can never serve a stale simulation, while
-        default ``analytic`` canonicals — and every cache entry made
-        before backends existed — are untouched.
         """
         canonical = (
-            "repro/%s kind=%s name=%s scale=%r seed=%d via_logs=%d engine=%s"
+            "repro/%s kind=%s name=%s scale=%r seed=%d via_logs=%d %s"
             % (
                 __version__,
                 self.kind,
@@ -130,16 +133,11 @@ class Job:
                 float(self.scale),
                 self.seed,
                 1 if self.via_logs else 0,
-                "vector" if envvars.get_flag("REPRO_VECTOR_ENGINE") else "legacy",
+                self.config.canonical(),
             )
         )
         if self.shards != 1:
             canonical += " shards=%d" % self.shards
-        spec = envvars.get("REPRO_HAZARD_BACKEND")
-        if spec and spec != "analytic":
-            from repro.failures.backends import resolve
-
-            canonical += " hazard=%s" % resolve(spec).cache_token()
         return canonical
 
     def key(self) -> str:
@@ -155,12 +153,16 @@ class Job:
         if self.kind == KIND_SCENARIO:
             return self
         return Job.scenario(
-            DEFAULT_SCENARIO, self.scale, self.seed, self.via_logs, self.shards
+            DEFAULT_SCENARIO, self.scale, self.seed, self.via_logs,
+            self.shards, self.config,
         )
 
     def payload(self) -> Dict[str, object]:
         """Picklable field dict (inverse of ``Job(**payload)``)."""
-        return dataclasses.asdict(self)
+        return {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+        }
 
     def describe(self) -> str:
         """Short human label, e.g. ``experiment:fig4b@0.05/s1``."""
@@ -194,11 +196,16 @@ def execute_job(job: Job, runtime) -> object:
                 runtime=runtime,
                 n_shards=job.shards,
                 via_logs=job.via_logs,
+                config=job.config,
             )
         from repro.simulate.scenario import run_scenario
 
         return run_scenario(
-            job.name, scale=job.scale, seed=job.seed, via_logs=job.via_logs
+            job.name,
+            scale=job.scale,
+            seed=job.seed,
+            via_logs=job.via_logs,
+            config=job.config,
         )
     from repro.experiments import ExperimentContext, run_experiment
 
@@ -208,6 +215,7 @@ def execute_job(job: Job, runtime) -> object:
         via_logs=job.via_logs,
         runtime=runtime,
         shards=job.shards,
+        config=job.config,
     )
     return run_experiment(job.name, context)
 

@@ -13,10 +13,13 @@ into one ordinary :class:`~repro.fleet.fleet.Fleet`.
 
 Each shard is cached individually in the runtime's
 :class:`~repro.runtime.cache.ResultCache` under a content-addressed key
-derived from (version, scenario, scale, seed, engine, cell set) — so a
-config change that only invalidates some shards (or a deleted spill
-file) re-simulates exactly those shards, and a warm cache re-runs
-nothing at all.
+derived from (version, scenario, scale, seed, run config, spill schema,
+cell set) — so a config change that only invalidates some shards (or a
+deleted spill file) re-simulates exactly those shards, and a warm cache
+re-runs nothing at all.  The run config's terms are
+:meth:`~repro.runconfig.RunConfig.canonical`, the same ones
+``Job.canonical()`` embeds, and the config itself travels in every
+shard payload.
 
 Restrictions: ``via_logs`` is rejected (the AutoSupport log pipeline
 needs one coherent archive), and the merged result carries no injector
@@ -42,7 +45,7 @@ from repro.errors import SpecificationError
 from repro.fleet.builder import fleet_order_key, system_id_for
 from repro.fleet.fleet import Fleet
 from repro.fleet.partition import cell_of, cells_of_shard, shard_of_cell
-from repro.runtime.cache import MISSING
+from repro.runconfig import RunConfig
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
 from repro.version import __version__
 
@@ -132,34 +135,38 @@ class ShardPlan:
         return tuple(shard for shard in self.shards if shard.n_systems)
 
 
-def shard_canonical(scenario: str, scale: float, seed: int, shard: ShardSpec) -> str:
+def shard_canonical(
+    scenario: str, scale: float, seed: int, shard: ShardSpec, config: RunConfig
+) -> str:
     """Canonical string a shard's cache key is derived from.
 
     Content-addressed by the *cells*, not the shard index or count: two
     plans that assign the same cells to a shard (e.g. a 32-shard and a
     64-shard run) share cached shard results.  Embeds the package
-    version, the engine selection, and the spill schema so any of them
+    version, the run config's terms (:meth:`RunConfig.canonical`, as
+    ``Job.canonical()`` does), and the spill schema so any of them
     changing invalidates the entry.
     """
     return (
-        "repro/%s shard scenario=%s scale=%r seed=%d engine=%s "
-        "schema=%d cells=%s"
+        "repro/%s shard scenario=%s scale=%r seed=%d %s schema=%d cells=%s"
         % (
             __version__,
             scenario,
             float(scale),
             int(seed),
-            "vector" if envvars.get_flag("REPRO_VECTOR_ENGINE") else "legacy",
+            config.canonical(),
             SPILL_SCHEMA_VERSION,
             ",".join(str(cell) for cell in shard.cells),
         )
     )
 
 
-def shard_key(scenario: str, scale: float, seed: int, shard: ShardSpec) -> str:
+def shard_key(
+    scenario: str, scale: float, seed: int, shard: ShardSpec, config: RunConfig
+) -> str:
     """SHA-256 cache address of one shard's result."""
     return hashlib.sha256(
-        shard_canonical(scenario, scale, seed, shard).encode("utf-8")
+        shard_canonical(scenario, scale, seed, shard, config).encode("utf-8")
     ).hexdigest()
 
 
@@ -222,8 +229,8 @@ def execute_shard_payload(payload: Dict[str, object]) -> ShardMeta:
 
     Module-level (picklable) for :class:`~repro.runtime.pool.WorkerPool`.
     The payload is the picklable dict :func:`run_sharded_scenario`
-    builds: scenario name, scale, seed, the shard's index and selection,
-    and where to spill.  Wrapped in a ``runtime.shard.execute`` span
+    builds: scenario name, scale, seed, run config, the shard's index
+    and selection, and where to spill.  Wrapped in a ``runtime.shard.execute`` span
     (merged into the parent trace as this worker's lane) and bracketed
     by live-monitor heartbeats when ``$REPRO_STATUS_DIR`` is set.
     """
@@ -246,6 +253,7 @@ def execute_shard_payload(payload: Dict[str, object]) -> ShardMeta:
             scale=float(payload["scale"]),  # type: ignore[arg-type]
             seed=int(payload["seed"]),  # type: ignore[arg-type]
             selection=selection,
+            config=payload["config"],  # type: ignore[arg-type]
         )
         table = result.dataset.table
         spill_path = str(payload["spill_path"])
@@ -268,6 +276,7 @@ def run_sharded_scenario(
     runtime,
     n_shards: int,
     via_logs: bool = False,
+    config: Optional[RunConfig] = None,
 ):
     """Run a scenario sharded ``n_shards`` ways (see module docstring).
 
@@ -278,6 +287,8 @@ def run_sharded_scenario(
             providing the pool, the cache, and the metrics registry.
         n_shards: how many shards to split into (>= 1).
         via_logs: must be False; the log pipeline needs one archive.
+        config: engine and hazard backend of every shard
+            (``RunConfig.from_env()`` when None).
 
     Returns:
         A :class:`~repro.simulate.engine.SimulationResult` whose
@@ -305,6 +316,7 @@ def run_sharded_scenario(
         raise SpecificationError(
             "unknown scenario %r (have: %s)" % (name, ", ".join(sorted(SCENARIOS)))
         ) from None
+    config = config or RunConfig.from_env()
     spec = scenario.make_spec(scale)
     plan = ShardPlan.build(spec, n_shards)
     spill_dir = spill_directory(runtime)
@@ -314,7 +326,7 @@ def run_sharded_scenario(
     metas: Dict[int, ShardMeta] = {}
     pending: List[Dict[str, object]] = []
     for shard in plan.non_empty():
-        key = shard_key(name, scale, seed, shard)
+        key = shard_key(name, scale, seed, shard, config)
         spill_path = os.path.join(spill_dir, key + ".npz")
         cached = runtime.cache.get(key)
         if isinstance(cached, ShardMeta) and os.path.exists(cached.spill_path):
@@ -328,6 +340,7 @@ def run_sharded_scenario(
                 "scenario": name,
                 "scale": float(scale),
                 "seed": int(seed),
+                "config": config,
                 "selection": shard.selection,
                 "spill_path": spill_path,
                 "key": key,

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECK
 from repro import obs
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
+from repro.runconfig import RunConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.runtime.context import RuntimeContext
@@ -67,6 +68,7 @@ def batch_run(
     seeds: Sequence[int] = (1, 2, 3),
     runtime: Optional["RuntimeContext"] = None,
     jobs: int = 1,
+    config: Optional[RunConfig] = None,
 ) -> Dict[str, MetricSpread]:
     """Run a scenario under several seeds and evaluate metrics on each.
 
@@ -79,6 +81,8 @@ def batch_run(
             one (matching the historical behavior of simulating inline).
         jobs: worker processes for the default runtime (ignored when
             ``runtime`` is given — its own configuration wins).
+        config: engine and hazard backend of every simulation
+            (``RunConfig.from_env()`` when None).
 
     Returns:
         Per-metric spreads, in metric order.
@@ -102,7 +106,10 @@ def batch_run(
     with obs.span(
         "experiments.batch_run", scenario=scenario, seeds=len(seeds)
     ):
-        sim_jobs = [Job.scenario(scenario, scale, seed) for seed in seeds]
+        config = config or RunConfig.from_env()
+        sim_jobs = [
+            Job.scenario(scenario, scale, seed, config=config) for seed in seeds
+        ]
         results = Scheduler(runtime).run(sim_jobs)
         collected: Dict[str, List[float]] = {name: [] for name in metrics}
         for seed, result in zip(seeds, results):

@@ -21,11 +21,12 @@ name, so benchmarks, examples, and the CLI share one vocabulary:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.failures.injector import InjectorConfig
 from repro.failures.multipath import MultipathModel
 from repro.fleet.spec import FleetSpec
+from repro.runconfig import RunConfig
 from repro.simulate.engine import SimulationResult
 from repro.simulate.vector.engine import make_engine
 from repro.topology.layout import LayoutPolicy
@@ -104,6 +105,7 @@ def run_scenario(
     seed: int = 0,
     via_logs: bool = False,
     selection=None,
+    config: Optional[RunConfig] = None,
 ) -> SimulationResult:
     """Run a named scenario.
 
@@ -115,6 +117,8 @@ def run_scenario(
         selection: optional sub-fleet to build (per class, global system
             indices) — what shard workers pass; see
             :func:`repro.fleet.builder.build_fleet`.
+        config: engine and hazard backend (``RunConfig.from_env()``
+            when None).
 
     Raises:
         SpecificationError: for unknown scenario names.
@@ -129,5 +133,6 @@ def run_scenario(
         spec=scenario.make_spec(scale),
         injector_config=scenario.make_config(),
         selection=selection,
+        config=config,
     )
     return engine.run(seed=seed, via_logs=via_logs)

@@ -13,13 +13,14 @@ from its own stream — writing straight into the columnar
   replacement chain over every chained bay;
 - :mod:`~repro.simulate.vector.emit` — columnar emission and the
   lifetime-table update;
-- :mod:`~repro.simulate.vector.engine` — the facade and the
-  ``REPRO_VECTOR_ENGINE`` switch.
+- :mod:`~repro.simulate.vector.engine` — the facade and
+  :func:`~repro.simulate.vector.engine.make_engine`, which picks the
+  engine a :class:`~repro.runconfig.RunConfig` names.
 """
 
+from repro.runconfig import VECTOR_ENGINE_ENV
 from repro.simulate.vector.cohorts import Cohort, CohortSet, group_cohorts
 from repro.simulate.vector.engine import (
-    VECTOR_ENGINE_ENV,
     VectorFailureInjector,
     VectorSimulationEngine,
     build_frame,

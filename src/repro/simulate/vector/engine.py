@@ -27,11 +27,12 @@ they consume randomness in different orders, so matched configs agree
 on distributions (per-type counts, AFR, burst rates — the differential
 test suite pins the tolerances) rather than on individual draws.
 
-``REPRO_VECTOR_ENGINE=1`` routes :func:`make_engine` (and with it
-``run_scenario`` and every experiment) through the vector engine; the
-legacy engine stays the default and the differential oracle.  Both
-engines deliver an :class:`~repro.core.columns.EventTable`, the one
-representation every analysis reads.
+:func:`make_engine` builds the engine a
+:class:`~repro.runconfig.RunConfig` names (``engine="vector"``, the
+default under ``REPRO_VECTOR_ENGINE=1``); the legacy engine stays the
+default and the differential oracle.  Both engines deliver an
+:class:`~repro.core.columns.EventTable`, the one representation every
+analysis reads.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro import envvars, obs
+import dataclasses
+
+from repro import obs
 from repro.obs.sampler import PROGRESS
 from repro.failures.backends import HazardBackend, resolve as resolve_backend
 from repro.failures.injector import (
@@ -56,6 +59,7 @@ from repro.failures.types import (
 from repro.fleet.fleet import Fleet, offsets
 from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
+from repro.runconfig import VECTOR, RunConfig
 from repro.simulate.clock import SimulationClock
 from repro.simulate.engine import SimulationEngine
 from repro.simulate.vector.cohorts import (
@@ -82,17 +86,15 @@ from repro.simulate.vector.sampling import (
 )
 from repro.units import SECONDS_PER_YEAR
 
-#: Environment variable routing :func:`make_engine` to the vector engine.
-VECTOR_ENGINE_ENV = "REPRO_VECTOR_ENGINE"
-
 _TYPE_CODE = {
     failure_type: code for code, failure_type in enumerate(ALL_FAILURE_TYPES)
 }
 
 
 def vector_engine_enabled() -> bool:
-    """Whether ``REPRO_VECTOR_ENGINE`` selects the batched engine."""
-    return envvars.get_flag(VECTOR_ENGINE_ENV)
+    """Whether the environment's default config selects the batched
+    engine (``REPRO_VECTOR_ENGINE``)."""
+    return RunConfig.from_env().engine == VECTOR
 
 
 def build_frame(fleet: Fleet) -> Fleet:
@@ -490,11 +492,21 @@ def make_engine(
     injector_config: Optional[InjectorConfig] = None,
     clock: Optional[SimulationClock] = None,
     selection=None,
+    config: Optional[RunConfig] = None,
 ) -> SimulationEngine:
-    """The engine the environment selects: vector when
-    ``REPRO_VECTOR_ENGINE`` is set, legacy otherwise."""
+    """The engine ``config`` names (``RunConfig.from_env()`` when None).
+
+    The config's hazard backend applies unless ``injector_config``
+    names one itself.
+    """
+    config = config or RunConfig.from_env()
+    injector_config = injector_config or InjectorConfig()
+    if injector_config.hazard_backend is None:
+        injector_config = dataclasses.replace(
+            injector_config, hazard_backend=config.hazard_backend
+        )
     engine_cls = (
-        VectorSimulationEngine if vector_engine_enabled() else SimulationEngine
+        VectorSimulationEngine if config.engine == VECTOR else SimulationEngine
     )
     return engine_cls(
         spec,

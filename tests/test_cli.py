@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,6 +26,30 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--shards", "4"],
+            ["predict", "--jobs", "2"],
+            ["simulate", "quick", "--out", "d", "--cache-dir", "c"],
+            ["simulate", "quick", "--out", "d", "--via-logs"],
+        ],
+    )
+    def test_direct_simulations_reject_runtime_flags(self, argv):
+        # simulate/predict run one simulation in-process: no pool,
+        # shards, cache or log routing flag would do anything.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_direct_simulations_take_backend_and_obs_flags(self):
+        args = build_parser().parse_args(
+            ["predict", "--scale", "0.01", "--seed", "2",
+             "--hazard-backend", "analytic", "--trace", "t.jsonl"]
+        )
+        assert (args.scale, args.seed) == (0.01, 2)
+        assert args.hazard_backend == "analytic"
+        assert args.trace == "t.jsonl"
 
 
 class TestMain:
@@ -81,6 +107,20 @@ class TestMain:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+    def test_hazard_backend_flag_beats_env_without_writing_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_HAZARD_BACKEND", "astrology")
+        argv = [
+            "simulate", "quick", "--out", str(tmp_path / "logs"),
+            "--scale", "0.002", "--seed", "3",
+        ]
+        # Without the flag the environment's (unknown) backend is used.
+        assert main(argv) == 2
+        assert main(argv + ["--hazard-backend", "analytic"]) == 0
+        assert os.environ["REPRO_HAZARD_BACKEND"] == "astrology"
+        capsys.readouterr()
 
     def test_predict(self, capsys):
         assert main(["predict", "--scale", "0.008", "--seed", "2"]) == 0

@@ -99,66 +99,6 @@ def test_get_int(monkeypatch):
         envvars.get_int("REPRO_SHARDS", 1)
 
 
-def test_override_sets_and_clears(monkeypatch):
-    monkeypatch.delenv("REPRO_HAZARD_BACKEND", raising=False)
-    envvars.override("REPRO_HAZARD_BACKEND", "trace:/tmp/e.jsonl")
-    assert envvars.get("REPRO_HAZARD_BACKEND") == "trace:/tmp/e.jsonl"
-    envvars.override("REPRO_HAZARD_BACKEND", None)
-    assert "REPRO_HAZARD_BACKEND" not in os.environ
-
-
-def test_override_unregistered_raises():
-    with pytest.raises(KeyError):
-        envvars.override("REPRO_NOT_REGISTERED", "1")
-
-
-def test_override_as_context_manager_restores(monkeypatch):
-    monkeypatch.setenv("REPRO_HAZARD_BACKEND", "analytic")
-    with envvars.override("REPRO_HAZARD_BACKEND", "trace:/tmp/e.jsonl"):
-        assert envvars.get("REPRO_HAZARD_BACKEND") == "trace:/tmp/e.jsonl"
-    assert envvars.get("REPRO_HAZARD_BACKEND") == "analytic"
-
-
-def test_override_context_restores_absence(monkeypatch):
-    monkeypatch.delenv("REPRO_HAZARD_BACKEND", raising=False)
-    with envvars.override("REPRO_HAZARD_BACKEND", "analytic"):
-        assert os.environ["REPRO_HAZARD_BACKEND"] == "analytic"
-    assert "REPRO_HAZARD_BACKEND" not in os.environ
-
-
-def test_override_nesting_unwinds_lifo(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", "1")
-    with envvars.override("REPRO_SHARDS", "2"):
-        with envvars.override("REPRO_SHARDS", "4"):
-            assert envvars.get("REPRO_SHARDS") == "4"
-            # An inner clear nests too: restoring brings back "4".
-            with envvars.override("REPRO_SHARDS", None):
-                assert "REPRO_SHARDS" not in os.environ
-            assert envvars.get("REPRO_SHARDS") == "4"
-        assert envvars.get("REPRO_SHARDS") == "2"
-    assert envvars.get("REPRO_SHARDS") == "1"
-
-
-def test_override_restores_on_exception_unwind(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", "1")
-    with pytest.raises(RuntimeError):
-        with envvars.override("REPRO_SHARDS", "8"):
-            assert envvars.get("REPRO_SHARDS") == "8"
-            raise RuntimeError("boom")
-    assert envvars.get("REPRO_SHARDS") == "1"
-
-
-def test_override_bare_call_still_persists(monkeypatch):
-    """The historical fire-and-forget shape keeps working unchanged."""
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    handle = envvars.override("REPRO_SHARDS", "3")
-    assert envvars.get("REPRO_SHARDS") == "3"
-    del handle
-    assert envvars.get("REPRO_SHARDS") == "3"
-    envvars.override("REPRO_SHARDS", None)
-    assert "REPRO_SHARDS" not in os.environ
-
-
 def test_hazard_backend_registered():
     var = envvars.REGISTRY["REPRO_HAZARD_BACKEND"]
     assert var.kind == "string"

@@ -72,7 +72,9 @@ class TestResolve:
         assert resolve("analytic") is resolve("analytic")
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HAZARD_BACKEND", "analytic")
+        # The environment's backend reaches simulations through
+        # RunConfig.from_env, never through resolve().
+        monkeypatch.setenv("REPRO_HAZARD_BACKEND", "astrology")
         assert resolve(None).name == "analytic"
 
     def test_unknown_name_rejected(self):

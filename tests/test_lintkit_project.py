@@ -1,4 +1,4 @@
-"""The whole-program analyzer: graphs, dataflow, and RPL101-RPL104.
+"""The whole-program analyzer: module graph, dataflow, and RPL102-RPL104.
 
 Testing strategy mirrors how the simulator itself is goldened — by
 *mutation*, not inspection: each rule gets a miniature in-memory
@@ -14,16 +14,11 @@ import json
 import os
 import textwrap
 
-from repro.lintkit.callgraph import CallGraph, find_entry_points
 from repro.lintkit.cli import main as cli_main
 from repro.lintkit.dataflow import analyze_project
 from repro.lintkit.engine import run_project
 from repro.lintkit.modgraph import ModuleGraph
-from repro.lintkit.project_rules import (
-    CACHE_NEUTRAL_ENVVARS,
-    FORK_SAFE_GLOBALS,
-    run_project_rules,
-)
+from repro.lintkit.project_rules import FORK_SAFE_GLOBALS, run_project_rules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,7 +39,7 @@ def graph_of(**files):
 
 
 def codes(graph, select=None):
-    findings, _suppressed, _ctx = run_project_rules(graph, select=select)
+    findings, _suppressed = run_project_rules(graph, select=select)
     return [f.code for f in findings]
 
 
@@ -130,51 +125,6 @@ def test_dataflow_env_reads_and_module_scope():
     project = analyze_project(graph)
     module = project.modules["repro.cfg"]
     assert [r.name for r in module.module_env_reads] == ["REPRO_TRACE"]
-    fn = project.functions["repro.cfg.late"]
-    assert [r.name for r in fn.env_reads] == ["REPRO_METRICS"]
-
-
-def test_dataflow_typed_attribute_reads():
-    graph = graph_of(
-        jobs=(
-            "class Job:\n"
-            "    scale: float\n"
-            "    def canonical(self):\n"
-            "        return 'scale=%r' % self.scale\n"
-            "def use(job: Job):\n"
-            "    return job.scale\n"
-        ),
-    )
-    project = analyze_project(graph)
-    reads = project.functions["repro.jobs.use"].attr_reads
-    assert [(r.cls, r.attr) for r in reads] == [("repro.jobs.Job", "scale")]
-    # `self` inside methods is typed too.
-    method_reads = project.classes["repro.jobs.Job"].methods["canonical"]
-    assert ("repro.jobs.Job", "scale") in [
-        (r.cls, r.attr) for r in method_reads.attr_reads
-    ]
-
-
-def test_dataflow_constructor_and_return_inference():
-    graph = graph_of(
-        engine=(
-            "class Engine:\n"
-            "    def run(self):\n"
-            "        return 1\n"
-            "def make_engine() -> Engine:\n"
-            "    return Engine()\n"
-        ),
-        user=(
-            "from repro.engine import make_engine\n"
-            "def go():\n"
-            "    engine = make_engine()\n"
-            "    return engine.run()\n"
-        ),
-    )
-    project = analyze_project(graph)
-    cg = CallGraph(project)
-    reachable = cg.reachable(["repro.user.go"])
-    assert "repro.engine.Engine.run" in reachable
 
 
 def test_dataflow_worker_tasks_and_mutable_globals():
@@ -199,126 +149,6 @@ def test_dataflow_worker_tasks_and_mutable_globals():
     assert "repro.state._MEMO" in state.mutations
 
 
-# -- call graph ---------------------------------------------------------------
-
-
-def test_callgraph_ambiguous_method_edges():
-    graph = graph_of(
-        a=(
-            "class Injector:\n"
-            "    def inject(self):\n"
-            "        return 1\n"
-        ),
-        b=(
-            "def drive(thing):\n"
-            "    return thing.inject()\n"
-        ),
-    )
-    project = analyze_project(graph)
-    cg = CallGraph(project)
-    edges = [
-        e for e in cg.edges if e.caller == "repro.b.drive" and e.ambiguous
-    ]
-    assert [e.callee for e in edges] == ["repro.a.Injector.inject"]
-
-
-def test_find_entry_points_by_bare_name():
-    graph = graph_of(
-        runner="def execute_job(job):\n    return job\n",
-        other="def helper():\n    return 2\n",
-    )
-    project = analyze_project(graph)
-    assert find_entry_points(project, ("execute_job", "run_scenario")) == [
-        "repro.runner.execute_job"
-    ]
-
-
-# -- RPL101: cache-key soundness ---------------------------------------------
-
-CLEAN_JOBS = """\
-from repro import envvars
-
-class Job:
-    kind: str
-    scale: float
-
-    def canonical(self):
-        return 'kind=%s scale=%r engine=%s' % (
-            self.kind, self.scale,
-            envvars.get_flag('REPRO_VECTOR_ENGINE'))
-
-def execute_job(job: Job):
-    return simulate(job)
-
-def simulate(job: Job):
-    envvars.get_flag('REPRO_VECTOR_ENGINE')
-    return job.kind, job.scale
-"""
-
-
-def test_rpl101_clean_tree_is_silent():
-    graph = graph_of(envvars=ENVVARS, jobs=CLEAN_JOBS)
-    assert codes(graph, select=["RPL101"]) == []
-
-
-def test_rpl101_fires_on_field_missing_from_canonical():
-    mutated = CLEAN_JOBS.replace(
-        "    kind: str", "    kind: str\n    burst: int"
-    ).replace("return job.kind, job.scale", "return job.burst")
-    graph = graph_of(envvars=ENVVARS, jobs=mutated)
-    findings, _, _ = run_project_rules(graph, select=["RPL101"])
-    assert [f.code for f in findings] == ["RPL101"]
-    assert "burst" in findings[0].message
-
-
-def test_rpl101_fires_on_unaccounted_env_read():
-    mutated = CLEAN_JOBS.replace(
-        "envvars.get_flag('REPRO_VECTOR_ENGINE')\n    return",
-        "envvars.get('REPRO_MYSTERY_KNOB')\n    return",
-    )
-    graph = graph_of(envvars=ENVVARS, jobs=mutated)
-    findings, _, _ = run_project_rules(graph, select=["RPL101"])
-    assert [f.code for f in findings] == ["RPL101"]
-    assert "REPRO_MYSTERY_KNOB" in findings[0].message
-
-
-def test_rpl101_env_read_reached_transitively():
-    graph = graph_of(
-        envvars=ENVVARS,
-        jobs=CLEAN_JOBS,
-        deep=(
-            "from repro import envvars\n"
-            "def hidden():\n"
-            "    return envvars.get('REPRO_MYSTERY_KNOB')\n"
-        ),
-    )
-    assert codes(graph, select=["RPL101"]) == []  # unreachable: silent
-    reached = CLEAN_JOBS.replace(
-        "def simulate(job: Job):",
-        "from repro.deep import hidden\n"
-        "def simulate(job: Job):\n"
-        "    hidden()",
-    )
-    graph = graph_of(
-        envvars=ENVVARS,
-        jobs=reached,
-        deep=(
-            "from repro import envvars\n"
-            "def hidden():\n"
-            "    return envvars.get('REPRO_MYSTERY_KNOB')\n"
-        ),
-    )
-    assert codes(graph, select=["RPL101"]) == ["RPL101"]
-
-
-def test_rpl101_reports_lost_anchor():
-    unanchored = CLEAN_JOBS.replace("def execute_job", "def execute_later")
-    graph = graph_of(envvars=ENVVARS, jobs=unanchored)
-    findings, _, _ = run_project_rules(graph, select=["RPL101"])
-    assert [f.code for f in findings] == ["RPL101"]
-    assert "unanchored" in findings[0].message
-
-
 # -- RPL102: fork-safety ------------------------------------------------------
 
 WORKER = """\
@@ -341,7 +171,7 @@ def remember(k):
 
 def test_rpl102_fires_on_mutated_global_reachable_from_worker():
     graph = graph_of(state=MUTATED_STATE, work=WORKER)
-    findings, _, _ = run_project_rules(graph, select=["RPL102"])
+    findings, _ = run_project_rules(graph, select=["RPL102"])
     assert [f.code for f in findings] == ["RPL102"]
     assert "_MEMO" in findings[0].message
 
@@ -383,7 +213,7 @@ def test_rpl102_module_level_lock_flagged_without_mutation():
         "        return k\n"
     )
     graph = graph_of(state=locked, work=WORKER)
-    findings, _, _ = run_project_rules(graph, select=["RPL102"])
+    findings, _ = run_project_rules(graph, select=["RPL102"])
     assert [f.code for f in findings] == ["RPL102"]
     assert "LOCK" in findings[0].message
 
@@ -402,7 +232,7 @@ def test_rpl102_suppression_comment_honored():
         "_MEMO = {}", "_MEMO = {}  # reprolint: disable=RPL102"
     )
     graph = graph_of(state=suppressed, work=WORKER)
-    findings, suppressed_count, _ = run_project_rules(
+    findings, suppressed_count = run_project_rules(
         graph, select=["RPL102"]
     )
     assert findings == []
@@ -420,7 +250,7 @@ def test_rpl103_fires_on_module_scope_read():
             "LEVEL = envvars.get('REPRO_TRACE')\n"
         ),
     )
-    findings, _, _ = run_project_rules(graph, select=["RPL103"])
+    findings, _ = run_project_rules(graph, select=["RPL103"])
     assert [f.code for f in findings] == ["RPL103"]
     assert findings[0].line == 2
 
@@ -470,7 +300,7 @@ def test_rpl104_fires_on_direct_construction_outside_factory():
             "    return VectorSimulationEngine(config)\n"
         ),
     )
-    findings, _, _ = run_project_rules(graph, select=["RPL104"])
+    findings, _ = run_project_rules(graph, select=["RPL104"])
     assert [f.code for f in findings] == ["RPL104"]
     assert "make_engine" in findings[0].message
 
@@ -504,11 +334,10 @@ def test_rpl104_reexported_construction_still_resolves():
 
 
 def test_allowlists_carry_rationales():
-    for table in (CACHE_NEUTRAL_ENVVARS, FORK_SAFE_GLOBALS):
-        for name, rationale in table.items():
-            assert isinstance(rationale, str) and len(rationale) > 10, (
-                "allowlist entry %s needs a real rationale" % name
-            )
+    for name, rationale in FORK_SAFE_GLOBALS.items():
+        assert isinstance(rationale, str) and len(rationale) > 10, (
+            "allowlist entry %s needs a real rationale" % name
+        )
 
 
 def test_fork_safe_allowlist_names_exist_in_tree():
@@ -528,33 +357,16 @@ def test_fork_safe_allowlist_names_exist_in_tree():
 
 def test_repo_project_pass_is_clean():
     """The CI gate: the whole-program pass over src/repro is clean."""
-    result, ctx = run_project(REPO_ROOT, baseline=None)
+    result = run_project(REPO_ROOT, baseline=None)
     assert result.files > 100
     assert result.findings == [], "cross-module violations:\n%s" % "\n".join(
         "%s %s %s" % (f.location(), f.code, f.message)
         for f in result.findings
     )
-    # The analysis is anchored and non-vacuous.
-    entries = find_entry_points(
-        ctx.summary, ("run_scenario", "execute_job")
-    )
-    assert entries, "simulation entry points lost; RPL101 is blind"
-    assert len(ctx.summary.functions) > 500
-    assert ctx.summary.worker_tasks(), "worker tasks lost; RPL102 is blind"
-    stats = ctx.callgraph.to_json()["stats"]
-    assert stats["resolved_edges"] > 500
-
-
-def test_repo_job_canonical_is_reachable_and_tokenized():
-    """Spot-check the facts RPL101 rests on in the real tree."""
-    result, ctx = run_project(REPO_ROOT, baseline=None)
-    job = ctx.summary.classes["repro.runtime.jobs.Job"]
-    assert job.has_method("canonical")
-    tokens = "\n".join(job.methods["canonical"].strings)
-    for field in ("kind", "name", "scale", "seed", "via_logs", "shards"):
-        assert "%s=" % field in tokens
-    assert "REPRO_VECTOR_ENGINE" in tokens
-    assert "REPRO_HAZARD_BACKEND" in tokens
+    # The analysis is non-vacuous.
+    project = analyze_project(ModuleGraph.load(REPO_ROOT))
+    assert len(project.functions) > 500
+    assert project.worker_tasks(), "worker tasks lost; RPL102 is blind"
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -577,34 +389,6 @@ def test_cli_project_finds_and_reports(tmp_path, capsys):
     assert cli_main(["--root", str(root), "--project"]) == 1
     out = capsys.readouterr().out
     assert "RPL103" in out and "src/repro/cfg.py:2" in out
-
-
-def test_cli_project_graph_export(tmp_path, capsys):
-    root = _bad_project_repo(tmp_path)
-    graph_path = tmp_path / "callgraph.json"
-    json_path = tmp_path / "findings.json"
-    assert (
-        cli_main(
-            [
-                "--root", str(root), "--project",
-                "--graph", str(graph_path),
-                "--json", str(json_path),
-            ]
-        )
-        == 1
-    )
-    capsys.readouterr()
-    graph_doc = json.loads(graph_path.read_text())
-    assert graph_doc["stats"]["functions"] >= 2
-    assert "repro.envvars.get" in graph_doc["nodes"]
-    assert "repro.cfg" in graph_doc["imports"]["modules"]
-    findings_doc = json.loads(json_path.read_text())
-    assert findings_doc["counts"] == {"RPL103": 1}
-
-
-def test_cli_graph_requires_project(tmp_path, capsys):
-    assert cli_main(["--root", str(tmp_path), "--graph", "g.json"]) == 2
-    capsys.readouterr()
 
 
 def test_cli_project_rejects_explicit_paths(tmp_path, capsys):
@@ -630,7 +414,7 @@ def test_cli_project_select(tmp_path, capsys):
 def test_cli_list_rules_includes_project_codes(capsys):
     assert cli_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPL101", "RPL102", "RPL103", "RPL104"):
+    for code in ("RPL102", "RPL103", "RPL104"):
         assert code in out
 
 

@@ -13,6 +13,8 @@ from repro.lintkit import check_source
 
 CORE = "src/repro/core/mod.py"
 SIM = "src/repro/simulate/mod.py"
+#: Outside the simulation packages, so RPL007 stays quiet there.
+OBS = "src/repro/obs/mod.py"
 
 
 def codes(source: str, relpath: str = SIM):
@@ -329,7 +331,8 @@ def test_rpl006_flags_unregistered_names():
             from repro import envvars
             a = envvars.get("REPRO_NOT_A_THING")
             b = envvars.get_flag("REPRO_TYPOED_FLAG")
-            """
+            """,
+            relpath=OBS,
         )
         == ["RPL006", "RPL006"]
     )
@@ -343,8 +346,8 @@ def test_rpl006_allows_registered_names():
             a = envvars.get("REPRO_HAZARD_BACKEND")
             b = envvars.get_flag("REPRO_VECTOR_ENGINE")
             c = envvars.get_int("REPRO_SHARDS", 1)
-            envvars.override("REPRO_HAZARD_BACKEND", "analytic")
-            """
+            """,
+            relpath=OBS,
         )
         == []
     )
@@ -357,7 +360,8 @@ def test_rpl006_resolves_module_constants():
             from repro import envvars
             ENV_NAME = "REPRO_NO_SUCH_VAR"
             a = envvars.get(ENV_NAME)
-            """
+            """,
+            relpath=OBS,
         )
         == ["RPL006"]
     )
@@ -369,10 +373,38 @@ def test_rpl006_skips_dynamic_names():
             """\
             from repro import envvars
             a = envvars.get("REPRO_" + suffix)
-            """
+            """,
+            relpath=OBS,
         )
         == []
     )
+
+
+# -- RPL007: environment reads in simulation code -----------------------------
+
+
+def test_rpl007_flags_env_reads_in_simulation_packages():
+    source = """\
+    from repro import envvars
+    a = envvars.get_flag("REPRO_VECTOR_ENGINE")
+    """
+    for package in ("simulate", "failures", "fleet", "core", "experiments"):
+        relpath = "src/repro/%s/mod.py" % package
+        assert codes(source, relpath=relpath) == ["RPL007"]
+
+
+def test_rpl007_allows_the_boundary_and_the_runtime():
+    source = """\
+    from repro import envvars
+    a = envvars.get("REPRO_HAZARD_BACKEND")
+    """
+    for relpath in (
+        "src/repro/runconfig.py",
+        "src/repro/cli.py",
+        "src/repro/runtime/shard.py",
+        OBS,
+    ):
+        assert codes(source, relpath=relpath) == []
 
 
 # -- RPL901 / RPL902: generic hygiene ----------------------------------------

@@ -14,10 +14,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.colstore import save_table
 from repro.errors import AnalysisError, SpecificationError
 from repro.experiments import ExperimentContext, run_experiment
 from repro.fleet.partition import NUM_CELLS, cell_of, cells_of_shard, shard_of_cell
 from repro.fleet.spec import FleetSpec
+from repro.runconfig import RunConfig
 from repro.runtime import (
     Job,
     RuntimeConfig,
@@ -118,7 +120,7 @@ class TestShardPlan:
         by_cells = {}
         for n_shards in (NUM_CELLS, NUM_CELLS * 2):
             for shard in ShardPlan.build(spec, n_shards).non_empty():
-                key = shard_key("paper-default", SCALE, 101, shard)
+                key = shard_key("paper-default", SCALE, 101, shard, RunConfig())
                 if shard.cells in by_cells:
                     assert by_cells[shard.cells] == key
                 by_cells[shard.cells] = key
@@ -128,18 +130,60 @@ class TestShardPlan:
     def test_shard_keys_depend_on_seed_and_scale(self):
         spec = FleetSpec.paper_default(scale=SCALE)
         shard = ShardPlan.build(spec, 4).shards[0]
-        baseline = shard_key("paper-default", SCALE, 101, shard)
-        assert shard_key("paper-default", SCALE, 102, shard) != baseline
-        assert shard_key("paper-default", SCALE * 2, 101, shard) != baseline
-        assert shard_key("no-shocks", SCALE, 101, shard) != baseline
+        config = RunConfig()
+        baseline = shard_key("paper-default", SCALE, 101, shard, config)
+        assert shard_key("paper-default", SCALE, 102, shard, config) != baseline
+        assert shard_key("paper-default", SCALE * 2, 101, shard, config) != baseline
+        assert shard_key("no-shocks", SCALE, 101, shard, config) != baseline
 
-    def test_shard_keys_depend_on_engine(self, monkeypatch):
+    def test_shard_keys_depend_on_engine(self):
         spec = FleetSpec.paper_default(scale=SCALE)
         shard = ShardPlan.build(spec, 4).shards[0]
-        monkeypatch.delenv("REPRO_VECTOR_ENGINE", raising=False)
-        legacy = shard_key("paper-default", SCALE, 101, shard)
-        monkeypatch.setenv("REPRO_VECTOR_ENGINE", "1")
-        assert shard_key("paper-default", SCALE, 101, shard) != legacy
+        legacy = shard_key(
+            "paper-default", SCALE, 101, shard, RunConfig(engine="legacy")
+        )
+        assert shard_key(
+            "paper-default", SCALE, 101, shard, RunConfig(engine="vector")
+        ) != legacy
+
+
+class TestShardKeyRunConfig:
+    """A hazard backend change must miss every cached shard.
+
+    The shard key once rendered only the engine, so a ``trace:`` run on
+    a cache warmed by an analytic run reused the analytic shards and
+    printed the analytic result.
+    """
+
+    def test_trace_run_does_not_reuse_analytic_shards(self, tmp_path):
+        trace_path = str(tmp_path / "trace.npz")
+        recorded = run_scenario(
+            "paper-default", scale=0.002, seed=5,
+            config=RunConfig(engine="vector"),
+        )
+        save_table(trace_path, recorded.dataset.table)
+        analytic = RunConfig(engine="vector")
+        traced = RunConfig(engine="vector", hazard_backend="trace:" + trace_path)
+
+        def sharded(runtime, config):
+            return run_sharded_scenario(
+                "paper-default", scale=SCALE, seed=3, runtime=runtime,
+                n_shards=2, config=config,
+            )
+
+        sharded(make_runtime(tmp_path), analytic)
+        rerun = make_runtime(tmp_path)
+        result = sharded(rerun, traced)
+        assert rerun.metrics.count("sim.runs") == 2
+        fresh = sharded(make_runtime(tmp_path / "fresh"), traced)
+        assert (
+            result.dataset.table.content_digest()
+            == fresh.dataset.table.content_digest()
+        )
+        shard = ShardPlan.build(FleetSpec.paper_default(scale=SCALE), 2).shards[0]
+        assert shard_key("paper-default", SCALE, 3, shard, analytic) != shard_key(
+            "paper-default", SCALE, 3, shard, traced
+        )
 
 
 class TestJobSharding:

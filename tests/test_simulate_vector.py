@@ -34,12 +34,12 @@ from repro.fleet.partition import cell_of
 from repro.fleet.spec import FleetSpec
 from repro.obs.sampler import PROGRESS
 from repro.rng import RandomSource
+from repro.runconfig import VECTOR_ENGINE_ENV
 from repro.simulate.engine import SimulationEngine
 from repro.simulate.scenario import run_scenario
 from repro.simulate.vector.cohorts import CohortSet, group_cohorts, system_cells
 from repro.simulate.vector.emit import RecoveredBatch
 from repro.simulate.vector.engine import (
-    VECTOR_ENGINE_ENV,
     VectorFailureInjector,
     VectorSimulationEngine,
     build_frame,

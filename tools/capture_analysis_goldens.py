@@ -1,7 +1,7 @@
 """Capture analysis-layer goldens: digests of what each analysis returns.
 
-For each engine (legacy / vector, selected through
-``REPRO_VECTOR_ENGINE``) records SHA-256 digests of
+For each engine (legacy / vector, passed to every simulation as a
+``RunConfig``) records SHA-256 digests of
 
 - per seed 3/5/7 at scale 0.005 (``paper-default``): ``counts_by_type``,
   ``afr_stack``, ``afr_by_class`` with and without the Disk H family,
@@ -192,12 +192,14 @@ def method_outputs(dataset) -> dict:
     return outputs
 
 
-def midsize_outputs() -> dict:
+def midsize_outputs(config) -> dict:
     """Findings and the experiments at scale 0.02, seed 1."""
     from repro.core.findings import evaluate_findings
     from repro.experiments import ExperimentContext, run_experiment
 
-    context = ExperimentContext(scale=MIDSIZE_SCALE, seed=MIDSIZE_SEED)
+    context = ExperimentContext(
+        scale=MIDSIZE_SCALE, seed=MIDSIZE_SEED, config=config
+    )
     outputs = {"findings": evaluate_findings(context.dataset("paper-default"))}
     for experiment_id in EXPERIMENTS:
         result = run_experiment(experiment_id, context)
@@ -207,38 +209,47 @@ def midsize_outputs() -> dict:
     return outputs
 
 
-def section_outputs(section: str) -> dict:
-    """One section's outputs on the engine the environment selects."""
+def section_outputs(section: str, config=None) -> dict:
+    """One section's outputs under ``config`` (a ``RunConfig``; by
+    default the one the environment selects)."""
+    from repro.runconfig import RunConfig
     from repro.simulate.scenario import run_scenario
+
+    config = config or RunConfig.from_env()
 
     if section.startswith("seed-"):
         seed = int(section[len("seed-"):])
         return seed_outputs(
-            run_scenario("paper-default", scale=SCALE, seed=seed).dataset
+            run_scenario(
+                "paper-default", scale=SCALE, seed=seed, config=config
+            ).dataset
         )
     if section == "via-logs":
         return logs_outputs(
             run_scenario(
-                "paper-default", scale=LOGS_SCALE, seed=LOGS_SEED, via_logs=True
+                "paper-default",
+                scale=LOGS_SCALE,
+                seed=LOGS_SEED,
+                via_logs=True,
+                config=config,
             ).dataset
         )
     if section == "methods":
         return method_outputs(
-            run_scenario("paper-default", scale=SCALE, seed=METHOD_SEED).dataset
+            run_scenario(
+                "paper-default", scale=SCALE, seed=METHOD_SEED, config=config
+            ).dataset
         )
     if section == "midsize":
-        return midsize_outputs()
+        return midsize_outputs(config)
     raise ValueError("unknown section %r" % section)
 
 
 def capture_section(engine: str, section: str) -> dict:
     """Digests of one section's outputs on one engine."""
-    from repro import envvars
+    from repro.runconfig import RunConfig
 
-    with envvars.override(
-        "REPRO_VECTOR_ENGINE", "1" if engine == "vector" else "0"
-    ):
-        outputs = section_outputs(section)
+    outputs = section_outputs(section, RunConfig(engine=engine))
     return {name: canonical(value) for name, value in outputs.items()}
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ def _sha(text: str) -> str:
 
 def capture() -> dict:
     from repro.experiments.base import ExperimentContext, run_experiment
+    from repro.runconfig import RunConfig
     from repro.simulate.scenario import run_scenario
 
     goldens: dict = {
@@ -43,16 +43,16 @@ def capture() -> dict:
         "engines": {},
     }
     for engine_name in ("legacy", "vector"):
-        os.environ["REPRO_VECTOR_ENGINE"] = (
-            "1" if engine_name == "vector" else "0"
-        )
+        config = RunConfig(engine=engine_name)
         per_engine: dict = {"injection": {}, "experiments": {}}
         for seed in SEEDS:
-            result = run_scenario("paper-default", scale=SCALE, seed=seed)
+            result = run_scenario(
+                "paper-default", scale=SCALE, seed=seed, config=config
+            )
             table = result.injection.to_table()
             per_engine["injection"][str(seed)] = table.content_digest()
             per_seed: dict = {}
-            context = ExperimentContext(scale=SCALE, seed=seed)
+            context = ExperimentContext(scale=SCALE, seed=seed, config=config)
             for experiment_id in EXPERIMENTS:
                 exp = run_experiment(experiment_id, context)
                 per_seed[experiment_id] = {

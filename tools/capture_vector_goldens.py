@@ -34,7 +34,6 @@ output lands):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -82,18 +81,7 @@ def record_trace(directory: str) -> str:
 
 
 def setup(case: str, trace_path=None):
-    """``(spec, injector config, selection or None)`` for one case.
-
-    Configs name their hazard backend, so ``REPRO_HAZARD_BACKEND``
-    cannot change a case.
-    """
-    spec, config, selection = _setup(case, trace_path)
-    if config.hazard_backend is None:
-        config = dataclasses.replace(config, hazard_backend="analytic")
-    return spec, config, selection
-
-
-def _setup(case: str, trace_path):
+    """``(spec, injector config, selection or None)`` for one case."""
     from repro.failures.injector import InjectorConfig
     from repro.fleet.spec import FleetSpec
     from repro.runtime.shard import ShardPlan

@@ -9,9 +9,10 @@ Two independent layers run by default:
   final newline) that only flags things ruff would also flag.
 * **Invariants** — reprolint (``src/repro/lintkit``): the AST checks
   for determinism, sim-clock purity, columnar-core discipline, and
-  env-var hygiene, followed by the whole-program pass (RPL101-RPL104:
-  cache-key soundness, fork-safety, import-time env reads,
-  engine-dispatch discipline).  See docs/LINTING.md.
+  env-var hygiene (incl. RPL007: no environment reads in simulation
+  code), followed by the whole-program pass (RPL102-RPL104:
+  fork-safety, import-time env reads, engine-dispatch discipline).
+  See docs/LINTING.md.
 
 reprolint is stdlib-only and is loaded here *without executing the
 numpy-heavy ``repro`` package init*, so development containers without
@@ -164,14 +165,12 @@ def run_reprolint(json_out=None) -> int:
     return lintkit.cli_main(argv)
 
 
-def run_reprolint_project(json_out=None, graph_out=None) -> int:
-    """Whole-program pass (RPL101-RPL104); see docs/LINTING.md."""
+def run_reprolint_project(json_out=None) -> int:
+    """Whole-program pass (RPL102-RPL104); see docs/LINTING.md."""
     lintkit = load_lintkit()
     argv = ["--root", REPO, "--project"]
     if json_out:
         argv += ["--json", json_out]
-    if graph_out:
-        argv += ["--graph", graph_out]
     return lintkit.cli_main(argv)
 
 
@@ -201,12 +200,6 @@ def main(argv=None) -> int:
         default=None,
         help="write the whole-program pass's JSON findings report to FILE",
     )
-    parser.add_argument(
-        "--graph",
-        metavar="FILE",
-        default=None,
-        help="write the whole-program import/call graph export to FILE",
-    )
     args = parser.parse_args(argv)
 
     status = 0
@@ -215,9 +208,7 @@ def main(argv=None) -> int:
     if not args.style_only:
         invariant_status = run_reprolint(json_out=args.json)
         status = status or invariant_status
-        project_status = run_reprolint_project(
-            json_out=args.project_json, graph_out=args.graph
-        )
+        project_status = run_reprolint_project(json_out=args.project_json)
         status = status or project_status
     return status
 
