@@ -98,20 +98,15 @@ class FunctionSummary:
 
     qualname: str
     module: str
-    name: str
-    line: int
     calls: List[CallSite] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass
 class ClassSummary:
-    """One class and its body pseudo-function (methods are functions)."""
+    """One class; its methods and body are indexed as functions."""
 
     qualname: str
-    module: str
     name: str
-    line: int
-    body: Optional[FunctionSummary] = None
 
 
 @dataclasses.dataclass
@@ -230,10 +225,7 @@ class _Analyzer:
     ) -> None:
         prefix = owner.qualname if owner is not None else info.name
         fn = FunctionSummary(
-            qualname="%s.%s" % (prefix, node.name),
-            module=info.name,
-            name=node.name,
-            line=node.lineno,
+            qualname="%s.%s" % (prefix, node.name), module=info.name
         )
         self._record_calls(info, fn, _walk_body(node))
         if owner is None:
@@ -244,21 +236,13 @@ class _Analyzer:
         self, info: ModuleInfo, summary: ModuleSummary, node: ast.ClassDef
     ) -> None:
         qualname = "%s.%s" % (info.name, node.name)
-        cls = ClassSummary(
-            qualname=qualname, module=info.name, name=node.name, line=node.lineno
-        )
-        body = FunctionSummary(
-            qualname="%s.<body>" % qualname,
-            module=info.name,
-            name="<body>",
-            line=node.lineno,
-        )
+        cls = ClassSummary(qualname=qualname, name=node.name)
+        body = FunctionSummary(qualname="%s.<body>" % qualname, module=info.name)
         for child in node.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, summary, child, owner=cls)
             else:
                 self._record_calls(info, body, _walk_body(child))
-        cls.body = body
         self.project.functions[body.qualname] = body
         summary.classes[node.name] = cls
         self.project.classes[qualname] = cls
