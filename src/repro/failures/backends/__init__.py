@@ -212,15 +212,21 @@ def parse_spec(spec: str) -> Tuple[str, Optional[str]]:
 def resolve(spec: Optional[str] = None) -> HazardBackend:
     """The backend a spec selects (``None``: the analytic default).
 
-    Instances are cached per spec string — data-driven backends read
-    and index their trace once per process.
+    Instances are cached per spec string and, for data-driven backends,
+    the content digest of their file: a trace is read and indexed once
+    per process, and again after it is rewritten in place.
     """
     if spec is None:
         spec = DEFAULT_BACKEND
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        return cached
     name, argument = parse_spec(spec)
+    digest = None
+    if name in ("trace", "fitted") and argument:
+        from repro.failures.backends.trace import _file_digest
+
+        digest = _file_digest(argument)
+    cached = _CACHE.get(spec)
+    if cached is not None and cached[0] == digest:
+        return cached[1]
     if name == "analytic":
         if argument is not None:
             raise SpecificationError("the analytic backend takes no argument")
@@ -244,11 +250,11 @@ def resolve(spec: Optional[str] = None) -> HazardBackend:
             "unknown hazard backend %r (have: analytic, trace:<path>, "
             "fitted:<path>)" % name
         )
-    _CACHE[spec] = backend
+    _CACHE[spec] = (digest, backend)
     return backend
 
 
-#: Per-spec backend instances (clear in tests that rewrite trace files).
+#: Per spec, the file digest (None for analytic) and the backend built.
 _CACHE: dict = {}
 
 

@@ -33,15 +33,7 @@ def system_id_for(system_class: SystemClass, index: int) -> str:
     a sharded run name — and therefore partition — the systems of a
     fleet spec without building them.
     """
-    return "%s-%05d" % (_CLASS_TAGS[system_class], index)
-
-
-def fleet_order_key(system_class: SystemClass, system_id: str) -> Tuple[int, int]:
-    """Sort key of the builder's order: (class order, global index)."""
-    return (
-        SYSTEM_CLASS_ORDER.index(system_class),
-        int(system_id.rsplit("-", 1)[1]),
-    )
+    return _ID_FORMAT % (_CLASS_TAGS[system_class], index)
 
 
 def build_fleet(
@@ -90,6 +82,7 @@ def build_fleet(
     return fleet
 
 
+_ID_FORMAT = "%s-%05d"
 _CLASS_TAGS = {
     SystemClass.NEARLINE: "nl",
     SystemClass.LOW_END: "le",
@@ -133,34 +126,40 @@ def _draw_class(
     ``rng.random()`` (path, when the class supports dual paths),
     ``rng.uniform(0, spread)`` and ``rng.random()`` (RAID type) make,
     taken as one vector of uniforms, then the Poisson shelf count and
-    one 32-bit serial per bay.
+    one 32-bit serial per bay.  Only the draws run per system; the
+    model choices are one search per class (shelf) and per shelf model
+    (disk) over the uniforms.
     """
     class_spec = spec.class_specs[system_class]
-    shelf_names, shelf_cdf = _cdf(
-        list(catalog.shelf_models_for_class(system_class).items())
-    )
-    disk_cdfs = {
-        name: _cdf(catalog.disk_models_for(system_class, name))
-        for name in shelf_names
-    }
     bays_per_shelf = class_spec.slots_per_shelf
     shelves_mean = class_spec.shelves_mean
     out = _ClassDraws(system_class, len(indices))
     streams = random_source.streams("fleet", system_class.value, indices=indices)
     n_uniforms = out.uniforms.shape[1]
-    for row, (index, rng) in enumerate(zip(indices, streams)):
-        uniforms = rng.random(n_uniforms)
-        shelf_model = shelf_names[int(shelf_cdf.searchsorted(uniforms[0], side="right"))]
-        disk_names, disk_cdf = disk_cdfs[shelf_model]
-        out.ids.append(system_id_for(system_class, index))
-        out.shelf_models.append(shelf_model)
-        out.disk_models.append(
-            disk_names[int(disk_cdf.searchsorted(uniforms[1], side="right"))]
-        )
-        out.uniforms[row] = uniforms
+    for row, rng in enumerate(streams):
+        out.uniforms[row] = rng.random(n_uniforms)
         shelves = max(1, int(rng.poisson(shelves_mean)))
         out.shelves[row] = shelves
         out.serials.append(rng.integers(0, 2**32, size=shelves * bays_per_shelf))
+
+    shelf_names, shelf_cdf = _cdf(
+        list(catalog.shelf_models_for_class(system_class).items())
+    )
+    shelf_codes = shelf_cdf.searchsorted(out.uniforms[:, 0], side="right")
+    disk_codes = np.empty(len(indices), dtype=np.int64)
+    disk_names: List[List[str]] = []
+    for code, shelf_model in enumerate(shelf_names):
+        names, disk_cdf = _cdf(catalog.disk_models_for(system_class, shelf_model))
+        rows = shelf_codes == code
+        disk_codes[rows] = disk_cdf.searchsorted(out.uniforms[rows, 1], side="right")
+        disk_names.append(names)
+    out.shelf_models = [shelf_names[code] for code in shelf_codes.tolist()]
+    out.disk_models = [
+        disk_names[shelf][disk]
+        for shelf, disk in zip(shelf_codes.tolist(), disk_codes.tolist())
+    ]
+    tag = _CLASS_TAGS[system_class]
+    out.ids = [_ID_FORMAT % (tag, index) for index in indices]
     return out
 
 

@@ -49,8 +49,9 @@ FORK_SAFE_GLOBALS: Dict[str, str] = {
         "child either finds the right entry or rebuilds it"
     ),
     "repro.failures.backends._CACHE": (
-        "resolve() memo keyed by the backend spec string; values are "
-        "immutable backends, so inherited entries stay correct"
+        "resolve() memo keyed by the backend spec string plus, for "
+        "trace/fitted, the file's digest; values are immutable "
+        "backends, so inherited entries stay correct"
     ),
     "repro.experiments.base.EXPERIMENTS": (
         "experiment registry written only by import-time decorators"

@@ -86,7 +86,7 @@ class RunConfig:
         renders only when it differs from its default, which keeps
         default keys unchanged when a field is added.  The hazard
         backend renders as its ``cache_token()``, which digests a trace
-        or fitted backend's input file as first read by this process.
+        or fitted backend's input file as it reads now.
         """
         terms = ["engine=%s" % self.engine]
         for field in dataclasses.fields(self)[1:]:

@@ -34,6 +34,8 @@ import os
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import envvars, obs
 from repro.core.colstore import (
     SPILL_SCHEMA_VERSION,
@@ -42,7 +44,7 @@ from repro.core.colstore import (
     save_table,
 )
 from repro.errors import SpecificationError
-from repro.fleet.builder import fleet_order_key, system_id_for
+from repro.fleet.builder import system_id_for
 from repro.fleet.fleet import Fleet
 from repro.fleet.partition import cell_of, cells_of_shard, shard_of_cell
 from repro.runconfig import RunConfig
@@ -389,13 +391,20 @@ def join_fleets(parts: List[Fleet], duration_seconds: float) -> Fleet:
     must be the unsharded one for the float totals to match exactly.
     """
     fleet = Fleet.concat(parts, duration_seconds)
-    order = sorted(
-        range(fleet.system_count),
-        key=lambda index: fleet_order_key(
-            fleet.system_classes[index], fleet.system_ids[index]
-        ),
+    n = fleet.system_count
+    rank = {system_class: r for r, system_class in enumerate(SYSTEM_CLASS_ORDER)}
+    # Ids end in the global index within the class (system_id_for).
+    index = np.fromiter(
+        (int(system_id.rsplit("-", 1)[1]) for system_id in fleet.system_ids),
+        dtype=np.int64,
+        count=n,
     )
-    return fleet.select(order)
+    classes = np.fromiter(
+        (rank[system_class] for system_class in fleet.system_classes),
+        dtype=np.int64,
+        count=n,
+    )
+    return fleet.select(np.lexsort((index, classes)))
 
 
 __all__ = [

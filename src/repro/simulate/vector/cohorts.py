@@ -39,7 +39,7 @@ from repro.failures.injector import InjectorConfig
 from repro.failures.types import FailureType
 from repro.fleet.fleet import Fleet, offsets
 from repro.fleet.partition import NUM_CELLS
-from repro.rng import RandomSource
+from repro.rng import Key, RandomSource
 from repro.topology.classes import SystemClass
 
 #: A cohort's grouping key: class, shelf model, disk model, path flag, cell.
@@ -284,24 +284,29 @@ class CohortSet:
         """
         cached = self._streams.get(index)
         if cached is None or cached[0] is not source:
-            system_class, shelf_model, disk_model, dual_path, cell = self.keys[index]
-            cached = (
-                source,
-                source.stream(
-                    "vector",
-                    system_class.value,
-                    shelf_model,
-                    disk_model,
-                    int(dual_path),
-                    cell,
-                ),
-            )
+            cached = (source, source.stream(*self._stream_path(index)))
             self._streams[index] = cached
         return cached[1]
 
+    def _stream_path(self, index: int) -> Tuple[Key, ...]:
+        system_class, shelf_model, disk_model, dual_path, cell = self.keys[index]
+        return (
+            "vector", system_class.value, shelf_model, disk_model, int(dual_path), cell
+        )
+
     def streams(self, source: RandomSource) -> List[np.random.Generator]:
-        """Every cohort's stream, in cohort order."""
-        return [self.stream(index, source) for index in range(len(self))]
+        """Every cohort's stream, in cohort order; the ones not cached
+        for ``source`` are seeded in one batch
+        (:meth:`~repro.rng.RandomSource.streams_of`)."""
+        missing = [
+            index
+            for index in range(len(self))
+            if index not in self._streams or self._streams[index][0] is not source
+        ]
+        fresh = source.streams_of(self._stream_path(index) for index in missing)
+        for index, rng in zip(missing, fresh):
+            self._streams[index] = (source, rng)
+        return [self._streams[index][1] for index in range(len(self))]
 
     def select(self, indices: Iterable[int]) -> "CohortSet":
         """The set of the given cohorts, in the given order."""

@@ -116,30 +116,31 @@ def build_event_table(
     slot = events.slot[order]
     gen = events.gen[order]
     cohort = events.cohort[order]
-    shelf_index = fleet.slot_shelf[slot]
-    sys_index = fleet.shelf_system[shelf_index]
+    sys_index = fleet.shelf_system[fleet.slot_shelf[slot]]
 
     # disk_id: keyed by the (bay, generation) pair, packed into one
     # integer; distinct pairs give distinct ids, so no dedup needed.
     gen_span = int(gen.max()) + 1 if gen.size else 1
     disk_keys, disk_codes = first_appearance(slot * gen_span + gen)
-    key_gens = (disk_keys % gen_span).tolist()
-    slot_key_list = fleet.slot_keys(disk_keys // gen_span)
+    disk_slots = disk_keys // gen_span
+    disk_shelves = fleet.slot_shelf[disk_slots]
+    # A shelf first appears with the first row of some disk on it, so
+    # its first appearance over disks and over rows agree.
+    shelf_keys, disk_shelf = first_appearance(disk_shelves)
+    shelf_codes = disk_shelf[disk_codes]
+    shelf_values = fleet.shelf_ids_of(shelf_keys)
+    bays = (disk_slots - fleet.shelf_slot_start[disk_shelves]).tolist()
+    # Fleet.disk_ids' "<shelf id>/<bay>#<generation>", rendered from
+    # the shelf ids already in hand.
     disk_values = [
-        "%s#%d" % (k, g) for k, g in zip(slot_key_list, key_gens)
+        "%s/%02d#%d" % (shelf_values[h], k, g)
+        for h, k, g in zip(disk_shelf.tolist(), bays, (disk_keys % gen_span).tolist())
     ]
 
-    shelf_keys, shelf_codes = first_appearance(shelf_index)
-    shelf_ids = fleet.shelf_ids
-    shelf_values = [shelf_ids[s] for s in shelf_keys.tolist()]
     sys_keys, sys_codes = first_appearance(sys_index)
     sys_values = [fleet.system_ids[s] for s in sys_keys.tolist()]
     group_keys, group_codes = first_appearance(fleet.slot_group[slot])
-    group_ids = fleet.group_ids
-    raid = _dedup(
-        group_codes,
-        [group_ids[g] if g >= 0 else "" for g in group_keys.tolist()],
-    )
+    raid = _dedup(group_codes, fleet.group_ids_of(group_keys))
     cohort_keys, cohort_codes = first_appearance(cohort)
     keys = [cohorts.keys[c] for c in cohort_keys.tolist()]
     classes = _dedup(cohort_codes, [key[0].value for key in keys])

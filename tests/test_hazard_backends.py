@@ -26,6 +26,7 @@ from repro.failures.types import (
     FailureType,
 )
 from repro.fleet.spec import FleetSpec
+from repro.runconfig import RunConfig
 from repro.simulate.vector.engine import make_engine
 from repro.stats import mle
 
@@ -88,6 +89,19 @@ class TestResolve:
     def test_missing_trace_file_rejected(self):
         with pytest.raises(SpecificationError):
             resolve("trace:/nonexistent/events.jsonl")
+
+    def test_trace_rewritten_in_place_is_reread(self, tmp_path):
+        # One process, one spec string, two file contents: the second
+        # key must name the new trace, not the first one cached.
+        path = tmp_path / "events.jsonl"
+        write_trace(path, {"disk": np.full(8, 3600.0)})
+        config = RunConfig(hazard_backend="trace:%s" % path)
+        before = config.canonical()
+        assert resolve(config.hazard_backend) is resolve(config.hazard_backend)
+        write_trace(path, {"disk": np.full(8, 7200.0)})
+        after = config.canonical()
+        assert before != after
+        assert after == RunConfig(hazard_backend="trace:%s" % path).canonical()
 
 
 class TestAnalyticBackend:
