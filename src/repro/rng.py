@@ -24,7 +24,7 @@ as the reference the tests compare against.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -216,17 +216,13 @@ class RandomSource:
 
     def streams_of(self, paths: Iterable[Sequence[Key]]) -> List[np.random.Generator]:
         """``stream(*path)`` for each key path, in order, seeded in one
-        :func:`seed_states` pass per entropy width."""
+        :func:`seed_states` pass.  Every path has the same number of
+        keys (each key is two entropy words, string or int)."""
         entropies = [_key_entropy(path) for path in paths]
-        rows_of_width: Dict[int, List[int]] = {}
-        for row, words in enumerate(entropies):
-            rows_of_width.setdefault(len(words), []).append(row)
-        generators: Dict[int, np.random.Generator] = {}
-        for rows in rows_of_width.values():
-            keys = np.array([entropies[row] for row in rows], dtype=np.uint32)
-            for row, state in zip(rows, seed_states(self.seed, keys)):
-                generators[row] = _generator(state)
-        return [generators[row] for row in range(len(entropies))]
+        if not entropies:
+            return []
+        keys = np.array(entropies, dtype=np.uint32)
+        return [_generator(state) for state in seed_states(self.seed, keys)]
 
     def child(self, *keys: Key) -> "RandomSource":
         """Derive a namespaced child source (for handing to a subsystem)."""

@@ -139,11 +139,15 @@ class TestBatchedSeeding:
                 rng.integers(0, 2**32, size=5), single.integers(0, 2**32, size=5)
             )
 
-    def test_streams_of_equal_stream_for_mixed_paths(self):
-        src = RandomSource(11)
-        paths = [("a", 1), ("b",), (2**40,), ("a", 1), (), ("x", "y", 0, 3)]
-        for path, rng in zip(paths, src.streams_of(paths)):
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_of_equal_stream(self, seed):
+        src = RandomSource(seed)
+        paths = [("a", 1), ("b", 2**40), (3, "c"), ("a", 1), ("", 0)]
+        batched = src.streams_of(paths)
+        assert len(batched) == len(paths)
+        for path, rng in zip(paths, batched):
             assert rng.bit_generator.state == src.stream(*path).bit_generator.state
+        assert src.streams_of([]) == []
 
     def test_negative_seed_still_raises(self):
         src = RandomSource(-1)
