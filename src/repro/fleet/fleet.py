@@ -349,30 +349,34 @@ class Fleet:
         """Per shelf, its id."""
         if self._shelf_ids is not None:
             return self._shelf_ids
-        return _render_ids(_SHELF_ID, self.system_ids, self.system_shelf_start)
+        return _render_ids(
+            _SHELF_ID, self.system_ids, self.system_shelf_start, np.arange(self.shelf_count)
+        )
 
     @functools.cached_property
     def group_ids(self) -> List[str]:
         """Per RAID group, its id."""
         if self._group_ids is not None:
             return self._group_ids
-        return _render_ids(_GROUP_ID, self.system_ids, self.system_group_start)
+        return _render_ids(
+            _GROUP_ID, self.system_ids, self.system_group_start,
+            np.arange(self.raid_group_count),
+        )
 
     def shelf_ids_of(self, shelves: np.ndarray) -> List[str]:
-        """The ids of the given shelves, rendered for those alone (not
-        the whole fleet's :attr:`shelf_ids`)."""
+        """The ids of the given shelves, rendered for those alone."""
         if self._shelf_ids is not None:
             return [self._shelf_ids[shelf] for shelf in shelves.tolist()]
-        return _render_some(_SHELF_ID, self.system_ids, self.system_shelf_start, shelves)
+        return _render_ids(_SHELF_ID, self.system_ids, self.system_shelf_start, shelves)
 
     def group_ids_of(self, groups: np.ndarray) -> List[str]:
         """The ids of the given RAID groups ("" for -1, no group),
-        rendered for those alone (not the whole fleet's :attr:`group_ids`)."""
+        rendered for those alone."""
         grouped = groups[groups >= 0]
         if self._group_ids is not None:
             ids = [self._group_ids[group] for group in grouped.tolist()]
         else:
-            ids = _render_some(_GROUP_ID, self.system_ids, self.system_group_start, grouped)
+            ids = _render_ids(_GROUP_ID, self.system_ids, self.system_group_start, grouped)
         rendered = iter(ids)
         return [next(rendered) if group >= 0 else "" for group in groups.tolist()]
 
@@ -767,19 +771,11 @@ _SHELF_ID = "sh-%s-%02d"
 _GROUP_ID = "rg-%s-%04d"
 
 
-def _render_ids(pattern: str, system_ids: List[str], starts: np.ndarray) -> List[str]:
-    """``pattern % (system id, index within the system)`` per item."""
-    return [
-        pattern % (system_id, local)
-        for system_id, count in zip(system_ids, np.diff(starts).tolist())
-        for local in range(count)
-    ]
-
-
-def _render_some(
+def _render_ids(
     pattern: str, system_ids: List[str], starts: np.ndarray, items: np.ndarray
 ) -> List[str]:
-    """:func:`_render_ids` for the given items only."""
+    """``pattern % (system id, index within the system)`` per item, for
+    items numbered per system by ``starts``."""
     # The last system starting at or before an item owns it (systems
     # with no items share the start of the next one).
     owner = np.searchsorted(starts, items, side="right") - 1
