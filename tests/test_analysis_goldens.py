@@ -5,8 +5,11 @@ tools/capture_analysis_goldens.py took on both engines: per-seed AFR
 stacks and breakdowns, pooled gap arrays, bursts, correlation panels
 and count distributions; the same over the dataset parsed back from the
 AutoSupport logs; the ``FailureDataset`` methods (type selection,
-system filters, deduplication); the findings report and the two
-experiments that build datasets from event lists.  Each section is
+system filters, deduplication); the findings report, the two
+experiments that build datasets from event lists and every experiment
+that groups systems by configuration (Figs. 4b-7, Table 1,
+availability, the replacement discrepancy and the multipath sweep).
+Each section is
 replayed here on each engine and compared name by name, so the
 ``REPRO_VECTOR_ENGINE=0`` and ``=1`` test legs check the same file.
 

@@ -15,9 +15,12 @@ For each engine (legacy / vector, passed to every simulation as a
   ``deduplicated``, and the deduplication of a synthetic chain of
   near-duplicate reports;
 - at scale 0.02, seed 1: ``evaluate_findings``, and the text, data and
-  checks of the fig4a, fig9a and fig10a experiments and of the two
-  that build datasets from event lists, ``whatif-dualpath`` and
-  ``target-ranking``.
+  checks of the fig4a, fig9a and fig10a experiments, of the two that
+  build datasets from event lists, ``whatif-dualpath`` and
+  ``target-ranking``, and of every experiment that groups systems by
+  configuration: fig4b, fig5a-f, fig5-stability, fig6, fig7a/b,
+  table1, availability, replacement-discrepancy and sweep-multipath
+  (which runs three simulations of its own).
 
 Every value is digested through :func:`canonical`: dicts keep their
 key order, dataclasses their field order, floats are written with
@@ -50,7 +53,28 @@ LOGS_SCALE = 0.002
 LOGS_SEED = 9
 MIDSIZE_SCALE = 0.02
 MIDSIZE_SEED = 1
-EXPERIMENTS = ("fig4a", "fig9a", "fig10a", "whatif-dualpath", "target-ranking")
+EXPERIMENTS = (
+    "fig4a",
+    "fig9a",
+    "fig10a",
+    "whatif-dualpath",
+    "target-ranking",
+    "fig4b",
+    "fig5a",
+    "fig5b",
+    "fig5c",
+    "fig5d",
+    "fig5e",
+    "fig5f",
+    "fig5-stability",
+    "fig6",
+    "fig7a",
+    "fig7b",
+    "table1",
+    "availability",
+    "replacement-discrepancy",
+    "sweep-multipath",
+)
 SECTIONS = tuple("seed-%d" % seed for seed in SEEDS) + (
     "via-logs",
     "methods",
