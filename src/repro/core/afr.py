@@ -9,7 +9,7 @@ Figs. 4-7.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.failures.types import (
     FailureType,
 )
 from repro.stats.intervals import ConfidenceInterval, rate_confidence_interval
-from repro.topology.system import StorageSystem
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,7 +67,7 @@ def afr_estimate(
 def dataset_afr(
     dataset: FailureDataset,
     failure_type: Optional[FailureType] = None,
-    system_predicate: Optional[Callable[[StorageSystem], bool]] = None,
+    systems: Optional[np.ndarray] = None,
     confidence: float = 0.995,
 ) -> AFREstimate:
     """AFR over (a subset of) a dataset.
@@ -76,60 +75,37 @@ def dataset_afr(
     Args:
         dataset: events + fleet.
         failure_type: restrict the numerator to one type (None = all).
-        system_predicate: restrict numerator and denominator to systems
-            satisfying the predicate.
+        systems: a mask over the fleet's rows (``Fleet.where``);
+            restricts numerator and denominator to those systems.
         confidence: CI level for the returned interval.
     """
-    exposure = dataset.exposure_years(system_predicate)
-    if system_predicate is None:
-        kept_ids = None
-    else:
-        kept_ids = {
-            s.system_id for s in dataset.fleet.systems if system_predicate(s)
-        }
-    count = _columnar_count(dataset, failure_type, kept_ids)
-    return afr_estimate(count, exposure, confidence)
-
-
-def _columnar_count(
-    dataset: FailureDataset,
-    failure_type: Optional[FailureType],
-    kept_ids: Optional[set],
-) -> int:
+    exposure = dataset.exposure_years(systems)
     table = dataset.table
-    mask: Optional[np.ndarray] = None
+    mask = None if systems is None else dataset.event_mask(systems)
     if failure_type is not None:
-        mask = table.type_mask(failure_type)
-    if kept_ids is not None:
-        member = table.system_member_mask(kept_ids)
-        mask = member if mask is None else mask & member
-    if mask is None:
-        return len(table)
-    return int(np.count_nonzero(mask))
+        of_type = table.type_mask(failure_type)
+        mask = of_type if mask is None else mask & of_type
+    count = len(table) if mask is None else int(np.count_nonzero(mask))
+    return afr_estimate(count, exposure, confidence)
 
 
 def afr_stack(
     dataset: FailureDataset,
-    system_predicate: Optional[Callable[[StorageSystem], bool]] = None,
+    systems: Optional[np.ndarray] = None,
     confidence: float = 0.995,
 ) -> Dict[FailureType, AFREstimate]:
-    """Per-type AFRs over one group — one stacked bar of Figs. 4-7."""
+    """Per-type AFRs over one group — one stacked bar of Figs. 4-7.
+
+    ``systems`` is a mask over the fleet's rows (None = every system).
+    """
     # One bincount counts every type; the exposure denominator is
     # shared across the whole stack.
     with obs.span("core.afr.stack", events=len(dataset)):
-        exposure = dataset.exposure_years(system_predicate)
-        table = dataset.table
-        if system_predicate is None:
-            counts = table.counts_by_type()
-        else:
-            kept_ids = {
-                s.system_id for s in dataset.fleet.systems if system_predicate(s)
-            }
-            member = table.system_member_mask(kept_ids)
-            counts = np.bincount(
-                table.type_codes[member].astype(np.int64),
-                minlength=len(ALL_FAILURE_TYPES),
-            )
+        exposure = dataset.exposure_years(systems)
+        codes = dataset.table.type_codes
+        if systems is not None:
+            codes = codes[dataset.event_mask(systems)]
+        counts = np.bincount(codes.astype(np.int64), minlength=len(ALL_FAILURE_TYPES))
         # The paper's four types are always in the stack; extended
         # types (operator error) appear only when events exist, so
         # default-backend output keeps the four-bar shape.

@@ -17,14 +17,15 @@ ones of the same count, while hurting *data loss* more.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import ALL_FAILURE_TYPES, FailureType
-from repro.topology.classes import SystemClass
+from repro.fleet.fleet import sequential_sum
+from repro.topology.classes import SYSTEM_CLASS_ORDER
 from repro.units import SECONDS_PER_HOUR
 
 #: Default repair/outage durations per failure type (seconds).  Disk
@@ -115,49 +116,63 @@ def availability_by_class(
     Returns:
         One report per class present in the fleet, in class order.
     """
+    fleet = dataset.fleet
+    return availability_of(
+        dataset,
+        (
+            (system_class.label, fleet.where(system_class=system_class))
+            for system_class in SYSTEM_CLASS_ORDER
+        ),
+        outage_seconds,
+    )
+
+
+def availability_of(
+    dataset: FailureDataset,
+    groups: Iterable[Tuple[str, np.ndarray]],
+    outage_seconds: Mapping[FailureType, float] = DEFAULT_OUTAGE_SECONDS,
+) -> List[AvailabilityReport]:
+    """One report per ``(label, system mask)`` group that holds systems.
+
+    Masks are over the fleet's rows (``Fleet.where``); each group sums
+    its systems' in-service and merged outage time in fleet order.
+    """
     for failure_type in FailureType:
         if outage_seconds.get(failure_type, 0.0) < 0.0:
             raise AnalysisError("outage durations must be non-negative")
 
-    table = dataset.deduplicated().table
-    per_sys_outage, id_table = _merged_outage_by_system(
-        table, outage_seconds, dataset.duration_seconds
+    deduplicated = dataset.deduplicated()
+    per_code = _merged_outage_by_system(
+        deduplicated.table, outage_seconds, dataset.duration_seconds
     )
+    rows = deduplicated.table_system_rows
+    held = rows >= 0
+    outage = np.zeros(dataset.fleet.system_count, dtype=np.float64)
+    outage[rows[held]] = per_code[held]
+    in_service = np.maximum(0.0, dataset.duration_seconds - dataset.fleet.deploy_time)
 
     reports: List[AvailabilityReport] = []
-    from repro.topology.classes import SYSTEM_CLASS_ORDER
-
-    for system_class in SYSTEM_CLASS_ORDER:
-        systems = dataset.fleet.systems_of_class(system_class)
-        if not systems:
-            continue
-        in_service = 0.0
-        outage = 0.0
-        for system in systems:
-            in_service += max(
-                0.0, dataset.duration_seconds - system.deploy_time
+    for label, systems in groups:
+        count = int(np.count_nonzero(systems))
+        if count:
+            reports.append(
+                AvailabilityReport(
+                    label=label,
+                    systems=count,
+                    in_service_seconds=sequential_sum(in_service[systems]),
+                    outage_seconds=sequential_sum(outage[systems]),
+                )
             )
-            code = id_table.code(system.system_id)
-            if code >= 0:
-                outage += float(per_sys_outage[code])
-        reports.append(
-            AvailabilityReport(
-                label=system_class.label,
-                systems=len(systems),
-                in_service_seconds=in_service,
-                outage_seconds=outage,
-            )
-        )
     return reports
 
 
 def _merged_outage_by_system(table, outage_seconds, duration_seconds):
     """Per-system union-of-outage-windows length, vectorized.
 
-    Returns an array indexed by the table's system code plus the system
-    string table.  The interval union is computed in one pass over all
-    systems: each system's windows are shifted onto a disjoint stretch
-    of the number line (offsets exceed any in-window time), after which
+    Returns an array indexed by the table's system code.  The interval
+    union is computed in one pass over all systems: each system's
+    windows are shifted onto a disjoint stretch of the number line
+    (offsets exceed any in-window time), after which
     merged runs never span systems and a single running-max scan finds
     every run — exactly the merge :func:`_merge_intervals` performs per
     system, touching-window semantics included.
@@ -171,7 +186,7 @@ def _merged_outage_by_system(table, outage_seconds, duration_seconds):
     row_durations = durations[table.type_codes]
     rows = np.flatnonzero(row_durations > 0.0)
     if rows.size == 0:
-        return per_sys, table.system_ids
+        return per_sys
     start = table.detect_time[rows]
     end = np.minimum(start + row_durations[rows], duration_seconds)
     sys_codes = table.system_codes[rows].astype(np.int64)
@@ -194,7 +209,7 @@ def _merged_outage_by_system(table, outage_seconds, duration_seconds):
     run_starts = np.flatnonzero(is_run_start)
     run_close = np.maximum.reduceat(e, run_starts)
     np.add.at(per_sys, g[run_starts], run_close - s[run_starts])
-    return per_sys, table.system_ids
+    return per_sys
 
 
 def format_availability(reports: List[AvailabilityReport]) -> str:

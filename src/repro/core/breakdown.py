@@ -8,11 +8,13 @@ paper plots.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.afr import AFREstimate, afr_stack, stack_total_percent
 from repro.core.dataset import FailureDataset
-from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
+from repro.failures.types import FailureType
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
 
 
@@ -59,20 +61,14 @@ def afr_by_class(
             using the Disk H family before computing rates.
     """
     data = dataset.excluding_disk_family() if exclude_problematic_family else dataset
-    rows: List[BreakdownRow] = []
-    for system_class in SYSTEM_CLASS_ORDER:
-        systems = data.fleet.systems_of_class(system_class)
-        if not systems:
-            continue
-        predicate = _class_predicate(system_class)
-        rows.append(
-            BreakdownRow(
-                label=system_class.label,
-                stack=afr_stack(data, predicate, confidence),
-                systems=len(systems),
-            )
-        )
-    return rows
+    return _stacked_rows(
+        data,
+        (
+            (system_class.label, data.fleet.where(system_class=system_class))
+            for system_class in SYSTEM_CLASS_ORDER
+        ),
+        confidence,
+    )
 
 
 def afr_by_disk_model(
@@ -83,21 +79,16 @@ def afr_by_disk_model(
 ) -> List[BreakdownRow]:
     """Fig. 5: AFR per disk model within one class + shelf-model panel."""
     panel = dataset.filter_systems(
-        lambda s: s.system_class is system_class and s.shelf_model == shelf_model
+        dataset.fleet.where(system_class=system_class, shelf_model=shelf_model)
     )
-    models = sorted({s.primary_disk_model for s in panel.fleet.systems})
-    rows: List[BreakdownRow] = []
-    for model in models:
-        predicate = _disk_model_predicate(model)
-        systems = [s for s in panel.fleet.systems if predicate(s)]
-        rows.append(
-            BreakdownRow(
-                label="Disk %s" % model,
-                stack=afr_stack(panel, predicate, confidence),
-                systems=len(systems),
-            )
-        )
-    return rows
+    return _stacked_rows(
+        panel,
+        (
+            ("Disk %s" % model, panel.fleet.where(disk_model=model))
+            for model in sorted(set(panel.fleet.disk_models))
+        ),
+        confidence,
+    )
 
 
 def afr_by_shelf_model(
@@ -108,22 +99,16 @@ def afr_by_shelf_model(
 ) -> List[BreakdownRow]:
     """Fig. 6: AFR per shelf enclosure model, disk model held fixed."""
     panel = dataset.filter_systems(
-        lambda s: s.system_class is system_class
-        and s.primary_disk_model == disk_model
+        dataset.fleet.where(system_class=system_class, disk_model=disk_model)
     )
-    shelf_models = sorted({s.shelf_model for s in panel.fleet.systems})
-    rows: List[BreakdownRow] = []
-    for shelf_model in shelf_models:
-        predicate = _shelf_model_predicate(shelf_model)
-        systems = [s for s in panel.fleet.systems if predicate(s)]
-        rows.append(
-            BreakdownRow(
-                label="Shelf Enclosure Model %s" % shelf_model,
-                stack=afr_stack(panel, predicate, confidence),
-                systems=len(systems),
-            )
-        )
-    return rows
+    return _stacked_rows(
+        panel,
+        (
+            ("Shelf Enclosure Model %s" % shelf_model, panel.fleet.where(shelf_model=shelf_model))
+            for shelf_model in sorted(set(panel.fleet.shelf_models))
+        ),
+        confidence,
+    )
 
 
 def afr_by_path_config(
@@ -136,20 +121,34 @@ def afr_by_path_config(
     The paper quotes the physical-interconnect error bars at 99.9%
     confidence, hence the different default.
     """
-    panel = dataset.filter_systems(lambda s: s.system_class is system_class)
+    panel = dataset.filter_systems(dataset.fleet.where(system_class=system_class))
+    return _stacked_rows(
+        panel,
+        (
+            (label, panel.fleet.where(dual_path=dual_path))
+            for dual_path, label in ((False, "Single Path"), (True, "Dual Paths"))
+        ),
+        confidence,
+    )
+
+
+def _stacked_rows(
+    dataset: FailureDataset,
+    groups: Iterable[Tuple[str, np.ndarray]],
+    confidence: float,
+) -> List[BreakdownRow]:
+    """One bar per ``(label, system mask)`` group that holds systems."""
     rows: List[BreakdownRow] = []
-    for dual_path, label in ((False, "Single Path"), (True, "Dual Paths")):
-        predicate = _path_predicate(dual_path)
-        systems = [s for s in panel.fleet.systems if predicate(s)]
-        if not systems:
-            continue
-        rows.append(
-            BreakdownRow(
-                label=label,
-                stack=afr_stack(panel, predicate, confidence),
-                systems=len(systems),
+    for label, systems in groups:
+        count = int(np.count_nonzero(systems))
+        if count:
+            rows.append(
+                BreakdownRow(
+                    label=label,
+                    stack=afr_stack(dataset, systems, confidence),
+                    systems=count,
+                )
             )
-        )
     return rows
 
 
@@ -167,23 +166,3 @@ def disk_failure_share_range(rows: List[BreakdownRow]) -> Dict[str, float]:
     if not shares:
         return {"min": 0.0, "max": 0.0}
     return {"min": min(shares), "max": max(shares)}
-
-
-def _class_predicate(system_class: SystemClass):
-    return lambda s: s.system_class is system_class
-
-
-def _disk_model_predicate(model: str):
-    return lambda s: s.primary_disk_model == model
-
-
-def _shelf_model_predicate(shelf_model: str):
-    return lambda s: s.shelf_model == shelf_model
-
-
-def _path_predicate(dual_path: bool):
-    return lambda s: s.dual_path == dual_path
-
-
-#: Re-export for report modules that iterate the canonical type order.
-TYPE_ORDER = FAILURE_TYPE_ORDER

@@ -121,15 +121,6 @@ class StringTable:
         self._values = list(values)
         self._index = None
 
-    def member_mask(self, kept: Iterable[str]) -> np.ndarray:
-        """Boolean array (indexed by code) of membership in ``kept``."""
-        kept_set = set(kept)
-        return np.fromiter(
-            (value in kept_set for value in self._values),
-            dtype=bool,
-            count=len(self._values),
-        )
-
 
 def _code_dtype(n: int):
     """Smallest signed integer dtype holding codes up to ``n``."""
@@ -515,10 +506,6 @@ class EventTable:
     def type_mask(self, failure_type: FailureType) -> np.ndarray:
         """Boolean row mask for one failure type."""
         return self.type_codes == _TYPE_CODE[failure_type]
-
-    def system_member_mask(self, kept_ids: Iterable[str]) -> np.ndarray:
-        """Boolean row mask of events on the given systems."""
-        return self.system_ids.member_mask(kept_ids)[self.system_codes]
 
     def scope_codes(self, scope: str) -> Tuple[np.ndarray, StringTable]:
         """The (codes, string table) pair for a grouping scope."""

@@ -12,11 +12,17 @@ A dataset holds one event representation, the structure-of-arrays
 constructor accepts a table or an iterable of :class:`FailureEvent`
 dataclasses; a list is stable-sorted by detection time and interned
 once, and ``events`` is the table's view of those same objects.
+
+Analyses pick systems with a boolean mask over the fleet's rows
+(:meth:`Fleet.where <repro.fleet.fleet.Fleet.where>`, combined with
+``&``, ``|`` and ``~``); :meth:`FailureDataset.event_mask` turns one
+into a mask over the event table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
+import functools
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -128,21 +134,41 @@ class FailureDataset:
         """The system an event happened on."""
         return self.fleet.system(event.system_id)
 
-    # -- filtering -----------------------------------------------------------
+    # -- system selection ----------------------------------------------------
 
-    def filter_systems(
-        self, predicate: Callable[[StorageSystem], bool]
-    ) -> "FailureDataset":
-        """Restrict to systems satisfying ``predicate`` (events follow).
+    def _checked(self, systems: np.ndarray) -> np.ndarray:
+        """``systems`` as a mask over this dataset's fleet rows."""
+        systems = np.asarray(systems)
+        if systems.dtype != bool or systems.shape != (self.fleet.system_count,):
+            raise AnalysisError(
+                "a system mask is a bool array over the %d fleet rows, got %s %s"
+                % (self.fleet.system_count, systems.dtype, systems.shape)
+            )
+        return systems
+
+    @functools.cached_property
+    def table_system_rows(self) -> np.ndarray:
+        """Per system code of the event table, the system's fleet row.
+
+        -1 marks an id the fleet does not hold: the table's vocabulary
+        still names the systems a :meth:`filter_systems` dropped.
+        """
+        return self.fleet.system_rows(self.table.system_ids.values)
+
+    def event_mask(self, systems: np.ndarray) -> np.ndarray:
+        """The event-table rows on the systems a fleet-row mask picks."""
+        # Row -1 reads the appended False: dropped systems never match.
+        picked = np.append(self._checked(systems), False)
+        return picked[self.table_system_rows][self.table.system_codes]
+
+    def filter_systems(self, systems: np.ndarray) -> "FailureDataset":
+        """Restrict to the systems a fleet-row mask picks (events follow).
 
         Returns a new dataset over :meth:`Fleet.select` of the kept
         systems, which shares this fleet's exposure column.
         """
-        kept = [i for i, s in enumerate(self.fleet.systems) if predicate(s)]
-        kept_ids = {self.fleet.system_ids[i] for i in kept}
-        subset = self.fleet.select(kept)
-        table = self.table
-        kept = table.select(table.system_member_mask(kept_ids))
+        subset = self.fleet.select(np.flatnonzero(self._checked(systems)))
+        kept = self.table.select(self.event_mask(systems))
         return FailureDataset(events=kept, fleet=subset)
 
     def excluding_disk_family(
@@ -154,10 +180,7 @@ class FailureDataset:
         the problematic Disk H family are excluded so one bad product
         does not skew the class-level trends.
         """
-        prefix = "%s-" % family
-        return self.filter_systems(
-            lambda s: not s.primary_disk_model.startswith(prefix)
-        )
+        return self.filter_systems(~self.fleet.where(disk_family=family))
 
     def deduplicated(
         self, window_seconds: float = DEDUP_WINDOW_SECONDS
@@ -179,10 +202,9 @@ class FailureDataset:
 
     # -- exposure accounting ---------------------------------------------------
 
-    def exposure_years(
-        self, predicate: Optional[Callable[[StorageSystem], bool]] = None
-    ) -> float:
-        """Summed disk-years of exposure over (a subset of) the fleet.
+    def exposure_years(self, systems: Optional[np.ndarray] = None) -> float:
+        """Summed disk-years of exposure over the fleet, or over the
+        systems a fleet-row mask picks.
 
         Exposure respects per-disk lifetimes: disks removed after a
         failure stop accruing, replacements start accruing at install —
@@ -192,40 +214,9 @@ class FailureDataset:
         exposure column.
         """
         column = self.fleet.exposure_column()
-        if predicate is not None:
-            systems = self.fleet.systems
-            column = column[
-                np.fromiter(
-                    (bool(predicate(s)) for s in systems), bool, count=len(systems)
-                )
-            ]
+        if systems is not None:
+            column = column[self._checked(systems)]
         return seconds_to_years(sequential_sum(column))
-
-    def exposure_years_by(
-        self, key: Callable[[StorageSystem], Hashable]
-    ) -> Dict[Hashable, float]:
-        """Disk-years grouped by a system attribute."""
-        grouped: Dict[Hashable, float] = {}
-        for system, seconds in zip(
-            self.fleet.systems, self.fleet.exposure_column().tolist()
-        ):
-            group = key(system)
-            grouped[group] = grouped.get(group, 0.0) + seconds_to_years(seconds)
-        return grouped
-
-    def event_counts_by(
-        self,
-        key: Callable[[FailureEvent], Hashable],
-        failure_type: Optional[FailureType] = None,
-    ) -> Dict[Hashable, int]:
-        """Event counts grouped by an event attribute."""
-        counts: Dict[Hashable, int] = {}
-        for event in self.events:
-            if failure_type is not None and event.failure_type is not failure_type:
-                continue
-            group = key(event)
-            counts[group] = counts.get(group, 0) + 1
-        return counts
 
     # -- grouping for statistical scopes ------------------------------------
 

@@ -66,7 +66,7 @@ def estimate_shock_share(
     typed = FailureDataset(
         events=dataset.events_of_type(failure_type), fleet=dataset.fleet
     )
-    total = len(typed.deduplicated().events)
+    total = len(typed.deduplicated())
     if total == 0:
         raise AnalysisError("no %s events" % failure_type.value)
     bursts = find_bursts(typed, "shelf", gap_threshold)
@@ -135,5 +135,5 @@ def estimate_shock_parameters(
         shock_share=estimate_shock_share(dataset, failure_type),
         hit_probability=estimate_hit_probability(dataset, failure_type),
         n_bursts=len(bursts),
-        n_events=len(typed.deduplicated().events),
+        n_events=len(typed.deduplicated()),
     )

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 from typing import Dict, List, Optional
 
+from repro.core.afr import dataset_afr
 from repro.core.breakdown import (
     afr_by_class,
     afr_by_path_config,
@@ -25,6 +27,7 @@ from repro.core.significance import compare_rates
 from repro.core.timebetween import analyze_gaps
 from repro.errors import AnalysisError
 from repro.failures.types import FailureType
+from repro.fleet.calibration import PROBLEMATIC_DISK_FAMILY
 from repro.topology.classes import SystemClass
 
 
@@ -136,11 +139,9 @@ def _finding_2(dataset: FailureDataset) -> Finding:
 def _finding_3(dataset: FailureDataset) -> Finding:
     """Systems on the problematic disk family show ~2x the AFR."""
     h_systems = dataset.filter_systems(
-        lambda s: s.primary_disk_model.startswith("H-")
+        dataset.fleet.where(disk_family=PROBLEMATIC_DISK_FAMILY)
     )
     others = dataset.excluding_disk_family()
-    from repro.core.afr import dataset_afr
-
     h_afr = dataset_afr(h_systems).percent
     other_afr = dataset_afr(others).percent
     ratio = h_afr / other_afr if other_afr > 0 else float("inf")
@@ -163,8 +164,6 @@ def noise_corrected_cv(rates: List[float], counts: List[int]) -> float:
     (classic deattenuation) isolates the *environmental* variation the
     paper's Finding 4 is about.  Clamped at zero.
     """
-    import statistics
-
     if len(rates) < 2:
         raise AnalysisError("need at least 2 environments")
     mean = statistics.mean(rates)
@@ -177,16 +176,11 @@ def noise_corrected_cv(rates: List[float], counts: List[int]) -> float:
 
 def _finding_4(dataset: FailureDataset) -> Finding:
     """Disk AFR is stable across environments; subsystem AFR is not."""
-    from repro.core.afr import dataset_afr
-    import statistics
-
     # Environments = (class, shelf model); compare across environments
     # for each disk model deployed in 2+ of them.
+    fleet = dataset.fleet
     env_keys = sorted(
-        {
-            (s.system_class, s.shelf_model, s.primary_disk_model)
-            for s in dataset.fleet.systems
-        },
+        set(zip(fleet.system_classes, fleet.shelf_models, fleet.disk_models)),
         key=lambda key: (key[0].value, key[1], key[2]),
     )
     by_model: Dict[str, List[tuple]] = {}
@@ -205,15 +199,11 @@ def _finding_4(dataset: FailureDataset) -> Finding:
         total_rates: List[float] = []
         total_counts: List[int] = []
         for system_class, shelf_model in environments:
-            predicate = (
-                lambda s, c=system_class, sm=shelf_model, dm=disk_model: (
-                    s.system_class is c
-                    and s.shelf_model == sm
-                    and s.primary_disk_model == dm
-                )
+            systems = fleet.where(
+                system_class=system_class, shelf_model=shelf_model, disk_model=disk_model
             )
-            disk = dataset_afr(dataset, FailureType.DISK, predicate)
-            total = dataset_afr(dataset, None, predicate)
+            disk = dataset_afr(dataset, FailureType.DISK, systems)
+            total = dataset_afr(dataset, None, systems)
             if disk.count < 10:
                 continue  # too noisy to speak to stability
             disk_rates.append(disk.percent)
@@ -260,17 +250,12 @@ def capacity_trend(dataset: FailureDataset) -> Dict[str, float]:
     ``"mean"`` entry; positive mean would indicate AFR growing with
     capacity (which the paper — and Finding 5 — rejects).
     """
-    from repro.core.afr import dataset_afr
-
     diffs: Dict[str, float] = {}
     values: List[float] = []
+    fleet = dataset.fleet
     for small, large in CAPACITY_PAIRS:
-        small_afr = dataset_afr(
-            dataset, FailureType.DISK, lambda s, m=small: s.primary_disk_model == m
-        )
-        large_afr = dataset_afr(
-            dataset, FailureType.DISK, lambda s, m=large: s.primary_disk_model == m
-        )
+        small_afr = dataset_afr(dataset, FailureType.DISK, fleet.where(disk_model=small))
+        large_afr = dataset_afr(dataset, FailureType.DISK, fleet.where(disk_model=large))
         if small_afr.count + large_afr.count < 20:
             continue  # pair too thin to read a trend from
         diff = large_afr.percent - small_afr.percent
@@ -303,7 +288,7 @@ def _finding_5(dataset: FailureDataset) -> Finding:
 def _finding_6(dataset: FailureDataset) -> Finding:
     """Shelf model shifts interconnect AFR; best shelf depends on disk."""
     low_end = dataset.filter_systems(
-        lambda s: s.system_class is SystemClass.LOW_END
+        dataset.fleet.where(system_class=SystemClass.LOW_END)
     )
     better_shelf: Dict[str, str] = {}
     significant = 0
@@ -314,10 +299,8 @@ def _finding_6(dataset: FailureDataset) -> Finding:
             continue
         comparison = compare_rates(
             low_end,
-            lambda s, dm=disk_model: s.shelf_model == "A"
-            and s.primary_disk_model == dm,
-            lambda s, dm=disk_model: s.shelf_model == "B"
-            and s.primary_disk_model == dm,
+            low_end.fleet.where(shelf_model="A", disk_model=disk_model),
+            low_end.fleet.where(shelf_model="B", disk_model=disk_model),
             FailureType.PHYSICAL_INTERCONNECT,
             description="low-end %s: shelf A vs B" % disk_model,
         )

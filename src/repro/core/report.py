@@ -7,7 +7,10 @@ series behind them.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.core.breakdown import BreakdownRow
 from repro.core.correlation import CorrelationResult
@@ -15,10 +18,12 @@ from repro.core.dataset import FailureDataset
 from repro.core.findings import Finding
 from repro.core.timebetween import GapAnalysis
 from repro.failures.types import (
+    ALL_FAILURE_TYPES,
     EXTENDED_FAILURE_TYPES,
     FAILURE_TYPE_ORDER,
+    FailureType,
 )
-from repro.topology.classes import SYSTEM_CLASS_ORDER
+from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -61,8 +66,65 @@ def format_breakdown(title: str, rows: List[BreakdownRow]) -> str:
     return "%s\n%s" % (title, format_table(headers, body))
 
 
+@dataclasses.dataclass(frozen=True)
+class ClassOverview:
+    """One Table 1 row: a system class's population and its events.
+
+    Attributes:
+        system_class: the class.
+        systems / shelves / disks_ever / raid_groups: population counts
+            (disks ever installed, the Table 1 convention).
+        dual_path_systems: systems configured with dual paths.
+        failure_events: event counts per type, every type in storage
+            order.
+    """
+
+    system_class: SystemClass
+    systems: int
+    shelves: int
+    disks_ever: int
+    raid_groups: int
+    dual_path_systems: int
+    failure_events: Dict[FailureType, int]
+
+
+def class_overview(dataset: FailureDataset) -> List[ClassOverview]:
+    """Table 1's rows: one per class present in the fleet, in class order."""
+    fleet = dataset.fleet
+    shelves = np.diff(fleet.system_shelf_start)
+    groups = np.diff(fleet.system_group_start)
+    disks = np.diff(fleet.slot_disk_start[fleet.shelf_slot_start[fleet.system_shelf_start]])
+    rows: List[ClassOverview] = []
+    for system_class in SYSTEM_CLASS_ORDER:
+        systems = fleet.where(system_class=system_class)
+        if not systems.any():
+            continue
+        counts = np.bincount(
+            dataset.table.type_codes[dataset.event_mask(systems)].astype(np.int64),
+            minlength=len(ALL_FAILURE_TYPES),
+        )
+        rows.append(
+            ClassOverview(
+                system_class=system_class,
+                systems=int(np.count_nonzero(systems)),
+                shelves=int(shelves[systems].sum()),
+                disks_ever=int(disks[systems].sum()),
+                raid_groups=int(groups[systems].sum()),
+                dual_path_systems=int(np.count_nonzero(fleet.dual_path[systems])),
+                failure_events=dict(zip(ALL_FAILURE_TYPES, counts.tolist())),
+            )
+        )
+    return rows
+
+
 def format_overview(dataset: FailureDataset) -> str:
     """A Table 1 style overview of the studied (simulated) fleet."""
+    rows = class_overview(dataset)
+    # Extended-type columns appear only when their events exist at all.
+    extended = [
+        ft for ft in EXTENDED_FAILURE_TYPES if any(row.failure_events[ft] for row in rows)
+    ]
+    types = list(FAILURE_TYPE_ORDER) + extended
     headers = [
         "System Class",
         "# Systems",
@@ -73,35 +135,18 @@ def format_overview(dataset: FailureDataset) -> str:
         "Phys Inter.",
         "Protocol",
         "Performance",
+    ] + [ft.label for ft in extended]
+    body = [
+        [
+            row.system_class.label,
+            str(row.systems),
+            str(row.shelves),
+            str(row.disks_ever),
+            str(row.raid_groups),
+        ]
+        + [str(row.failure_events[ft]) for ft in types]
+        for row in rows
     ]
-    body = []
-    per_class_counts = []
-    for system_class in SYSTEM_CLASS_ORDER:
-        systems = dataset.fleet.systems_of_class(system_class)
-        if not systems:
-            continue
-        ids = {s.system_id for s in systems}
-        counts: Dict = {ft: 0 for ft in FAILURE_TYPE_ORDER}
-        for event in dataset.events:
-            if event.system_id in ids:
-                counts[event.failure_type] = counts.get(event.failure_type, 0) + 1
-        per_class_counts.append(counts)
-        body.append(
-            [
-                system_class.label,
-                str(len(systems)),
-                str(sum(s.shelf_count for s in systems)),
-                str(sum(s.disk_count_ever for s in systems)),
-                str(sum(s.raid_group_count for s in systems)),
-            ]
-            + [str(counts[ft]) for ft in FAILURE_TYPE_ORDER]
-        )
-    # Extended-type columns appear only when their events exist at all.
-    for ft in EXTENDED_FAILURE_TYPES:
-        if any(counts.get(ft, 0) for counts in per_class_counts):
-            headers = headers + [ft.label]
-            for row, counts in zip(body, per_class_counts):
-                row.append(str(counts.get(ft, 0)))
     return "Overview of simulated storage systems (Table 1)\n%s" % format_table(
         headers, body
     )

@@ -9,14 +9,15 @@ type — into a result object carrying rates, intervals, and the test.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.core.afr import AFREstimate, dataset_afr
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import FailureType
 from repro.stats.tests import TestResult, poisson_rate_test
-from repro.topology.system import StorageSystem
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,8 +67,8 @@ class RateComparison:
 
 def compare_rates(
     dataset: FailureDataset,
-    predicate_a: Callable[[StorageSystem], bool],
-    predicate_b: Callable[[StorageSystem], bool],
+    systems_a: np.ndarray,
+    systems_b: np.ndarray,
     failure_type: Optional[FailureType] = None,
     description: str = "",
     confidence: float = 0.995,
@@ -76,13 +77,14 @@ def compare_rates(
 
     Args:
         dataset: events + fleet.
-        predicate_a / predicate_b: define the groups (should be disjoint).
+        systems_a / systems_b: the groups, as masks over the fleet's
+            rows (``Fleet.where``; should be disjoint).
         failure_type: restrict the numerators (None = all types).
         description: free-text label for reports.
         confidence: CI level attached to each group's estimate.
     """
-    a = dataset_afr(dataset, failure_type, predicate_a, confidence)
-    b = dataset_afr(dataset, failure_type, predicate_b, confidence)
+    a = dataset_afr(dataset, failure_type, systems_a, confidence)
+    b = dataset_afr(dataset, failure_type, systems_b, confidence)
     test = poisson_rate_test(a.count, a.exposure_years, b.count, b.exposure_years)
     return RateComparison(
         description=description,

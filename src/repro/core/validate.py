@@ -127,7 +127,7 @@ def doctor(dataset: FailureDataset) -> str:
     if not issues:
         return (
             "doctor: no issues found (%d events, %d systems, tables OK)"
-            % (len(dataset.events), dataset.fleet.system_count)
+            % (len(dataset), dataset.fleet.system_count)
         )
     lines = ["doctor: %d issue(s) found" % len(issues)]
     lines.extend("  %s" % issue for issue in issues)

@@ -76,7 +76,7 @@ def expected_dual_path_everywhere_reduction(
     over all events — no randomness, handy for sanity-checking the
     sampled counterfactual.
     """
-    if not dataset.events:
+    if not len(dataset):
         raise AnalysisError("no events to analyze")
     maskable = sum(
         1
@@ -86,7 +86,7 @@ def expected_dual_path_everywhere_reduction(
         and event.cause is not None
         and event.cause.maskable_by_multipath
     )
-    return mask_probability * maskable / len(dataset.events)
+    return mask_probability * maskable / len(dataset)
 
 
 def counterfactual_without_family(

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from repro.core.availability import (
     availability_by_class,
+    availability_of,
     format_availability,
-    _merge_intervals,
-    DEFAULT_OUTAGE_SECONDS,
 )
 from repro.experiments.base import ExperimentContext, ExperimentResult, register
 from repro.topology.classes import SystemClass
@@ -31,31 +30,16 @@ def run(context: ExperimentContext) -> ExperimentResult:
     by_label = {report.label: report for report in reports}
 
     # Dual vs single path availability within the high-end class.
-    def class_outage(predicate) -> tuple:
-        per_system = {}
-        for event in dataset.deduplicated().events:
-            duration = DEFAULT_OUTAGE_SECONDS.get(event.failure_type, 0.0)
-            per_system.setdefault(event.system_id, []).append(
-                (event.detect_time, min(event.detect_time + duration,
-                                        dataset.duration_seconds))
-            )
-        in_service = 0.0
-        outage = 0.0
-        for system in dataset.fleet.systems:
-            if not predicate(system):
-                continue
-            in_service += max(0.0, dataset.duration_seconds - system.deploy_time)
-            outage += _merge_intervals(per_system.get(system.system_id, []))
-        return in_service, outage
-
-    single_service, single_outage = class_outage(
-        lambda s: s.system_class is SystemClass.HIGH_END and not s.dual_path
+    fleet = dataset.fleet
+    single, dual = availability_of(
+        dataset,
+        (
+            (label, fleet.where(system_class=SystemClass.HIGH_END, dual_path=dual_path))
+            for label, dual_path in (("single path", False), ("dual paths", True))
+        ),
     )
-    dual_service, dual_outage = class_outage(
-        lambda s: s.system_class is SystemClass.HIGH_END and s.dual_path
-    )
-    single_avail = 1.0 - single_outage / single_service
-    dual_avail = 1.0 - dual_outage / dual_service
+    single_avail = single.availability
+    dual_avail = dual.availability
 
     checks = {
         "all_classes_above_two_nines": all(

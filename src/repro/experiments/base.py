@@ -11,8 +11,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 from repro import obs
 from repro.core.dataset import FailureDataset
 from repro.errors import SpecificationError
+from repro.failures.injector import InjectorConfig
+from repro.fleet.spec import FleetSpec
 from repro.runconfig import RunConfig
 from repro.simulate.scenario import run_scenario
+from repro.simulate.vector.engine import make_engine
 
 #: Default fleet scale for experiments: 1:20 of the paper's 39,000
 #: systems (~2,000 systems, ~90,000 disks) — large enough for the
@@ -43,8 +46,8 @@ class ExperimentContext:
             sharding always routes through a runtime context (a default
             one is built lazily when none was provided).
         config: engine and hazard backend of every simulation
-            (``RunConfig.from_env()`` when not given); experiments
-            that build their own engines pass it to ``make_engine``.
+            (``RunConfig.from_env()`` when not given), the scenarios'
+            and :meth:`simulate`'s alike.
     """
 
     scale: float = DEFAULT_SCALE
@@ -93,6 +96,23 @@ class ExperimentContext:
     def dataset(self, scenario: str = "paper-default") -> FailureDataset:
         """The (cached) dataset of a named scenario."""
         return self.result(scenario).dataset
+
+    def simulate(self, injector_config: InjectorConfig) -> FailureDataset:
+        """A fresh paper-default simulation under ``injector_config``.
+
+        Sensitivity sweeps vary the failure model through this one
+        entry point.  Results are not cached; each run counts one
+        ``sim.runs`` on the attached runtime's metrics.
+        """
+        engine = make_engine(
+            FleetSpec.paper_default(scale=self.scale),
+            injector_config=injector_config,
+            config=self.config,
+        )
+        dataset = engine.run(seed=self.seed).dataset
+        if self.runtime is not None:
+            self.runtime.metrics.increment("sim.runs")
+        return dataset
 
 
 @dataclasses.dataclass

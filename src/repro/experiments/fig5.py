@@ -17,6 +17,7 @@ from repro.core.findings import capacity_trend, noise_corrected_cv
 from repro.core.report import format_breakdown
 from repro.experiments.base import ExperimentContext, ExperimentResult, register
 from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
+from repro.fleet.calibration import PROBLEMATIC_DISK_FAMILY
 from repro.topology.classes import SystemClass
 
 #: The paper's six panels, in figure order (a)-(f).
@@ -61,22 +62,15 @@ def _register_panel(experiment_id: str, system_class: SystemClass, shelf: str):
             # Finding 3 detail: H inflates protocol+performance too.
             # Pool events over exposure (means of noisy per-model rates
             # are fragile at bench scale).
-            h_pred = (
-                lambda s: s.system_class is system_class
-                and s.shelf_model == shelf
-                and s.primary_disk_model.startswith("H-")
-            )
-            o_pred = (
-                lambda s: s.system_class is system_class
-                and s.shelf_model == shelf
-                and not s.primary_disk_model.startswith("H-")
-            )
+            fleet = dataset.fleet
+            panel = fleet.where(system_class=system_class, shelf_model=shelf)
+            h_family = fleet.where(disk_family=PROBLEMATIC_DISK_FAMILY)
             h_pp = sum(
-                dataset_afr(dataset, ft, h_pred).percent
+                dataset_afr(dataset, ft, panel & h_family).percent
                 for ft in (FailureType.PROTOCOL, FailureType.PERFORMANCE)
             )
             other_pp = sum(
-                dataset_afr(dataset, ft, o_pred).percent
+                dataset_afr(dataset, ft, panel & ~h_family).percent
                 for ft in (FailureType.PROTOCOL, FailureType.PERFORMANCE)
             )
             checks["disk_h_inflates_protocol_performance"] = h_pp > other_pp
@@ -105,14 +99,12 @@ def run_stability(context: ExperimentContext) -> ExperimentResult:
     non-trend on the D family (Fig. 5e's D-1 vs D-2).
     """
     dataset = context.dataset("paper-default")
+    fleet = dataset.fleet
     environments: Dict[str, List[Tuple[SystemClass, str]]] = {}
     for _, system_class, shelf in PANELS:
-        panel = {
-            s.primary_disk_model
-            for s in dataset.fleet.systems
-            if s.system_class is system_class and s.shelf_model == shelf
-        }
-        for model in panel:
+        panel = fleet.where(system_class=system_class, shelf_model=shelf)
+        models = {model for model, inside in zip(fleet.disk_models, panel.tolist()) if inside}
+        for model in models:
             environments.setdefault(model, []).append((system_class, shelf))
 
     disk_cvs: List[float] = []
@@ -126,13 +118,9 @@ def run_stability(context: ExperimentContext) -> ExperimentResult:
             continue
         disk_rates, disk_counts, total_rates, total_counts = [], [], [], []
         for system_class, shelf in envs:
-            predicate = (
-                lambda s, c=system_class, sm=shelf, dm=model: s.system_class is c
-                and s.shelf_model == sm
-                and s.primary_disk_model == dm
-            )
-            disk = dataset_afr(dataset, FailureType.DISK, predicate)
-            total = dataset_afr(dataset, None, predicate)
+            systems = fleet.where(system_class=system_class, shelf_model=shelf, disk_model=model)
+            disk = dataset_afr(dataset, FailureType.DISK, systems)
+            total = dataset_afr(dataset, None, systems)
             if disk.count < 10:
                 continue  # too few events to speak to stability
             disk_rates.append(disk.percent)

@@ -25,6 +25,7 @@ PANEL_DISK_MODELS = ("A-2", "A-3", "D-2", "D-3")
 def run(context: ExperimentContext) -> ExperimentResult:
     """All four panels plus the per-panel T-tests."""
     dataset = context.dataset("paper-default")
+    fleet = dataset.fleet
     sections: List[str] = []
     data: Dict[str, Dict[str, float]] = {}
     better: Dict[str, str] = {}
@@ -40,25 +41,20 @@ def run(context: ExperimentContext) -> ExperimentResult:
         if len(rows) < 2:
             continue
         compared += 1
+        panel = fleet.where(system_class=SystemClass.LOW_END, disk_model=disk_model)
+        shelf_a = panel & fleet.where(shelf_model="A")
+        shelf_b = panel & fleet.where(shelf_model="B")
         phys = compare_rates(
             dataset,
-            lambda s, dm=disk_model: s.system_class is SystemClass.LOW_END
-            and s.shelf_model == "A"
-            and s.primary_disk_model == dm,
-            lambda s, dm=disk_model: s.system_class is SystemClass.LOW_END
-            and s.shelf_model == "B"
-            and s.primary_disk_model == dm,
+            shelf_a,
+            shelf_b,
             FailureType.PHYSICAL_INTERCONNECT,
             description="low-end Disk %s, shelf A vs B" % disk_model,
         )
         disk_cmp = compare_rates(
             dataset,
-            lambda s, dm=disk_model: s.system_class is SystemClass.LOW_END
-            and s.shelf_model == "A"
-            and s.primary_disk_model == dm,
-            lambda s, dm=disk_model: s.system_class is SystemClass.LOW_END
-            and s.shelf_model == "B"
-            and s.primary_disk_model == dm,
+            shelf_a,
+            shelf_b,
             FailureType.DISK,
             description="low-end Disk %s disk-failure control" % disk_model,
         )

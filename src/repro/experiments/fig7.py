@@ -31,8 +31,8 @@ def _panel(experiment_id: str, system_class: SystemClass):
         dual = row_by_label(rows, "Dual Paths")
         comparison = compare_rates(
             dataset,
-            lambda s: s.system_class is system_class and not s.dual_path,
-            lambda s: s.system_class is system_class and s.dual_path,
+            dataset.fleet.where(system_class=system_class, dual_path=False),
+            dataset.fleet.where(system_class=system_class, dual_path=True),
             FailureType.PHYSICAL_INTERCONNECT,
             description="%s single vs dual path" % system_class.label,
             confidence=0.999,

@@ -36,9 +36,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
     causes = cause_breakdown(records)
 
     # Low-end: the class where the discrepancy is starkest.
-    lowend = dataset.filter_systems(
-        lambda s: s.system_class is SystemClass.LOW_END
-    )
+    lowend = dataset.filter_systems(dataset.fleet.where(system_class=SystemClass.LOW_END))
     lowend_records = derive_replacement_log(lowend, seed=context.seed)
     lowend_ratio = replacement_rate_percent(
         lowend_records, lowend.exposure_years()

@@ -14,12 +14,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.dataset import FailureDataset
 from repro.experiments.base import ExperimentContext, ExperimentResult, register
 from repro.failures.injector import InjectorConfig
-from repro.fleet.spec import FleetSpec
 from repro.raid.dataloss import estimate_dataloss
-from repro.simulate.vector.engine import make_engine
 from repro.units import SECONDS_PER_HOUR
 
 
@@ -29,14 +26,9 @@ def run(context: ExperimentContext) -> ExperimentResult:
     lag_mean: Dict[float, float] = {}
     loss_rate: Dict[float, float] = {}
     for hours in (1.0, 8.0, 48.0):
-        engine = make_engine(
-            FleetSpec.paper_default(scale=context.scale),
-            injector_config=InjectorConfig(
-                detection_lag_max_seconds=hours * SECONDS_PER_HOUR
-            ),
-            config=context.config,
+        dataset = context.simulate(
+            InjectorConfig(detection_lag_max_seconds=hours * SECONDS_PER_HOUR)
         )
-        dataset: FailureDataset = engine.run(seed=context.seed).dataset
         lags = np.array(
             [event.detect_time - event.occur_time for event in dataset.events]
         )

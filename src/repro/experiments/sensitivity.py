@@ -17,7 +17,6 @@ import dataclasses
 from typing import Dict, List
 
 from repro.core.correlation import correlation_for
-from repro.core.dataset import FailureDataset
 from repro.core.significance import compare_rates
 from repro.core.timebetween import analyze_gaps
 from repro.errors import AnalysisError
@@ -26,29 +25,16 @@ from repro.failures.injector import InjectorConfig
 from repro.failures.multipath import MultipathModel
 from repro.failures.types import FailureType
 from repro.fleet import calibration
-from repro.fleet.spec import FleetSpec
-from repro.simulate.vector.engine import make_engine
-
-
-def _simulate(context: ExperimentContext, config: InjectorConfig) -> FailureDataset:
-    engine = make_engine(
-        FleetSpec.paper_default(scale=context.scale),
-        injector_config=config,
-        config=context.config,
-    )
-    return engine.run(seed=context.seed).dataset
+from repro.topology.classes import SystemClass
 
 
 @register("sweep-multipath", "Sensitivity: multipath mask probability")
 def run_multipath_sweep(context: ExperimentContext) -> ExperimentResult:
     """Dual-path benefit as a function of failover success probability."""
-    from repro.topology.classes import SystemClass
-
     reductions: Dict[float, float] = {}
     for mask_probability in (0.0, 0.5, 0.95):
-        dataset = _simulate(
-            context,
-            InjectorConfig(multipath=MultipathModel(mask_probability=mask_probability)),
+        dataset = context.simulate(
+            InjectorConfig(multipath=MultipathModel(mask_probability=mask_probability))
         )
         # Average the per-class reductions rather than pooling classes:
         # pooling would let a skewed class mix between the dual/single
@@ -57,8 +43,8 @@ def run_multipath_sweep(context: ExperimentContext) -> ExperimentResult:
         for system_class in (SystemClass.MID_RANGE, SystemClass.HIGH_END):
             comparison = compare_rates(
                 dataset,
-                lambda s, c=system_class: s.system_class is c and not s.dual_path,
-                lambda s, c=system_class: s.system_class is c and s.dual_path,
+                dataset.fleet.where(system_class=system_class, dual_path=False),
+                dataset.fleet.where(system_class=system_class, dual_path=True),
                 FailureType.PHYSICAL_INTERCONNECT,
                 description="%s mask=%.2f" % (system_class.value, mask_probability),
             )
@@ -108,9 +94,7 @@ def run_burstiness_sweep(context: ExperimentContext) -> ExperimentResult:
     burst: Dict[float, float] = {}
     inflation: Dict[float, float] = {}
     for factor in (0.25, 0.6, 1.0):
-        dataset = _simulate(
-            context, InjectorConfig(shock_params=_scaled_shock_params(factor))
-        )
+        dataset = context.simulate(InjectorConfig(shock_params=_scaled_shock_params(factor)))
         burst[factor] = analyze_gaps(dataset, "shelf", None).burst_fraction
         try:
             inflation[factor] = correlation_for(

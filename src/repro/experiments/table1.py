@@ -8,7 +8,7 @@ simulated fleet.
 
 from __future__ import annotations
 
-from repro.core.report import format_overview
+from repro.core.report import class_overview, format_overview
 from repro.experiments.base import ExperimentContext, ExperimentResult, register
 from repro.failures.types import FAILURE_TYPE_ORDER
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
@@ -20,25 +20,20 @@ def run(context: ExperimentContext) -> ExperimentResult:
     dataset = context.dataset("paper-default")
     fleet = dataset.fleet
 
-    rows = {}
-    for system_class in SYSTEM_CLASS_ORDER:
-        systems = fleet.systems_of_class(system_class)
-        if not systems:
-            continue
-        ids = {s.system_id for s in systems}
-        counts = {ft.value: 0 for ft in FAILURE_TYPE_ORDER}
-        for event in dataset.events:
-            if event.system_id in ids:
-                counts[event.failure_type.value] += 1
-        rows[system_class.value] = {
-            "systems": len(systems),
-            "shelves": sum(s.shelf_count for s in systems),
-            "disks_ever": sum(s.disk_count_ever for s in systems),
-            "raid_groups": sum(s.raid_group_count for s in systems),
-            "dual_path_systems": sum(1 for s in systems if s.dual_path),
-            "disk_interface": system_class.disk_interface,
-            "failure_events": counts,
+    rows = {
+        row.system_class.value: {
+            "systems": row.systems,
+            "shelves": row.shelves,
+            "disks_ever": row.disks_ever,
+            "raid_groups": row.raid_groups,
+            "dual_path_systems": row.dual_path_systems,
+            "disk_interface": row.system_class.disk_interface,
+            "failure_events": {
+                ft.value: row.failure_events[ft] for ft in FAILURE_TYPE_ORDER
+            },
         }
+        for row in class_overview(dataset)
+    }
 
     checks = {
         "all_four_classes_present": len(rows) == 4,

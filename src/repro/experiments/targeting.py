@@ -36,9 +36,9 @@ def run(context: ExperimentContext) -> ExperimentResult:
         removed = counterfactual_without_type(dataset, failure_type)
         per_class: Dict[str, float] = {}
         for system_class in SYSTEM_CLASS_ORDER:
-            predicate = lambda s, c=system_class: s.system_class is c  # noqa: E731
-            before = dataset_afr(dataset, None, predicate).percent
-            after = dataset_afr(removed, None, predicate).percent
+            systems = dataset.fleet.where(system_class=system_class)
+            before = dataset_afr(dataset, None, systems).percent
+            after = dataset_afr(removed, None, systems).percent
             per_class[system_class.value] = (
                 0.0 if before == 0.0 else 1.0 - after / before
             )

@@ -20,11 +20,13 @@ and disk ids are rendered from those numbers (``sh-<system>-<nn>``,
 unless the fleet was packed from objects or parsed from a snapshot,
 which keep the shelf and group ids they were given.
 
-``fleet.systems`` are light :class:`~repro.topology.system.StorageSystem`
-views of the per-system rows.  A view builds its shelves, bays, disks
-and RAID groups from the arrays only when a consumer walks disks (RAID
-replay, prediction, policy, age analysis, validation, the legacy
-injector); the simulation and the paper's analyses never do.
+Analyses pick systems with :meth:`Fleet.where`, a boolean mask over
+the per-system rows.  ``fleet.systems`` are light
+:class:`~repro.topology.system.StorageSystem` views of those rows.  A
+view builds its shelves, bays, disks and RAID groups from the arrays
+only when a consumer walks disks (RAID replay, prediction, policy, age
+analysis, validation, the legacy injector); the simulation and the
+paper's analyses never do.
 """
 
 from __future__ import annotations
@@ -441,6 +443,56 @@ class Fleet:
         except KeyError:
             raise TopologyError("no system %r in fleet" % system_id) from None
 
+    def system_rows(self, system_ids: Sequence[str]) -> np.ndarray:
+        """Rows of the given system ids (-1 for an id the fleet lacks)."""
+        index = self._system_index
+        return np.fromiter(
+            (index.get(system_id, -1) for system_id in system_ids),
+            dtype=np.int64,
+            count=len(system_ids),
+        )
+
+    # -- selection -------------------------------------------------------------
+
+    @functools.cached_property
+    def _where_columns(self) -> Dict[str, np.ndarray]:
+        """The per-system values :meth:`where` compares, as arrays."""
+        families = [model.partition("-") for model in self.disk_models]
+        return {
+            "system_class": np.array([c.value for c in self.system_classes], dtype=str),
+            "shelf_model": np.array(self.shelf_models, dtype=str),
+            "disk_model": np.array(self.disk_models, dtype=str),
+            # A model is "<family>-<capacity rank>" (repro.topology.models).
+            "disk_family": np.array([f if sep else "" for f, sep, _ in families], dtype=str),
+        }
+
+    def where(
+        self,
+        system_class: Optional[SystemClass] = None,
+        shelf_model: Optional[str] = None,
+        disk_model: Optional[str] = None,
+        disk_family: Optional[str] = None,
+        dual_path: Optional[bool] = None,
+    ) -> np.ndarray:
+        """The systems matching every given value, as a mask over rows.
+
+        Omitted arguments match every system.  Masks combine with
+        ``&``, ``|`` and ``~``; they are how analyses pick systems.
+        """
+        mask = np.ones(self.system_count, dtype=bool)
+        columns = self._where_columns
+        for name, value in (
+            ("system_class", None if system_class is None else system_class.value),
+            ("shelf_model", shelf_model),
+            ("disk_model", disk_model),
+            ("disk_family", disk_family),
+        ):
+            if value is not None:
+                mask &= columns[name] == value
+        if dual_path is not None:
+            mask &= self.dual_path == bool(dual_path)
+        return mask
+
     # -- systems -------------------------------------------------------------
 
     @functools.cached_property
@@ -463,10 +515,6 @@ class Fleet:
     def system(self, system_id: str) -> StorageSystem:
         """Find a system by id."""
         return self.systems[self.system_index(system_id)]
-
-    def systems_of_class(self, system_class: SystemClass) -> List[StorageSystem]:
-        """All systems of one class."""
-        return [s for s in self.systems if s.system_class is system_class]
 
     # -- object graphs, on demand ---------------------------------------------
 

@@ -20,7 +20,10 @@ class ECDF:
     """
 
     def __init__(self, values: Iterable[float]) -> None:
-        data = np.asarray(sorted(float(v) for v in values), dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        # Stable, so equal values keep the order ``sorted`` gave them.
+        data = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
         if data.size == 0:
             raise AnalysisError("cannot build an ECDF from an empty sample")
         self._values = data

@@ -144,7 +144,9 @@ def safe_fit_all(
 
 
 def _clean(data: Iterable[float]) -> np.ndarray:
-    values = np.asarray([float(v) for v in data], dtype=float)
+    if not isinstance(data, np.ndarray):
+        data = list(data)
+    values = np.asarray(data, dtype=np.float64)
     if values.size < 2:
         raise FittingError("need at least 2 observations, got %d" % values.size)
     if np.any(values <= 0.0):

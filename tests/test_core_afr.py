@@ -51,7 +51,7 @@ class TestDatasetAfr:
     def test_predicate_restricts_both_sides(self, small_dataset):
         nearline = dataset_afr(
             small_dataset,
-            system_predicate=lambda s: s.system_class is SystemClass.NEARLINE,
+            systems=small_dataset.fleet.where(system_class=SystemClass.NEARLINE),
         )
         assert nearline.count == sum(
             1 for e in small_dataset.events if e.system_class == "nearline"

@@ -107,7 +107,6 @@ class TestEventTable:
         assert table.intern("a") == 0
         assert table.code("missing") == -1
         assert table.values == ["a", "b"]
-        assert list(table.member_mask({"b"})) == [False, True]
 
     def test_first_occurrence_ranks(self):
         codes = np.array([7, 2, 7, 5, 2, 9])

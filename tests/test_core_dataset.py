@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.dataset import DEDUP_WINDOW_SECONDS, FailureDataset
@@ -37,7 +38,7 @@ class TestBasics:
 class TestFiltering:
     def test_filter_systems_keeps_matching_events(self, small_dataset):
         nearline = small_dataset.filter_systems(
-            lambda s: s.system_class is SystemClass.NEARLINE
+            small_dataset.fleet.where(system_class=SystemClass.NEARLINE)
         )
         assert all(e.system_class == "nearline" for e in nearline.events)
         assert all(
@@ -45,7 +46,9 @@ class TestFiltering:
         )
 
     def test_filter_preserves_duration(self, small_dataset):
-        subset = small_dataset.filter_systems(lambda s: True)
+        subset = small_dataset.filter_systems(
+            np.ones(small_dataset.fleet.system_count, dtype=bool)
+        )
         assert subset.duration_seconds == small_dataset.duration_seconds
 
     def test_excluding_disk_family(self, small_dataset):
@@ -99,29 +102,10 @@ class TestExposure:
         )
 
     def test_predicate_partition_sums_to_total(self, small_dataset):
-        nearline = small_dataset.exposure_years(
-            lambda s: s.system_class is SystemClass.NEARLINE
-        )
-        rest = small_dataset.exposure_years(
-            lambda s: s.system_class is not SystemClass.NEARLINE
-        )
+        nearline_systems = small_dataset.fleet.where(system_class=SystemClass.NEARLINE)
+        nearline = small_dataset.exposure_years(nearline_systems)
+        rest = small_dataset.exposure_years(~nearline_systems)
         assert nearline + rest == pytest.approx(small_dataset.exposure_years())
-
-    def test_exposure_by_group(self, small_dataset):
-        grouped = small_dataset.exposure_years_by(lambda s: s.system_class)
-        assert sum(grouped.values()) == pytest.approx(
-            small_dataset.exposure_years()
-        )
-
-    def test_event_counts_by_group(self, small_dataset):
-        grouped = small_dataset.event_counts_by(lambda e: e.system_class)
-        assert sum(grouped.values()) == len(small_dataset.events)
-
-    def test_event_counts_by_type_filter(self, small_dataset):
-        grouped = small_dataset.event_counts_by(
-            lambda e: e.shelf_id, failure_type=FailureType.DISK
-        )
-        assert sum(grouped.values()) == small_dataset.counts_by_type()[FailureType.DISK]
 
 
 class TestScopes:

@@ -1,5 +1,6 @@
 """Tests for significance comparisons and the findings engine."""
 
+import numpy as np
 import pytest
 
 from repro.core.findings import capacity_trend, evaluate_findings
@@ -11,10 +12,11 @@ from repro.topology.classes import SystemClass
 
 class TestCompareRates:
     def test_groups_computed(self, midsize_dataset):
+        fleet = midsize_dataset.fleet
         comparison = compare_rates(
             midsize_dataset,
-            lambda s: s.system_class is SystemClass.NEARLINE,
-            lambda s: s.system_class is SystemClass.LOW_END,
+            fleet.where(system_class=SystemClass.NEARLINE),
+            fleet.where(system_class=SystemClass.LOW_END),
             FailureType.DISK,
             description="nearline vs low-end disks",
         )
@@ -23,19 +25,21 @@ class TestCompareRates:
         assert comparison.group_a.percent > comparison.group_b.percent
 
     def test_reduction(self, midsize_dataset):
+        fleet = midsize_dataset.fleet
         comparison = compare_rates(
             midsize_dataset,
-            lambda s: s.system_class is SystemClass.HIGH_END and not s.dual_path,
-            lambda s: s.system_class is SystemClass.HIGH_END and s.dual_path,
+            fleet.where(system_class=SystemClass.HIGH_END, dual_path=False),
+            fleet.where(system_class=SystemClass.HIGH_END, dual_path=True),
             FailureType.PHYSICAL_INTERCONNECT,
         )
         assert 0.0 < comparison.reduction < 1.0
 
     def test_summary_text(self, midsize_dataset):
+        fleet = midsize_dataset.fleet
         comparison = compare_rates(
             midsize_dataset,
-            lambda s: s.system_class is SystemClass.NEARLINE,
-            lambda s: s.system_class is SystemClass.LOW_END,
+            fleet.where(system_class=SystemClass.NEARLINE),
+            fleet.where(system_class=SystemClass.LOW_END),
             FailureType.DISK,
             description="demo",
         )
@@ -45,11 +49,12 @@ class TestCompareRates:
 
 class TestCompareRatesEmptyGroup:
     def test_empty_group_raises(self, midsize_dataset):
+        systems = midsize_dataset.fleet.system_count
         with pytest.raises(AnalysisError):
             compare_rates(
                 midsize_dataset,
-                lambda s: s.system_id == "no-such-system",
-                lambda s: True,
+                np.zeros(systems, dtype=bool),
+                np.ones(systems, dtype=bool),
             )
 
 

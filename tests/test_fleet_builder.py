@@ -1,5 +1,6 @@
 """Tests for fleet construction."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
@@ -80,9 +81,9 @@ class TestBuildFleet:
     def test_class_populations(self, fleet):
         spec = FleetSpec.paper_default(scale=0.002)
         for system_class in SystemClass:
-            assert len(fleet.systems_of_class(system_class)) == spec.scaled_systems(
-                system_class
-            )
+            assert np.count_nonzero(
+                fleet.where(system_class=system_class)
+            ) == spec.scaled_systems(system_class)
 
     def test_every_bay_populated(self, fleet):
         for system in fleet.systems:

@@ -72,16 +72,13 @@ class TestExposureBitIdentity:
 
     def test_predicate_sums_systems_in_fleet_order(self, simulated):
         dataset = simulated.dataset
-
-        def lowend(system):
-            return system.system_class is SystemClass.LOW_END
-
         total = 0.0
         for system, seconds in zip(
             dataset.fleet.systems, dataset.fleet.exposure_column().tolist()
         ):
-            if lowend(system):
+            if system.system_class is SystemClass.LOW_END:
                 total += seconds
+        lowend = dataset.fleet.where(system_class=SystemClass.LOW_END)
         assert dataset.exposure_years(lowend) == seconds_to_years(total)
 
     def test_filtered_dataset_shares_the_column(self, simulated):

@@ -267,6 +267,18 @@ class TestRuntimeContext:
         assert runtime.metrics.count("sim.runs") == 1
         assert runtime.cache.stats().entries == 2  # sim + experiment
 
+    def test_sweep_simulations_count_cold_and_not_warm(self, tmp_path):
+        # sweep-multipath simulates three fleets of its own, outside the
+        # scenario cache: each counts once; a warm rerun counts none.
+        job = Job.experiment("sweep-multipath", scale=0.004, seed=3)
+        cold = RuntimeContext(RuntimeConfig(cache_dir=str(tmp_path)))
+        cold.run_job(job)
+        assert cold.metrics.count("sim.runs") == 3
+        warm = RuntimeContext(RuntimeConfig(cache_dir=str(tmp_path)))
+        warm.run_job(job)
+        assert warm.metrics.count("sim.runs") == 0
+        assert warm.metrics.count("cache.hit") == 1
+
 
 class TestScheduler:
     def test_duplicate_jobs_collapse(self, tmp_path):

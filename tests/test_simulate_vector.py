@@ -315,10 +315,11 @@ class TestVectorInjector:
         table = result.to_table()
         cohorts = group_cohorts(frame, config)
         for index, cohort in enumerate(cohorts):
-            ids = {
-                frame.system_ids[i] for i in cohort.systems.tolist()
-            }
-            mask = table.system_member_mask(ids)
+            codes = [
+                table.system_ids.code(frame.system_ids[i])
+                for i in cohort.systems.tolist()
+            ]
+            mask = np.isin(table.system_codes, codes)
             if np.count_nonzero(mask):
                 break
         one = cohorts.select([index])

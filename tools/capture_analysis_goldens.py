@@ -197,6 +197,8 @@ def synthetic_chain(dataset):
 
 def method_outputs(dataset) -> dict:
     """The ``FailureDataset`` methods' outputs, keyed by name."""
+    import numpy as np
+
     from repro.failures.types import FAILURE_TYPE_ORDER
 
     outputs = {
@@ -205,8 +207,9 @@ def method_outputs(dataset) -> dict:
         )
         for failure_type in FAILURE_TYPE_ORDER
     }
+    picked = [system_id.endswith(("0", "1")) for system_id in dataset.fleet.system_ids]
     outputs["filter_systems"] = dataset.filter_systems(
-        lambda s: s.system_id.endswith(("0", "1"))
+        np.array(picked, dtype=bool)
     ).events
     outputs["excluding_disk_family"] = dataset.excluding_disk_family().events
     outputs["deduplicated"] = dataset.deduplicated().events
