@@ -15,7 +15,7 @@ Run:
 
 import repro
 from repro.core.breakdown import afr_by_class, row_by_label
-from repro.core.report import format_breakdown, format_overview
+from repro.core.report import class_overview, format_breakdown, format_overview
 from repro.failures.types import FailureType
 from repro.topology.classes import SystemClass
 
@@ -40,7 +40,7 @@ def main() -> None:
         )
     )
 
-    print(format_overview(dataset))
+    print(format_overview(class_overview(dataset)))
     print()
 
     rows = afr_by_class(dataset, exclude_problematic_family=True)

@@ -55,7 +55,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core.findings import evaluate_findings
-from repro.core.report import format_findings, format_overview
+from repro.core.report import class_overview, format_findings, format_overview
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS
 from repro.runconfig import RunConfig
@@ -454,7 +454,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "report":
         dataset = _dataset(args, config)
-        print(format_overview(dataset))
+        print(format_overview(class_overview(dataset)))
         print()
         from repro.core.breakdown import afr_by_class
         from repro.core.report import format_breakdown

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.afr import AFREstimate, afr_stack, stack_total_percent
 from repro.core.dataset import FailureDataset
 from repro.failures.types import FailureType
+from repro.fleet.calibration import PROBLEMATIC_DISK_FAMILY
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
 
 
@@ -60,11 +61,16 @@ def afr_by_class(
         exclude_problematic_family: Fig. 4(b)'s treatment — drop systems
             using the Disk H family before computing rates.
     """
-    data = dataset.excluding_disk_family() if exclude_problematic_family else dataset
+    fleet = dataset.fleet
+    kept = fleet.where()
+    if exclude_problematic_family:
+        # A mask, not a filtered copy of the fleet: the same rows in
+        # the same order, so the same sums.
+        kept = ~fleet.where(disk_family=PROBLEMATIC_DISK_FAMILY)
     return _stacked_rows(
-        data,
+        dataset,
         (
-            (system_class.label, data.fleet.where(system_class=system_class))
+            (system_class.label, kept & fleet.where(system_class=system_class))
             for system_class in SYSTEM_CLASS_ORDER
         ),
         confidence,

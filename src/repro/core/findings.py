@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import statistics
 from typing import Dict, List, Optional
 
 from repro.core.afr import dataset_afr
@@ -164,6 +163,8 @@ def noise_corrected_cv(rates: List[float], counts: List[int]) -> float:
     (classic deattenuation) isolates the *environmental* variation the
     paper's Finding 4 is about.  Clamped at zero.
     """
+    import statistics
+
     if len(rates) < 2:
         raise AnalysisError("need at least 2 environments")
     mean = statistics.mean(rates)

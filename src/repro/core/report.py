@@ -117,9 +117,8 @@ def class_overview(dataset: FailureDataset) -> List[ClassOverview]:
     return rows
 
 
-def format_overview(dataset: FailureDataset) -> str:
-    """A Table 1 style overview of the studied (simulated) fleet."""
-    rows = class_overview(dataset)
+def format_overview(rows: List[ClassOverview]) -> str:
+    """A Table 1 style overview of the fleet, from :func:`class_overview`."""
     # Extended-type columns appear only when their events exist at all.
     extended = [
         ft for ft in EXTENDED_FAILURE_TYPES if any(row.failure_events[ft] for row in rows)

@@ -19,6 +19,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
     """Build the Table 1 overview and check its structural properties."""
     dataset = context.dataset("paper-default")
     fleet = dataset.fleet
+    overview = class_overview(dataset)
 
     rows = {
         row.system_class.value: {
@@ -32,7 +33,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
                 ft.value: row.failure_events[ft] for ft in FAILURE_TYPE_ORDER
             },
         }
-        for row in class_overview(dataset)
+        for row in overview
     }
 
     checks = {
@@ -67,7 +68,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
     return ExperimentResult(
         experiment_id="table1",
         title="Overview of studied storage systems",
-        text=format_overview(dataset),
+        text=format_overview(overview),
         data={"rows": rows, "scale": context.scale},
         checks=checks,
     )

@@ -8,6 +8,7 @@ from repro.core.report import (
     format_correlation,
     format_findings,
     format_gap_analyses,
+    class_overview,
     format_overview,
     format_table,
 )
@@ -30,7 +31,7 @@ class TestFormatTable:
 
 class TestRenderers:
     def test_overview_mentions_all_classes(self, small_dataset):
-        text = format_overview(small_dataset)
+        text = format_overview(class_overview(small_dataset))
         for label in ("Nearline", "Low-end", "Mid-range", "High-end"):
             assert label in text
 
