@@ -21,7 +21,7 @@ from repro.core.whatif import counterfactual_without_type
 from repro.experiments.base import ExperimentContext, ExperimentResult, register
 from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
 from repro.raid.dataloss import estimate_dataloss
-from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
+from repro.topology.classes import SYSTEM_CLASS_ORDER
 
 
 @register("target-ranking", "Ranking resiliency targets by failure type")
