@@ -167,8 +167,8 @@ class FailureDataset:
         Returns a new dataset over :meth:`Fleet.select` of the kept
         systems, which shares this fleet's exposure column.
         """
-        subset = self.fleet.select(np.flatnonzero(self._checked(systems)))
         kept = self.table.select(self.event_mask(systems))
+        subset = self.fleet.select(np.flatnonzero(systems))
         return FailureDataset(events=kept, fleet=subset)
 
     def excluding_disk_family(
