@@ -16,7 +16,7 @@ check:
 
 # Lint gate: style (ruff or the bundled fallback) + invariants
 # (reprolint per-file rules, RPL007 among them, then the whole-program
-# RPL102-RPL104 pass — see docs/LINTING.md).
+# RPL102-RPL103 pass — see docs/LINTING.md).
 lint:
 	python tools/lint.py
 
@@ -57,7 +57,7 @@ bench-shard:
 # CI shard gate: 4-shard spill/merge run must be byte-identical to the
 # unsharded table; writes shard-merge-report.json.
 shard-smoke:
-	REPRO_VECTOR_ENGINE=1 PYTHONPATH=src python tools/shard_smoke.py \
+	PYTHONPATH=src python tools/shard_smoke.py \
 		--scale 0.05 --shards 4
 
 # Run every registered experiment (tables, figures, ablations) with checks.

@@ -55,9 +55,6 @@ class _TimedHazard:
     def sample_interarrivals(self, rng, n):
         return self._inner.sample_interarrivals(rng, n)
 
-    def sample(self, rng, n):
-        return self._inner.sample(rng, n)
-
     def equilibrium_delay(self, rng, n):
         return self._inner.equilibrium_delay(rng, n)
 

@@ -11,11 +11,11 @@ from repro.autosupport.parser import parse_archive
 from repro.autosupport.writer import write_logs
 from repro.fleet.builder import build_fleet
 from repro.fleet.spec import FleetSpec
-from repro.failures.injector import FailureInjector
 from repro.raid.raid4 import Raid4Layout
 from repro.raid.raiddp import RaidDPLayout
 from repro.rng import RandomSource
 from repro.simulate.scenario import run_scenario
+from repro.simulate.vector.engine import VectorFailureInjector
 
 
 @pytest.mark.benchmark(group="substrates")
@@ -30,7 +30,7 @@ def test_bench_failure_injection(benchmark):
 
     def run():
         fleet = build_fleet(spec, RandomSource(1))
-        return FailureInjector().inject(fleet, RandomSource(1))
+        return VectorFailureInjector().inject(fleet, RandomSource(1))
 
     result = benchmark(run)
     assert result.events

@@ -28,12 +28,13 @@ from repro.errors import ReproError
 from repro.rng import RandomSource
 from repro.failures.types import FailureType, InterconnectCause
 from repro.failures.events import ComponentError, FailureEvent
-from repro.failures.injector import FailureInjector, InjectorConfig, InjectionResult
+from repro.failures.injector import InjectorConfig, InjectionResult
 from repro.fleet.spec import ClassSpec, FleetSpec
 from repro.fleet.fleet import Fleet
 from repro.fleet.builder import build_fleet
 from repro.topology.classes import SystemClass
 from repro.simulate.engine import SimulationEngine, SimulationResult
+from repro.simulate.vector.engine import VectorFailureInjector
 from repro.simulate.scenario import SCENARIOS, run_scenario
 from repro.core.dataset import FailureDataset
 
@@ -45,7 +46,6 @@ __all__ = [
     "InterconnectCause",
     "ComponentError",
     "FailureEvent",
-    "FailureInjector",
     "InjectorConfig",
     "InjectionResult",
     "ClassSpec",
@@ -55,6 +55,7 @@ __all__ = [
     "SystemClass",
     "SimulationEngine",
     "SimulationResult",
+    "VectorFailureInjector",
     "SCENARIOS",
     "run_scenario",
     "FailureDataset",

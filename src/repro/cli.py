@@ -253,8 +253,8 @@ def _simulation_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--seed", type=int, default=1, help="root random seed")
     cmd.add_argument(
         "--hazard-backend", default=None, metavar="SPEC",
-        help="hazard backend for both engines: analytic, trace:<events>, "
-        "or fitted:<events> (default: $REPRO_HAZARD_BACKEND or analytic)",
+        help="hazard backend: analytic, trace:<events>, or fitted:<events> "
+        "(default: $REPRO_HAZARD_BACKEND or analytic)",
     )
     _obs_flags(cmd)
 
@@ -385,7 +385,7 @@ def _start_sampler(command: str):
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    # The run's engine and hazard backend, resolved once: the flag,
+    # The run's hazard backend, resolved once: the flag,
     # then $REPRO_*, then the defaults; every job and worker carries it.
     config = RunConfig.from_env(
         hazard_backend=getattr(args, "hazard_backend", None)

@@ -111,16 +111,6 @@ REGISTRY: Dict[str, EnvVar] = {
             "(CI shrinks it to fit the job budget).",
         ),
         EnvVar(
-            name="REPRO_VECTOR_ENGINE",
-            kind="flag",
-            default="0",
-            consumer="repro.runconfig",
-            description="Default engine of `RunConfig.from_env()` (the CLI, "
-            "and API calls given no config): on selects the batched "
-            "(vectorized) engine; the legacy per-unit engine stays the "
-            "default and the differential oracle.",
-        ),
-        EnvVar(
             name="REPRO_BENCH_SIMULATE_SCALE",
             kind="float",
             default="0.4",
@@ -179,8 +169,8 @@ REGISTRY: Dict[str, EnvVar] = {
             default="analytic",
             consumer="repro.runconfig",
             description="Default hazard backend spec of "
-            "`RunConfig.from_env()` for both engines (--hazard-backend "
-            "wins): `analytic`, `trace:<events>`, or `fitted:<events>`.",
+            "`RunConfig.from_env()` (--hazard-backend wins): `analytic`, "
+            "`trace:<events>`, or `fitted:<events>`.",
         ),
         EnvVar(
             name="REPRO_STATUS_DIR",

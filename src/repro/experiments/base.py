@@ -14,8 +14,8 @@ from repro.errors import SpecificationError
 from repro.failures.injector import InjectorConfig
 from repro.fleet.spec import FleetSpec
 from repro.runconfig import RunConfig
+from repro.simulate.engine import SimulationEngine
 from repro.simulate.scenario import run_scenario
-from repro.simulate.vector.engine import make_engine
 
 #: Default fleet scale for experiments: 1:20 of the paper's 39,000
 #: systems (~2,000 systems, ~90,000 disks) — large enough for the
@@ -45,7 +45,7 @@ class ExperimentContext:
             spill-to-disk shards (see :mod:`repro.runtime.shard`);
             sharding always routes through a runtime context (a default
             one is built lazily when none was provided).
-        config: engine and hazard backend of every simulation
+        config: hazard backend of every simulation
             (``RunConfig.from_env()`` when not given), the scenarios'
             and :meth:`simulate`'s alike.
     """
@@ -104,7 +104,7 @@ class ExperimentContext:
         entry point.  Results are not cached; each run counts one
         ``sim.runs`` on the attached runtime's metrics.
         """
-        engine = make_engine(
+        engine = SimulationEngine(
             FleetSpec.paper_default(scale=self.scale),
             injector_config=injector_config,
             config=self.config,

@@ -1,4 +1,4 @@
-"""Pluggable hazard backends: one sampling contract for both engines.
+"""Pluggable hazard backends: one sampling contract for the injector.
 
 A :class:`HazardBackend` answers, for any failure type, two questions
 the injectors otherwise hard-code:
@@ -7,18 +7,16 @@ the injectors otherwise hard-code:
    failure rate (events per disk-second) of one fleet configuration;
 2. *in what pattern* — :meth:`HazardBackend.hazard`, an inter-arrival
    :class:`Hazard` sampler (or ``None`` for an exact homogeneous
-   Poisson process, which both engines implement natively via the
+   Poisson process, which the injector implements natively via the
    order-statistics construction).
 
-Both the legacy per-system injector
-(:class:`repro.failures.injector.FailureInjector`) and the batched
-vector engine (:mod:`repro.simulate.vector`) dispatch every hazard draw
-through the same backend object, so a new failure-time model is written
-once and runs on either engine.  Three backends ship:
+The batched injector (:mod:`repro.simulate.vector`) dispatches every
+hazard draw through the backend object, so a new failure-time model is
+written once, as a backend.  Three backends ship:
 
 - :mod:`~repro.failures.backends.analytic` — the calibrated
   exponential/gamma model the paper's figures are built on (the
-  default; byte-identical to the pre-backend engines).
+  default; byte-identical to the pre-backend injector).
 - :mod:`~repro.failures.backends.trace` — replay the inter-arrival
   *shape* of a recorded failure trace (JSONL fleet-event log or a
   columnar ``.npz`` event table), rescaled to the calibrated rates.
@@ -56,7 +54,7 @@ from repro.failures.types import (
 from repro.fleet import calibration
 from repro.units import SECONDS_PER_YEAR, afr_percent_to_rate_per_second
 
-#: The spec both engines use when nothing is configured.
+#: The spec the injector uses when nothing is configured.
 DEFAULT_BACKEND = "analytic"
 
 
@@ -64,24 +62,17 @@ class Hazard:
     """One inter-arrival-time sampler: the unit of backend dispatch.
 
     Subclasses implement :meth:`sample_interarrivals` and :attr:`mean`;
-    everything else derives from those.  The object is duck-compatible
-    with :func:`repro.failures.hazards.renewal_arrivals` (which calls
-    ``.sample``), so the legacy injector's renewal loop consumes it
-    unchanged.
+    everything else derives from those.
     """
 
     def sample_interarrivals(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` inter-arrival gaps (seconds)."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Alias for :meth:`sample_interarrivals` (renewal-loop duck type)."""
-        return self.sample_interarrivals(rng, n)
-
     def sample_cohort(
         self, rng: np.random.Generator, shape: Tuple[int, ...]
     ) -> np.ndarray:
-        """Batched draw for the vector engine: gaps with the given shape.
+        """Batched draw for the injector: gaps with the given shape.
 
         One flat draw reshaped, so an ``(m, k)`` cohort request consumes
         exactly the randomness of ``m * k`` scalar gap draws.
@@ -107,7 +98,7 @@ class Hazard:
 
 
 class HazardBackend:
-    """The per-failure-type hazard policy shared by both engines.
+    """The per-failure-type hazard policy the injector consults.
 
     Subclasses set :attr:`name` and implement :meth:`uses_renewal` /
     :meth:`hazard`; the rate bookkeeping below is common to all of them

@@ -1,18 +1,18 @@
 """The default analytic backend: the calibrated paper failure model.
 
-Exactly the hazard structure both engines used before backends existed:
+Exactly the hazard structure the injector used before backends existed:
 
 - **disk** — the non-shock share is a gamma renewal process per shelf
   (shape :data:`repro.fleet.calibration.DISK_RENEWAL_GAMMA_SHAPE`),
   the clustering that makes gamma the best Fig. 9 fit (Finding 8);
 - **all other types** — exact homogeneous Poisson processes per bay
-  (``hazard() is None`` routes them through the engines' native
+  (``hazard() is None`` routes them through the injector's native
   order-statistics construction);
 - **shocks** — enabled per ``config.shocks_enabled``, untouched.
 
-The dispatch is draw-for-draw identical to the pre-backend engines:
-``tests/goldens/hazard_backend_goldens.json`` pins the outputs of both
-engines under this backend byte-for-byte across three seeds.
+The dispatch is draw-for-draw identical to the pre-backend injector:
+``tests/goldens/hazard_backend_goldens.json`` pins its outputs under
+this backend byte-for-byte across three seeds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class AnalyticGammaHazard(Hazard):
     """A gamma renewal hazard with the exact stationary-start draws.
 
     Wraps :class:`repro.failures.hazards.GammaInterarrival`; the
-    equilibrium delay override reproduces the vector engine's original
+    equilibrium delay override reproduces the injector's original
     draw sequence — a Gamma(shape+1) length-biased gap, then a uniform
     fraction of it — bit-for-bit.
     """

@@ -1,44 +1,20 @@
-"""Stochastic arrival processes used by the failure injector.
+"""Inter-arrival families of the failure model's renewal processes.
 
-Three inter-arrival families are provided — exponential (homogeneous
-Poisson), gamma renewal, and Weibull renewal — matching the candidate
-distributions the paper fits in Fig. 9.  All samplers take an explicit
-``numpy.random.Generator`` so callers control determinism.
+Three families are provided — exponential (homogeneous Poisson), gamma
+renewal, and Weibull renewal — matching the candidate distributions the
+paper fits in Fig. 9.  The analytic hazard backend draws from them; all
+samplers take an explicit ``numpy.random.Generator`` so callers control
+determinism.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List
 
 import numpy as np
 
 from repro.errors import SpecificationError
-
-
-def poisson_arrivals(
-    rng: np.random.Generator, rate_per_second: float, start: float, end: float
-) -> np.ndarray:
-    """Arrival times of a homogeneous Poisson process on ``[start, end)``.
-
-    Uses the order-statistics construction: draw ``N ~ Poisson(rate*T)``
-    then place the N points uniformly, which is exact and vectorized.
-
-    Returns:
-        Sorted array of arrival times (possibly empty).
-    """
-    if rate_per_second < 0.0:
-        raise SpecificationError("rate must be non-negative")
-    span = end - start
-    if span <= 0.0 or rate_per_second == 0.0:
-        return np.empty(0, dtype=float)
-    count = rng.poisson(rate_per_second * span)
-    if count == 0:
-        return np.empty(0, dtype=float)
-    times = start + rng.random(count) * span
-    times.sort()
-    return times
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,29 +92,3 @@ class WeibullInterarrival:
     def mean(self) -> float:
         """Mean inter-arrival time in seconds."""
         return self.scale_seconds * math.gamma(1.0 + 1.0 / self.shape)
-
-
-def renewal_arrivals(
-    rng: np.random.Generator,
-    interarrival,
-    start: float,
-    end: float,
-    batch: int = 64,
-) -> List[float]:
-    """Arrival times of a renewal process with the given gap sampler.
-
-    Gaps are drawn in batches until the cumulative time passes ``end``;
-    arrivals beyond ``end`` are discarded.
-    """
-    if end <= start:
-        return []
-    times: List[float] = []
-    current = start
-    while current < end:
-        gaps = interarrival.sample(rng, batch)
-        for gap in gaps:
-            current += float(gap)
-            if current >= end:
-                return times
-            times.append(current)
-    return times

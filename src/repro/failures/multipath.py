@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from repro.failures.types import InterconnectCause
 from repro.fleet.calibration import MULTIPATH_MASK_PROBABILITY
 
 
 @dataclasses.dataclass(frozen=True)
 class MultipathModel:
-    """Decides whether an interconnect fault is masked by the second path.
+    """Whether an interconnect fault is masked by the second path.
+
+    Single-path systems never mask; dual-path systems mask network-path
+    faults with ``mask_probability``, and can never mask backplane or
+    shared-physical-HBA faults
+    (:attr:`~repro.failures.types.InterconnectCause.maskable_by_multipath`).
+    The injector draws those decisions in batches
+    (:mod:`repro.simulate.vector.sampling`).
 
     Attributes:
         mask_probability: probability a *maskable* fault on a dual-path
@@ -34,24 +38,6 @@ class MultipathModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mask_probability <= 1.0:
             raise ValueError("mask probability must be in [0, 1]")
-
-    def masks(
-        self,
-        rng: np.random.Generator,
-        dual_path: bool,
-        cause: InterconnectCause,
-    ) -> bool:
-        """Whether this fault is masked (never reaches the RAID layer).
-
-        Single-path systems never mask; dual-path systems mask
-        network-path faults with ``mask_probability``, and can never mask
-        backplane or shared-physical-HBA faults.
-        """
-        if not dual_path:
-            return False
-        if not cause.maskable_by_multipath:
-            return False
-        return bool(rng.random() < self.mask_probability)
 
     def expected_reduction(self, network_path_share: float) -> float:
         """Expected fractional reduction of interconnect AFR on dual path.

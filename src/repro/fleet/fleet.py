@@ -25,8 +25,8 @@ the per-system rows.  ``fleet.systems`` are light
 :class:`~repro.topology.system.StorageSystem` views of those rows.  A
 view builds its shelves, bays, disks and RAID groups from the arrays
 only when a consumer walks disks (RAID replay, prediction, policy, age
-analysis, validation, the legacy injector); the simulation and the
-paper's analyses never do.
+analysis, validation); the simulation and the paper's analyses never
+do.
 """
 
 from __future__ import annotations
@@ -522,8 +522,8 @@ class Fleet:
         """Shelf, bay, disk and RAID-group objects of one system.
 
         Called by the system's view on first access; the fleet remembers
-        which systems have objects so :meth:`commit_disks` can read them
-        back and a change to the arrays can drop them.
+        which systems have objects so a change to the arrays can drop
+        them.
         """
         system_id = self.system_ids[index]
         disk_model = self.disk_models[index]
@@ -660,38 +660,11 @@ class Fleet:
             if not np.array_equal(keys[np.minimum(rows, keys.size - 1)], want):
                 raise TopologyError("removal of a disk that was never installed")
             self.disk_remove[rows] = removed_at
-        self._lifetimes_changed(drop_objects=True)
+        self._lifetimes_changed()
 
-    def commit_disks(self) -> None:
-        """Write built systems' disk histories back into the table.
-
-        The legacy injector edits disk objects (removals, replacement
-        installs); this folds those edits into the lifetime table once,
-        at the end of an injection.
-        """
-        built = np.asarray(sorted(self._built), dtype=np.int64)
-        if not built.size:
-            return
-        packed = _pack([self.systems[index] for index in built.tolist()])
-        # Packed bays run system by system; map them back to fleet bays.
-        shelves = self.system_shelf_start
-        bays = _ranges(
-            self.shelf_slot_start[shelves[built]], self.shelf_slot_start[shelves[built + 1]]
-        )
-        packed["disk_slot"] = bays[np.asarray(packed["disk_slot"], dtype=np.int64)]
-        keep = ~np.isin(self.slot_system[self.disk_slot], built)
-        columns = [
-            np.concatenate((getattr(self, name)[keep], np.asarray(packed[name], dtype=dtype)))
-            for name, dtype in zip(_DISK_COLUMNS, _DISK_DTYPES)
-        ]
-        order = np.lexsort((columns[1], columns[0]))
-        for name, column in zip(_DISK_COLUMNS, columns):
-            setattr(self, name, column[order])
-        self._lifetimes_changed(drop_objects=False)
-
-    def _lifetimes_changed(self, drop_objects: bool) -> None:
+    def _lifetimes_changed(self) -> None:
         self._lifetime_cache.clear()
-        if drop_objects and self._built:
+        if self._built:
             systems = self.systems
             for index in self._built:
                 systems[index].drop_objects()

@@ -8,14 +8,10 @@ or how many shards a run asked for.  Shards are unions of whole cells —
 the systems grouped together never depend on the shard count.
 
 That invariance is what makes sharded runs *byte-identical* to
-unsharded ones:
-
-* the legacy injector draws one stream per system, so any partition of
-  systems reproduces the same events;
-* the vector engine draws one stream per (cohort, cell) — see
-  :func:`repro.simulate.vector.cohorts.group_cohorts` — so as long as
-  every (cohort, cell) group lives entirely inside one shard, its
-  batched draws are the same arrays the unsharded run produces.
+unsharded ones: the injector draws one stream per (cohort, cell) — see
+:func:`repro.simulate.vector.cohorts.group_cohorts` — so as long as
+every (cohort, cell) group lives entirely inside one shard, its batched
+draws are the same arrays the unsharded run produces.
 
 ``NUM_CELLS`` is a model constant, not a knob: changing it changes
 which systems share a vector batch and therefore every draw.

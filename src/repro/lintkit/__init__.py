@@ -14,7 +14,7 @@ actually rests on and that no general-purpose linter knows about:
 * configuration hygiene: every ``REPRO_*`` environment variable is
   read through the :mod:`repro.envvars` registry (RPL004) under a
   registered name (RPL006), and simulation code reads none at all —
-  engine and hazard backend arrive as a
+  the hazard backend arrives as a
   :class:`~repro.runconfig.RunConfig` (RPL007);
 * generic footguns: mutable default arguments (RPL901) and bare
   ``except`` (RPL902).
@@ -22,8 +22,7 @@ actually rests on and that no general-purpose linter knows about:
 A second, *whole-program* pass (``--project``) builds a module graph
 and dataflow summaries over ``src/repro`` to check the cross-module
 invariants no single file can witness: fork-safety of worker-reachable
-module state (RPL102), import-time environment reads (RPL103), and
-engine-dispatch discipline (RPL104).  See
+module state (RPL102) and import-time environment reads (RPL103).  See
 :mod:`repro.lintkit.project_rules`.
 
 The engine is stdlib-only (``ast`` + ``tokenize``): it runs in a CI

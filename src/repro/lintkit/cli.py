@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="run the whole-program pass (RPL102-RPL104) over src/repro "
+        help="run the whole-program pass (RPL102-RPL103) over src/repro "
         "instead of the per-file rules",
     )
     parser.add_argument(

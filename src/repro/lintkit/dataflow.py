@@ -3,8 +3,6 @@
 For every function (and class body) in a :class:`ModuleGraph` this
 pass records the facts the cross-module rules consume:
 
-* **call sites** — calls whose target the module graph resolves to a
-  canonical dotted name (RPL104 engine dispatch);
 * **module-scope environment reads** — ``envvars.get*("REPRO_...")``
   executed at import time (RPL103: the value freezes at import);
 * **module-level mutable state** and every site that mutates it from
@@ -85,20 +83,11 @@ class EnvRead:
 
 
 @dataclasses.dataclass
-class CallSite:
-    """One call with a resolved canonical target."""
-
-    target: str
-    line: int
-
-
-@dataclasses.dataclass
 class FunctionSummary:
     """Dataflow facts of one function / method / class body."""
 
     qualname: str
     module: str
-    calls: List[CallSite] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass
@@ -227,7 +216,6 @@ class _Analyzer:
         fn = FunctionSummary(
             qualname="%s.%s" % (prefix, node.name), module=info.name
         )
-        self._record_calls(info, fn, _walk_body(node))
         if owner is None:
             summary.functions[node.name] = fn
         self.project.functions[fn.qualname] = fn
@@ -241,21 +229,9 @@ class _Analyzer:
         for child in node.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, summary, child, owner=cls)
-            else:
-                self._record_calls(info, body, _walk_body(child))
         self.project.functions[body.qualname] = body
         summary.classes[node.name] = cls
         self.project.classes[qualname] = cls
-
-    def _record_calls(
-        self, info: ModuleInfo, fn: FunctionSummary, nodes: List[ast.AST]
-    ) -> None:
-        """Record every call in ``nodes`` whose target resolves."""
-        for child in nodes:
-            if isinstance(child, ast.Call):
-                target = self._resolve_callable(info, child.func)
-                if target is not None:
-                    fn.calls.append(CallSite(target=target, line=child.lineno))
 
     def _resolve_callable(
         self, info: ModuleInfo, func: ast.expr
@@ -459,15 +435,6 @@ def is_fork_hook_name(name: str) -> bool:
     return any(marker in lowered for marker in _FORK_HOOK_MARKERS)
 
 
-def _walk_body(node: ast.AST) -> List[ast.AST]:
-    """All nodes of a function body, nested functions folded in."""
-    found: List[ast.AST] = []
-    for child in ast.walk(node):
-        if child is not node:
-            found.append(child)
-    return found
-
-
 def _walk_scope(node: ast.AST) -> List[ast.AST]:
     """Nodes of a statement excluding nested function/lambda bodies."""
     found: List[ast.AST] = []
@@ -484,7 +451,6 @@ def _walk_scope(node: ast.AST) -> List[ast.AST]:
 
 
 __all__ = [
-    "CallSite",
     "ClassSummary",
     "EnvRead",
     "FunctionSummary",

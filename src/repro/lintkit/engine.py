@@ -427,7 +427,7 @@ def run_project(
     select: Optional[Sequence[str]] = None,
     package_dirs: Optional[Sequence[str]] = None,
 ):
-    """Run the whole-program pass (RPL102-RPL104) over ``root``.
+    """Run the whole-program pass (RPL102-RPL103) over ``root``.
 
     Builds the module graph and dataflow summaries (see
     :mod:`repro.lintkit.modgraph` and :mod:`repro.lintkit.dataflow`),

@@ -1,10 +1,10 @@
 """Project module graph: import resolution over the ``repro`` package.
 
-The whole-program rules (RPL102-RPL104, see
+The whole-program rules (RPL102-RPL103, see
 :mod:`repro.lintkit.project_rules`) need facts no single file can
 provide: which module a name *canonically* lives in (chasing
-re-exports like ``from repro.simulate import make_engine`` back to
-``repro.simulate.vector.engine.make_engine``), which modules a worker
+re-exports like ``from repro.simulate import run_scenario`` back to
+``repro.simulate.scenario.run_scenario``), which modules a worker
 entry point transitively imports, and where a dotted call target is
 defined.  :class:`ModuleGraph` supplies exactly that — built purely
 from source text (``ast``), never by importing the analyzed code, so
@@ -205,9 +205,9 @@ class ModuleGraph:
     def qualify(self, module: str, dotted: str) -> str:
         """Resolve a dotted usage inside ``module`` to a canonical name.
 
-        ``make_engine`` used under ``from repro.simulate import
-        make_engine`` resolves to
-        ``repro.simulate.vector.engine.make_engine``.  Names the graph
+        ``run_scenario`` used under ``from repro.simulate import
+        run_scenario`` resolves to
+        ``repro.simulate.scenario.run_scenario``.  Names the graph
         cannot place (builtins, external packages, local variables)
         come back unchanged.
         """

@@ -1,8 +1,8 @@
-"""Cross-module rules (RPL102-RPL104): whole-program invariants.
+"""Cross-module rules (RPL102-RPL103): whole-program invariants.
 
 These rules consume the :class:`~repro.lintkit.modgraph.ModuleGraph`
 and the :mod:`~repro.lintkit.dataflow` summaries — facts no single
-file can provide.  They guard three cross-module contracts:
+file can provide.  They guard two cross-module contracts:
 
 * **RPL102 fork-safety** — module-level mutable state in any module a
   worker task can import must be fork-aware (``os.register_at_fork``
@@ -12,11 +12,6 @@ file can provide.  They guard three cross-module contracts:
 * **RPL103 import-time environment reads** — ``envvars.get*`` at
   module scope freezes the value at import; tests that patch the
   environment afterwards are silently ignored.
-* **RPL104 engine-dispatch discipline** — the two simulation engines
-  are statistically, not byte, equivalent; every construction must go
-  through ``make_engine`` so the run's
-  :class:`~repro.runconfig.RunConfig` (and with it the cache key)
-  stays authoritative.
 
 Cache-key soundness needs no rule: the run configuration is one
 explicit :class:`~repro.runconfig.RunConfig` that both cache keys
@@ -61,18 +56,6 @@ FORK_SAFE_GLOBALS: Dict[str, str] = {
         "Tracer.adopt on fork"
     ),
 }
-
-#: Engine / injector classes whose direct construction RPL104 polices.
-ENGINE_CLASS_NAMES = (
-    "SimulationEngine",
-    "VectorSimulationEngine",
-    "FailureInjector",
-    "VectorFailureInjector",
-)
-
-#: The one blessed dispatch function.
-ENGINE_FACTORY_NAME = "make_engine"
-
 
 class ProjectContext:
     """Everything a project rule consumes, built once per run."""
@@ -214,66 +197,6 @@ class ImportTimeEnvRead(ProjectRule):
                     yield finding
 
 
-@register_project
-class EngineDispatch(ProjectRule):
-    """RPL104: engine construction outside ``make_engine``."""
-
-    code = "RPL104"
-    title = "engine constructed directly instead of via make_engine()"
-    rationale = (
-        "The two engines are statistically, not byte, equivalent; "
-        "make_engine() is the single point where the run's RunConfig "
-        "selects one, and the cache key records the same config.  "
-        "Direct construction elsewhere bypasses both."
-    )
-
-    def check(self, ctx: ProjectContext) -> Iterator[Finding]:
-        summary = ctx.summary
-        engine_classes = {
-            qualname
-            for qualname, cls in summary.classes.items()
-            if cls.name in ENGINE_CLASS_NAMES
-        }
-        if not engine_classes:
-            return
-        emitted = set()
-        for qualname in sorted(summary.functions):
-            fn = summary.functions[qualname]
-            module_summary = summary.modules.get(fn.module)
-            if module_summary is not None and any(
-                cls.name in ENGINE_CLASS_NAMES
-                for cls in module_summary.classes.values()
-            ):
-                continue  # defining modules wire their own parts
-            if (
-                module_summary is not None
-                and ENGINE_FACTORY_NAME in module_summary.functions
-            ):
-                continue  # the factory module itself
-            for site in fn.calls:
-                if site.target is None:
-                    continue
-                target = ctx.graph.canonicalize(site.target)
-                if target not in engine_classes:
-                    continue
-                key = (fn.module, site.line)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                finding = ctx.finding(
-                    self.code,
-                    fn.module,
-                    site.line,
-                    0,
-                    "%s is constructed directly in %s; route through "
-                    "make_engine() so the run's RunConfig and its cache "
-                    "key stay authoritative"
-                    % (target.rsplit(".", 1)[-1], qualname),
-                )
-                if finding is not None:
-                    yield finding
-
-
 def project_rule_catalog() -> List[Tuple[str, str, str]]:
     """(code, title, rationale) rows, sorted by code."""
     return [
@@ -311,7 +234,6 @@ def run_project_rules(
 
 
 __all__ = [
-    "ENGINE_CLASS_NAMES",
     "FORK_SAFE_GLOBALS",
     "PROJECT_RULES",
     "ProjectContext",

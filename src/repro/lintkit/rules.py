@@ -352,7 +352,7 @@ class SimulationEnvRead(Rule):
     code = "RPL007"
     title = "environment read in simulation code"
     rationale = (
-        "Engine and hazard backend reach simulation code as one "
+        "The hazard backend reaches simulation code in one "
         "explicit RunConfig, which every cache key embeds and every "
         "worker payload carries; a value read from the environment "
         "inside simulate/failures/fleet/core/experiments bypasses both, "
@@ -503,7 +503,7 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
     """``(code, title, rationale)`` rows, sorted by code (docs/tests).
 
     Covers both registries: the per-file rules here and the
-    whole-program rules (RPL102-RPL104) from
+    whole-program rules (RPL102-RPL103) from
     :mod:`repro.lintkit.project_rules` — one catalog, one docs page.
     """
     from repro.lintkit.project_rules import project_rule_catalog

@@ -9,7 +9,7 @@ observer reduces every call to a single attribute check::
     with obs.span("simulate.fleet", scenario=name):
         ...
     obs.inc("sim.events", len(events))
-    obs.observe("inject.system", seconds)
+    obs.observe("pool.execute", seconds)
 
 Enable it explicitly (the CLI does this from ``--trace`` /
 ``--metrics``, or the ``REPRO_TRACE`` / ``REPRO_METRICS`` env vars)::

@@ -1,20 +1,18 @@
 """RunConfig: the run configuration every simulated number depends on.
 
-Two knobs choose *how* a simulation runs: the engine (the per-unit
-``legacy`` injector or the batched ``vector`` engine, statistically but
-not byte equivalent) and the hazard backend (see
-:mod:`repro.failures.backends`).  Both change results, so both belong
-in every cache key and must reach every process that simulates.
+One knob chooses *how* a simulation runs: the hazard backend (see
+:mod:`repro.failures.backends`).  It changes results, so it belongs in
+every cache key and must reach every process that simulates.
 
 A :class:`RunConfig` is resolved once, at the CLI or API boundary —
 :meth:`RunConfig.from_env`: explicit values, then ``REPRO_*``, then
 the defaults — and then carried explicitly: in
 :class:`~repro.runtime.jobs.Job` payloads, in shard payloads, on
 :class:`~repro.experiments.ExperimentContext`, and as the ``config=``
-keyword of ``run_scenario`` and ``make_engine``.  This module is the
-only reader of ``REPRO_VECTOR_ENGINE`` and ``REPRO_HAZARD_BACKEND``;
-simulation code reads the config, never the environment (reprolint
-RPL007).
+keyword of ``run_scenario`` and
+:class:`~repro.simulate.engine.SimulationEngine`.  This module is the
+only reader of ``REPRO_HAZARD_BACKEND``; simulation code reads the
+config, never the environment (reprolint RPL007).
 
 :meth:`RunConfig.canonical` renders the config's cache-key terms.
 ``Job.canonical()`` and ``shard_canonical()`` both embed it, so the two
@@ -27,14 +25,7 @@ import dataclasses
 from typing import Optional
 
 from repro import envvars
-from repro.errors import SpecificationError
 from repro.failures.backends import DEFAULT_BACKEND, resolve
-
-LEGACY = "legacy"
-VECTOR = "vector"
-
-#: Environment variable selecting the default engine (a flag: on = vector).
-VECTOR_ENGINE_ENV = "REPRO_VECTOR_ENGINE"
 
 #: Environment variable naming the default hazard backend spec.
 HAZARD_BACKEND_ENV = "REPRO_HAZARD_BACKEND"
@@ -45,21 +36,11 @@ class RunConfig:
     """How a simulation runs (module docstring).
 
     Attributes:
-        engine: ``"legacy"`` (the per-unit injector; the default and
-            the statistical oracle) or ``"vector"`` (the batched
-            engine).
         hazard_backend: hazard backend spec — ``"analytic"``,
             ``"trace:<events>"`` or ``"fitted:<events>"``.
     """
 
-    engine: str = LEGACY
     hazard_backend: str = DEFAULT_BACKEND
-
-    def __post_init__(self) -> None:
-        if self.engine not in (LEGACY, VECTOR):
-            raise SpecificationError(
-                "unknown engine %r (have: %s, %s)" % (self.engine, LEGACY, VECTOR)
-            )
 
     @classmethod
     def from_env(cls, **explicit: Optional[str]) -> "RunConfig":
@@ -70,7 +51,6 @@ class RunConfig:
         pass its optional flags straight through.
         """
         values = {
-            "engine": VECTOR if envvars.get_flag(VECTOR_ENGINE_ENV) else LEGACY,
             "hazard_backend": envvars.get(HAZARD_BACKEND_ENV) or DEFAULT_BACKEND,
         }
         values.update(
@@ -79,17 +59,16 @@ class RunConfig:
         return cls(**values)
 
     def canonical(self) -> str:
-        """The cache-key terms: ``engine=`` and each non-default field.
+        """The cache-key terms: one per non-default field.
 
-        ``engine=`` has been in every key since the vector engine
-        landed, so it renders at its default too; any other field
-        renders only when it differs from its default, which keeps
-        default keys unchanged when a field is added.  The hazard
-        backend renders as its ``cache_token()``, which digests a trace
-        or fitted backend's input file as it reads now.
+        A field renders only when it differs from its default, so the
+        defaults render as ``""`` and default keys stay unchanged when a
+        field is added.  The hazard backend renders as its
+        ``cache_token()``, which digests a trace or fitted backend's
+        input file as it reads now.
         """
-        terms = ["engine=%s" % self.engine]
-        for field in dataclasses.fields(self)[1:]:
+        terms = []
+        for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if value == field.default:
                 continue
@@ -103,8 +82,5 @@ class RunConfig:
 
 __all__ = [
     "HAZARD_BACKEND_ENV",
-    "LEGACY",
     "RunConfig",
-    "VECTOR",
-    "VECTOR_ENGINE_ENV",
 ]

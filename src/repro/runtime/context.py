@@ -118,8 +118,8 @@ class RuntimeContext:
     ):
         """Cached scenario simulation (the experiment-context hook).
 
-        ``config`` is the run's engine and hazard backend
-        (``RunConfig.from_env()`` when None).
+        ``config`` is the run's hazard backend (``RunConfig.from_env()``
+        when None).
         """
         return self.run_job(
             Job.scenario(name, scale, seed, via_logs, shards, config)

@@ -3,12 +3,11 @@
 A :class:`Job` names *what* to compute — a scenario simulation or a
 registered experiment — together with everything the result depends on
 (scale, seed, log routing, shards, and the
-:class:`~repro.runconfig.RunConfig` choosing engine and hazard
-backend).  Its :meth:`Job.key` is the SHA-256 of a canonical string
-that also embeds the package version, which is what makes results
-content-addressable: identical keys are guaranteed to denote identical
-results, so the cache and the deduplicating scheduler both operate
-purely on keys.
+:class:`~repro.runconfig.RunConfig` choosing the hazard backend).  Its
+:meth:`Job.key` is the SHA-256 of a canonical string that also embeds
+the package version, which is what makes results content-addressable:
+identical keys are guaranteed to denote identical results, so the
+cache and the deduplicating scheduler both operate purely on keys.
 
 :func:`execute_payload` is the worker-process entry point used by the
 pool: it rebuilds a runtime context from a picklable config dict (one
@@ -49,8 +48,8 @@ class Job:
         shards: split simulations into this many spill-to-disk shards
             (1 = classic unsharded execution; see
             :mod:`repro.runtime.shard`).
-        config: engine and hazard backend (``RunConfig.from_env()``
-            when not given).
+        config: hazard backend (``RunConfig.from_env()`` when not
+            given).
     """
 
     kind: str
@@ -109,11 +108,9 @@ class Job:
         """The canonical string the content-address is derived from.
 
         Embeds the package version, so a new release invalidates every
-        cached result, and :meth:`RunConfig.canonical` — the engine
-        (the two engines are statistically, not byte, equivalent) and
-        any non-default hazard backend — so one config's results are
-        never served to another; floats use ``repr`` so the string is
-        exact.
+        cached result, and :meth:`RunConfig.canonical` — any non-default
+        hazard backend — so one config's results are never served to
+        another; floats use ``repr`` so the string is exact.
 
         Sharded jobs (``shards != 1``) append a ``shards=`` term —
         unsharded canonicals are unchanged, so existing cache entries
@@ -124,21 +121,18 @@ class Job:
         asked for the unsharded result, even though its event table and
         fleet are byte-identical.
         """
-        canonical = (
-            "repro/%s kind=%s name=%s scale=%r seed=%d via_logs=%d %s"
-            % (
-                __version__,
-                self.kind,
-                self.name,
-                float(self.scale),
-                self.seed,
-                1 if self.via_logs else 0,
-                self.config.canonical(),
-            )
-        )
+        terms = [
+            "repro/%s" % __version__,
+            "kind=%s" % self.kind,
+            "name=%s" % self.name,
+            "scale=%r" % float(self.scale),
+            "seed=%d" % self.seed,
+            "via_logs=%d" % (1 if self.via_logs else 0),
+            self.config.canonical(),
+        ]
         if self.shards != 1:
-            canonical += " shards=%d" % self.shards
-        return canonical
+            terms.append("shards=%d" % self.shards)
+        return " ".join(term for term in terms if term)
 
     def key(self) -> str:
         """SHA-256 hex digest of :meth:`canonical` — the cache address."""

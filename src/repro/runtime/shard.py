@@ -149,18 +149,16 @@ def shard_canonical(
     ``Job.canonical()`` does), and the spill schema so any of them
     changing invalidates the entry.
     """
-    return (
-        "repro/%s shard scenario=%s scale=%r seed=%d %s schema=%d cells=%s"
-        % (
-            __version__,
-            scenario,
-            float(scale),
-            int(seed),
-            config.canonical(),
-            SPILL_SCHEMA_VERSION,
-            ",".join(str(cell) for cell in shard.cells),
-        )
-    )
+    terms = [
+        "repro/%s shard" % __version__,
+        "scenario=%s" % scenario,
+        "scale=%r" % float(scale),
+        "seed=%d" % int(seed),
+        config.canonical(),
+        "schema=%d" % SPILL_SCHEMA_VERSION,
+        "cells=%s" % ",".join(str(cell) for cell in shard.cells),
+    ]
+    return " ".join(term for term in terms if term)
 
 
 def shard_key(
@@ -289,8 +287,8 @@ def run_sharded_scenario(
             providing the pool, the cache, and the metrics registry.
         n_shards: how many shards to split into (>= 1).
         via_logs: must be False; the log pipeline needs one archive.
-        config: engine and hazard backend of every shard
-            (``RunConfig.from_env()`` when None).
+        config: hazard backend of every shard (``RunConfig.from_env()``
+            when None).
 
     Returns:
         A :class:`~repro.simulate.engine.SimulationResult` whose

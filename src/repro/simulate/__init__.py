@@ -1,14 +1,9 @@
-"""Simulation orchestration: clock, engines, and predefined scenarios."""
+"""Simulation orchestration: clock, engine, and predefined scenarios."""
 
 from repro.simulate.clock import SimulationClock
 from repro.simulate.engine import SimulationEngine, SimulationResult
 from repro.simulate.scenario import SCENARIOS, run_scenario
-from repro.simulate.vector import (
-    VectorFailureInjector,
-    VectorSimulationEngine,
-    make_engine,
-    vector_engine_enabled,
-)
+from repro.simulate.vector import VectorFailureInjector, vector_engine_enabled
 
 __all__ = [
     "SimulationClock",
@@ -16,8 +11,6 @@ __all__ = [
     "SimulationResult",
     "SCENARIOS",
     "VectorFailureInjector",
-    "VectorSimulationEngine",
-    "make_engine",
     "run_scenario",
     "vector_engine_enabled",
 ]

@@ -81,7 +81,7 @@ def batch_run(
             one (matching the historical behavior of simulating inline).
         jobs: worker processes for the default runtime (ignored when
             ``runtime`` is given — its own configuration wins).
-        config: engine and hazard backend of every simulation
+        config: hazard backend of every simulation
             (``RunConfig.from_env()`` when None).
 
     Returns:

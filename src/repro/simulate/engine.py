@@ -1,7 +1,9 @@
 """End-to-end simulation: spec -> fleet -> failures -> (logs ->) dataset.
 
-The engine is the one-stop entry point the examples and benchmarks use.
-With ``via_logs=True`` it exercises the full pipeline the paper's
+The engine is the one-stop entry point the examples and benchmarks use;
+failures come from the batched
+:class:`~repro.simulate.vector.engine.VectorFailureInjector`.  With
+``via_logs=True`` it exercises the full pipeline the paper's
 authors faced: the simulated fleet is rendered to AutoSupport-style
 logs plus a configuration snapshot, and the analysis dataset is rebuilt
 by *parsing* those logs — the direct in-memory events are never handed
@@ -14,16 +16,17 @@ import dataclasses
 from typing import Mapping, Optional, Sequence
 
 from repro import obs
-from repro.obs.sampler import PROGRESS
 from repro.autosupport.parser import parse_archive
 from repro.autosupport.writer import LogArchive, write_logs
 from repro.core.dataset import FailureDataset
-from repro.failures.injector import FailureInjector, InjectionResult, InjectorConfig
+from repro.failures.injector import InjectionResult, InjectorConfig
 from repro.fleet.builder import build_fleet
 from repro.fleet.fleet import Fleet
 from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
+from repro.runconfig import RunConfig
 from repro.simulate.clock import SimulationClock
+from repro.simulate.vector.engine import VectorFailureInjector
 from repro.topology.classes import SystemClass
 
 
@@ -61,9 +64,19 @@ class SimulationEngine:
         injector_config: Optional[InjectorConfig] = None,
         clock: SimulationClock = SimulationClock(),
         selection: Optional[Mapping[SystemClass, Sequence[int]]] = None,
+        config: Optional[RunConfig] = None,
     ) -> None:
+        """``config`` is the run's configuration (``RunConfig.from_env()``
+        when None); its hazard backend applies unless ``injector_config``
+        names one itself."""
+        injector_config = injector_config or InjectorConfig()
+        if injector_config.hazard_backend is None:
+            injector_config = dataclasses.replace(
+                injector_config,
+                hazard_backend=(config or RunConfig.from_env()).hazard_backend,
+            )
         self.spec = spec
-        self.injector = FailureInjector(injector_config)
+        self.injector = VectorFailureInjector(injector_config)
         self.clock = clock
         #: Optional sub-fleet to build (per class, global system indices);
         #: see :func:`repro.fleet.builder.build_fleet`.  Shard workers
@@ -82,13 +95,6 @@ class SimulationEngine:
         with obs.span("simulate.run", seed=seed, via_logs=via_logs):
             fleet = build_fleet(self.spec, source, selection=self.selection)
             injection = self.injector.inject(fleet, source)
-            # Live-monitor progress, coarse-grained: the legacy injector
-            # runs in one pass, so publish once per simulation.  The
-            # vector injector reports per cohort itself (finer-grained
-            # for the live monitor) and opts out via this attribute.
-            if not getattr(self.injector, "reports_progress", False):
-                PROGRESS.advance("disks_advanced", fleet.disk_count_ever)
-                PROGRESS.advance("events_emitted", injection.n_events())
             if obs.OBSERVER.fleet_events.enabled:
                 # The topology record the health aggregator needs as an
                 # AFR denominator; emitted after injection so the disk

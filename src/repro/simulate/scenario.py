@@ -27,8 +27,7 @@ from repro.failures.injector import InjectorConfig
 from repro.failures.multipath import MultipathModel
 from repro.fleet.spec import FleetSpec
 from repro.runconfig import RunConfig
-from repro.simulate.engine import SimulationResult
-from repro.simulate.vector.engine import make_engine
+from repro.simulate.engine import SimulationEngine, SimulationResult
 from repro.topology.layout import LayoutPolicy
 from repro.errors import SpecificationError
 
@@ -117,8 +116,7 @@ def run_scenario(
         selection: optional sub-fleet to build (per class, global system
             indices) — what shard workers pass; see
             :func:`repro.fleet.builder.build_fleet`.
-        config: engine and hazard backend (``RunConfig.from_env()``
-            when None).
+        config: hazard backend (``RunConfig.from_env()`` when None).
 
     Raises:
         SpecificationError: for unknown scenario names.
@@ -129,8 +127,8 @@ def run_scenario(
         raise SpecificationError(
             "unknown scenario %r (have: %s)" % (name, ", ".join(sorted(SCENARIOS)))
         ) from None
-    engine = make_engine(
-        spec=scenario.make_spec(scale),
+    engine = SimulationEngine(
+        scenario.make_spec(scale),
         injector_config=scenario.make_config(),
         selection=selection,
         config=config,

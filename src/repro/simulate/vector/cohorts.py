@@ -4,7 +4,7 @@ All systems sharing (system class, shelf model, primary disk model,
 dual-path flag) see *identical* delivered failure rates — the rate
 formula in :func:`repro.fleet.calibration.delivered_afr_percent` has no
 other inputs — so their shelves can be simulated as one batch: every
-hazard draw that the legacy injector makes per shelf or per slot
+hazard draw a per-unit simulation would make per shelf or per slot
 becomes one NumPy vector over the cohort.
 
 Each cohort owns one deterministic random stream keyed by its *content*
@@ -279,8 +279,7 @@ class CohortSet:
         builder cannot silently shift another cohort's randomness, and
         a shard replays exactly the streams its cells own.  One
         generator serves the whole cohort, consumed in the engine's
-        fixed stage order, just as the legacy injector consumes one
-        stream per system.  Cached per source.
+        fixed stage order.  Cached per source.
         """
         cached = self._streams.get(index)
         if cached is None or cached[0] is not source:

@@ -13,7 +13,7 @@ simulation and the rest of the library:
   dataclasses the log writer wants are materialized only on demand.
 * :func:`record_chains` — write disk removals and replacement
   installs into the fleet's lifetime table, so downstream exposure
-  accounting sees the same lifetimes the legacy injector produces.
+  accounting sees every disk's service span.
 
 Both the block and the batch are filled stage by stage over every
 cohort at once; each keeps, per cohort, the order a cohort-at-a-time

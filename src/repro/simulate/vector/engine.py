@@ -1,17 +1,17 @@
-"""The vector engine facade: drop-in batched replacement for
+"""The batched failure injector behind
 :class:`~repro.simulate.engine.SimulationEngine`.
 
-:class:`VectorFailureInjector` reproduces the legacy injector's failure
-model — same rates, same shock/renewal/independent decomposition, same
-replacement and masking semantics — but executes it over *cohorts*
-(see :mod:`repro.simulate.vector.cohorts`) as batched NumPy draws, and
+:class:`VectorFailureInjector` executes the failure model — shelf
+shocks, disk renewals, independent arrivals, the replacement chain and
+multipath masking — over *cohorts* (see
+:mod:`repro.simulate.vector.cohorts`) as batched NumPy draws, and
 writes results straight into a columnar
 :class:`~repro.core.columns.EventTable`.  No
 :class:`~repro.failures.events.FailureEvent` or
 :class:`~repro.failures.events.ComponentError` object exists on the hot
 path; both materialize lazily from
-:class:`~repro.failures.injector.InjectionResult` only when legacy
-consumers (the log writer, ``.events`` walkers) ask.
+:class:`~repro.failures.injector.InjectionResult` only when consumers
+(the log writer, ``.events`` walkers) ask.
 
 Execution is stage-major (:func:`inject_cohorts`): each stage — shocks
 per type, disk renewals, independents per type, the replacement chain,
@@ -22,17 +22,9 @@ consumed in the same order, with the same sizes, as a cohort-at-a-time
 run: stage-major and cohort-at-a-time execution give byte-identical
 output.
 
-The two engines are *statistically* equivalent, not byte-identical:
-they consume randomness in different orders, so matched configs agree
-on distributions (per-type counts, AFR, burst rates — the differential
-test suite pins the tolerances) rather than on individual draws.
-
-:func:`make_engine` builds the engine a
-:class:`~repro.runconfig.RunConfig` names (``engine="vector"``, the
-default under ``REPRO_VECTOR_ENGINE=1``); the legacy engine stays the
-default and the differential oracle.  Both engines deliver an
-:class:`~repro.core.columns.EventTable`, the one representation every
-analysis reads.
+tests/test_engine_oracle.py holds the injector's figure statistics and
+shape-check pass rates to those of the per-unit injector it replaced
+(tests/goldens/engine_oracle.json).
 """
 
 from __future__ import annotations
@@ -40,8 +32,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-import dataclasses
 
 from repro import obs
 from repro.obs.sampler import PROGRESS
@@ -57,11 +47,7 @@ from repro.failures.types import (
     FailureType,
 )
 from repro.fleet.fleet import Fleet, offsets
-from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
-from repro.runconfig import VECTOR, RunConfig
-from repro.simulate.clock import SimulationClock
-from repro.simulate.engine import SimulationEngine
 from repro.simulate.vector.cohorts import (
     CohortSet,
     Streams,
@@ -92,9 +78,9 @@ _TYPE_CODE = {
 
 
 def vector_engine_enabled() -> bool:
-    """Whether the environment's default config selects the batched
-    engine (``REPRO_VECTOR_ENGINE``)."""
-    return RunConfig.from_env().engine == VECTOR
+    """Whether simulations run on the batched engine: always, since it
+    is the only one."""
+    return True
 
 
 def build_frame(fleet: Fleet) -> Fleet:
@@ -111,14 +97,11 @@ def build_frame(fleet: Fleet) -> Fleet:
 class VectorFailureInjector:
     """Cohort-batched failure injector (module docstring).
 
-    Drop-in for :class:`~repro.failures.injector.FailureInjector`: same
-    ``inject(fleet, random_source)`` contract, same fleet mutations,
-    same observability counters and fleet-event emission.
+    ``inject(fleet, random_source)`` simulates the fleet's observation
+    window, writes disk removals and replacements into the fleet's
+    lifetime table, and publishes observability counters, live-monitor
+    progress and fleet events.
     """
-
-    #: Publishes live-monitor progress itself, so the engine must not
-    #: add its own coarse per-run counts on top.
-    reports_progress = True
 
     def __init__(self, config: Optional[InjectorConfig] = None) -> None:
         self.config = config or InjectorConfig()
@@ -181,12 +164,11 @@ def inject_cohorts(
     """Simulate every cohort: shocks, renewals, chain, attachment, noise.
 
     Stage-major: each stage runs once over all cohorts, and cohort
-    ``c`` draws from ``streams[c]`` — the vector analogue of the legacy
-    injector consuming one stream per system — in this fixed stage
-    order.  Every hazard draw dispatches through the backend, whose
-    policy is asked once per run.  Returns the delivered failures
-    (cohort-major, each cohort's in detection order) and the disk
-    chain; recovered incidents go to ``recovered``.
+    ``c`` draws from ``streams[c]`` in this fixed stage order.  Every
+    hazard draw dispatches through the backend, whose policy is asked
+    once per run.  Returns the delivered failures (cohort-major, each
+    cohort's in detection order) and the disk chain; recovered
+    incidents go to ``recovered``.
     """
     active = cohorts.active
     use_shocks = backend.uses_shocks(config)
@@ -466,51 +448,4 @@ def _sample_background(
         install[disk_of] + fractions * spans[disk_of],
         per_disk(cohorts.slots, chain.slots[rows]),
         per_disk(np.zeros(n_bays, dtype=np.int64), gens),
-    )
-
-
-class VectorSimulationEngine(SimulationEngine):
-    """A :class:`SimulationEngine` wired to the batched injector.
-
-    Identical ``run(seed, via_logs)`` contract and result shape; only
-    the injection step differs.
-    """
-
-    def __init__(
-        self,
-        spec: FleetSpec,
-        injector_config: Optional[InjectorConfig] = None,
-        clock: SimulationClock = SimulationClock(),
-        selection=None,
-    ) -> None:
-        super().__init__(spec, injector_config, clock, selection=selection)
-        self.injector = VectorFailureInjector(injector_config)
-
-
-def make_engine(
-    spec: FleetSpec,
-    injector_config: Optional[InjectorConfig] = None,
-    clock: Optional[SimulationClock] = None,
-    selection=None,
-    config: Optional[RunConfig] = None,
-) -> SimulationEngine:
-    """The engine ``config`` names (``RunConfig.from_env()`` when None).
-
-    The config's hazard backend applies unless ``injector_config``
-    names one itself.
-    """
-    config = config or RunConfig.from_env()
-    injector_config = injector_config or InjectorConfig()
-    if injector_config.hazard_backend is None:
-        injector_config = dataclasses.replace(
-            injector_config, hazard_backend=config.hazard_backend
-        )
-    engine_cls = (
-        VectorSimulationEngine if config.engine == VECTOR else SimulationEngine
-    )
-    return engine_cls(
-        spec,
-        injector_config=injector_config,
-        clock=clock if clock is not None else SimulationClock(),
-        selection=selection,
     )

@@ -1,7 +1,7 @@
 """The batched disk-replacement chain: per-bay event queues, advanced
 in lock-step rounds.
 
-Disk failures are the one place the legacy injector is genuinely
+Disk failures are the one place the failure model is genuinely
 sequential: a bay's candidate only matters if it hits the disk
 *currently* in the bay, and each failure installs a replacement whose
 install time gates the next candidate.  The vector engine keeps that
@@ -152,7 +152,7 @@ def run_disk_chain(
 ) -> DiskChain:
     """Advance every chained bay of every cohort through its disk failures.
 
-    Semantics mirror the legacy per-bay walk exactly: candidates in time
+    Semantics are those of a per-bay walk: candidates in time
     order per bay; candidates inside a replacement gap are consumed
     without effect; an infant-mortality candidate preempts a regular one
     only when strictly earlier; detection beyond the window ends the

@@ -1,12 +1,10 @@
 """Batched hazard sampling: candidate generation over every cohort.
 
-Reimplements the three candidate sources of the legacy injector —
-shelf-scoped shocks, per-shelf renewal disk arrivals, and independent
-per-bay Poisson arrivals — as vectorized draws.  The *distributions*
-are identical to the scalar path (same order-statistics Poisson
-construction, same renewal with a stationary start, same per-hit
-Bernoulli/exponential spread); only the draw batching differs, so the
-two engines agree statistically, not byte-for-byte.
+The three candidate sources of the failure model — shelf-scoped
+shocks, per-shelf renewal disk arrivals, and independent per-bay
+Poisson arrivals — as vectorized draws: the order-statistics Poisson
+construction, renewals with a stationary start, and per-hit
+Bernoulli/exponential shock spread.
 
 Each function runs once over a whole :class:`CohortSet`, stage-major:
 masks, sums, repeats and searches are fleet-wide vector operations, and
@@ -162,9 +160,8 @@ def sample_shock_candidates(
 ) -> CandidateSet:
     """All shock-induced candidates of one type across every cohort.
 
-    Mirrors :func:`repro.failures.shocks.generate_shocks` plus the
-    injector's shock-level cause/mask assignment: one Poisson onset
-    stream per shelf, per-onset Bernoulli hits over the shelf's bays,
+    The shared-shock model (DESIGN §2) with shock-level cause/mask
+    assignment: one Poisson onset stream per shelf, per-onset Bernoulli hits over the shelf's bays,
     exponential spread delays, and (for interconnect) one cause and one
     masking decision shared by every disk the shock afflicts.
     ``rates`` holds each cohort's delivered rate of the type.
@@ -232,14 +229,14 @@ def sample_renewal_candidates(
     """Non-shock candidates of a renewal-delivered type: batched draws.
 
     One renewal process per shelf at rate ``indep_rate * n_slots``,
-    with the gap distribution supplied by the hazard backend.  The
-    legacy injector reaches stationarity by warming each process up 20
-    means before deployment and discarding pre-deploy arrivals; here the
-    first post-deploy arrival is drawn *directly* from the equilibrium
-    forward-recurrence distribution (``deploy + U * L`` with ``L`` a
-    length-biased gap — the backend's ``equilibrium_delay``), which is
-    the limit that warm-up approximates, without the ~20 wasted draws
-    per shelf.  Each arrival lands on a uniformly random bay of its
+    with the gap distribution supplied by the hazard backend.  Each
+    process starts in equilibrium: the first post-deploy arrival is
+    drawn *directly* from the forward-recurrence distribution
+    (``deploy + U * L`` with ``L`` a length-biased gap — the backend's
+    ``equilibrium_delay``), the limit that warming a process up before
+    deployment approximates, without the wasted draws.  (An ordinary
+    renewal process with clustered gaps started at deployment would
+    over-deliver early and inflate the AFR.)  Each arrival lands on a uniformly random bay of its
     shelf; interconnect arrivals additionally draw a per-candidate
     cause and masking decision.
 

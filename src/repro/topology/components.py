@@ -78,33 +78,6 @@ class DiskSlot:
         last = self.disks[-1]
         return None if last.remove_time is not None else last
 
-    def install(self, disk: Disk) -> None:
-        """Install ``disk`` into this bay.
-
-        Raises:
-            TopologyError: if the bay is still occupied or the disk's
-                coordinates do not match the bay.
-        """
-        if self.current_disk is not None:
-            raise TopologyError("slot %s is occupied" % self.slot_key)
-        if disk.shelf_id != self.shelf_id or disk.slot_index != self.slot_index:
-            raise TopologyError(
-                "disk %s coordinates do not match slot %s"
-                % (disk.disk_id, self.slot_key)
-            )
-        if self.disks and disk.install_time < (self.disks[-1].remove_time or 0.0):
-            raise TopologyError(
-                "disk %s installed before previous disk was removed" % disk.disk_id
-            )
-        self.disks.append(disk)
-
-    def disk_at(self, time: float) -> Optional[Disk]:
-        """The disk that occupied the bay at ``time``, if any."""
-        for disk in self.disks:
-            if disk.in_service_at(time):
-                return disk
-        return None
-
 
 @dataclasses.dataclass
 class Shelf:

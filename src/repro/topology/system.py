@@ -30,10 +30,9 @@ class StorageSystem:
     row of the fleet's arrays: the system-level fields are plain
     attributes, and the counts and exposure read the arrays.  Its
     shelves, bays, disks and RAID groups are built from the arrays on
-    first access, for the consumers that walk disks; changes made to
-    those objects reach the fleet only through
-    :meth:`~repro.fleet.fleet.Fleet.commit_disks`.  A system built by
-    hand owns its ``shelves`` and ``raid_groups`` lists directly.
+    first access, for the consumers that walk disks, and are read-only
+    copies: the fleet's arrays stay the record.  A system built by hand
+    owns its ``shelves`` and ``raid_groups`` lists directly.
     """
 
     __slots__ = (

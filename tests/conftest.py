@@ -100,6 +100,6 @@ def independent_dataset():
     return run_scenario("no-shocks", scale=0.02, seed=1).dataset
 
 
-def make_engine(scale: float = 0.002, **spec_overrides) -> SimulationEngine:
+def small_engine(scale: float = 0.002, **spec_overrides) -> SimulationEngine:
     """Helper for tests needing their own (mutable) simulation."""
     return SimulationEngine(FleetSpec.paper_default(scale=scale, **spec_overrides))

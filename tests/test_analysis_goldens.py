@@ -1,7 +1,7 @@
 """Analysis-layer goldens: every aggregate the figures read, byte for byte.
 
 tests/goldens/analysis_goldens.json holds digests that
-tools/capture_analysis_goldens.py took on both engines: per-seed AFR
+tools/capture_analysis_goldens.py took on the batched engine: per-seed AFR
 stacks and breakdowns, pooled gap arrays, bursts, correlation panels
 and count distributions; the same over the dataset parsed back from the
 AutoSupport logs; the ``FailureDataset`` methods (type selection,
@@ -10,8 +10,7 @@ experiments that build datasets from event lists and every experiment
 that groups systems by configuration (Figs. 4b-7, Table 1,
 availability, the replacement discrepancy and the multipath sweep).
 Each section is
-replayed here on each engine and compared name by name, so the
-``REPRO_VECTOR_ENGINE=0`` and ``=1`` test legs check the same file.
+replayed here and compared name by name.
 
 Regenerate (only for a deliberate change to an analysis's output):
 
@@ -44,7 +43,7 @@ def test_goldens_cover_every_section():
 @pytest.mark.parametrize("engine", capture.ENGINES)
 def test_section_matches_golden(engine, section):
     want = GOLDENS["engines"][engine][section]
-    assert capture.capture_section(engine, section) == want
+    assert capture.capture_section(section) == want
 
 
 def test_canonical_digest_tells_containers_order_and_dtypes_apart():

@@ -75,9 +75,8 @@ class TestMain:
         assert "AFR by class" in out
 
     def test_findings(self, capsys):
-        # Seed picked so the scoreboard is all-green on BOTH engines:
-        # the statistical checks are noisy at this tiny scale, and the
-        # CI matrix runs this file under REPRO_VECTOR_ENGINE=0 and =1.
+        # Seed picked so the scoreboard is all-green: the statistical
+        # checks are noisy at this tiny scale.
         code = main(["findings", "--scale", "0.02", "--seed", "3"])
         out = capsys.readouterr().out
         assert "Finding 11" in out or "Finding" in out

@@ -94,29 +94,31 @@ class TestDiskAge:
         assert 0.6 <= elevation <= 1.8
 
     def test_infant_mortality_knob_shows_up(self):
-        from repro.failures.injector import FailureInjector, InjectorConfig
+        from repro.failures.injector import InjectorConfig
         from repro.fleet.builder import build_fleet
         from repro.fleet.spec import FleetSpec
         from repro.rng import RandomSource
+        from repro.simulate.vector.engine import VectorFailureInjector
 
         fleet = build_fleet(FleetSpec.paper_default(scale=0.01), RandomSource(1))
-        injection = FailureInjector(
+        injection = VectorFailureInjector(
             InjectorConfig(infant_mortality_factor=6.0)
         ).inject(fleet, RandomSource(1))
         buckets = disk_afr_by_age(FailureDataset.from_injection(injection))
         assert infant_elevation(buckets) > 3.0
 
     def test_factor_one_is_default_behavior(self):
-        from repro.failures.injector import FailureInjector, InjectorConfig
+        from repro.failures.injector import InjectorConfig
         from repro.fleet.builder import build_fleet
         from repro.fleet.spec import FleetSpec
         from repro.rng import RandomSource
+        from repro.simulate.vector.engine import VectorFailureInjector
 
         spec = FleetSpec.paper_default(scale=0.003)
-        a = FailureInjector(InjectorConfig(infant_mortality_factor=1.0)).inject(
+        a = VectorFailureInjector(InjectorConfig(infant_mortality_factor=1.0)).inject(
             build_fleet(spec, RandomSource(3)), RandomSource(3)
         )
-        b = FailureInjector().inject(
+        b = VectorFailureInjector().inject(
             build_fleet(spec, RandomSource(3)), RandomSource(3)
         )
         assert [e.detect_time for e in a.events] == [

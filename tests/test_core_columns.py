@@ -27,7 +27,6 @@ from repro.core.findings import evaluate_findings
 from repro.errors import AnalysisError
 from repro.experiments import ExperimentContext, run_experiment
 from repro.failures.types import FAILURE_TYPE_ORDER
-from repro.simulate.vector.engine import vector_engine_enabled
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -38,9 +37,8 @@ GOLDENS = json.loads((ROOT / "tests/goldens/analysis_goldens.json").read_text())
 
 
 def _assert_golden(section, outputs):
-    """``outputs`` digest to the active engine's entries in ``section``."""
-    engine = "vector" if vector_engine_enabled() else "legacy"
-    want = GOLDENS["engines"][engine][section]
+    """``outputs`` digest to the golden entries in ``section``."""
+    want = GOLDENS["engines"]["vector"][section]
     got = {name: capture.canonical(value) for name, value in outputs.items()}
     assert got == {name: want[name] for name in got}
 

@@ -62,9 +62,8 @@ class TestFindingsEngine:
     @pytest.fixture(scope="class")
     def findings(self):
         # Not the shared midsize fixture: the all-green golden below
-        # needs a seed whose scoreboard passes on BOTH engines (the
-        # CI matrix runs this under REPRO_VECTOR_ENGINE=0 and =1, and
-        # the statistical checks are noisy at this scale).
+        # needs a seed whose scoreboard passes (the statistical checks
+        # are noisy at this scale).
         from repro.simulate.scenario import run_scenario
 
         dataset = run_scenario("paper-default", scale=0.02, seed=3).dataset

@@ -35,7 +35,7 @@ FAMILY_ALPHA = 0.01
 def comparisons():
     from repro.runconfig import RunConfig
 
-    observed = oracle_tool.records(SEEDS, RunConfig(engine="vector"))
+    observed = oracle_tool.records(SEEDS, RunConfig())
     return oracle_tool.comparisons(ORACLE, observed)
 
 

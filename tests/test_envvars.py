@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro import envvars
-from repro.simulate.vector.engine import vector_engine_enabled
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_PATH = os.path.join(REPO_ROOT, "docs", "ENVIRONMENT.md")
@@ -73,10 +72,8 @@ def test_get_returns_value_or_default(monkeypatch):
     ],
 )
 def test_get_flag_truthiness(monkeypatch, raw, expected):
-    monkeypatch.setenv("REPRO_VECTOR_ENGINE", raw)
-    assert envvars.get_flag("REPRO_VECTOR_ENGINE") is expected
-    # Engine selection reads through the registry.
-    assert vector_engine_enabled() is expected
+    monkeypatch.setenv("REPRO_TRACE_WORKERS", raw)
+    assert envvars.get_flag("REPRO_TRACE_WORKERS") is expected
 
 
 def test_get_float(monkeypatch):

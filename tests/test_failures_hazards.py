@@ -1,17 +1,31 @@
-"""Tests for arrival processes."""
+"""Tests for arrival processes.
+
+Poisson and renewal arrivals are drawn by the injector's batched
+samplers (:mod:`repro.simulate.vector.sampling`); these tests draw them
+on one shelf deployed at ``START`` and check them.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SpecificationError
+from repro.failures.backends import resolve as resolve_backend
 from repro.failures.hazards import (
     ExponentialInterarrival,
     GammaInterarrival,
     WeibullInterarrival,
-    poisson_arrivals,
-    renewal_arrivals,
 )
+from repro.failures.injector import InjectorConfig
+from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
+from repro.simulate.vector.cohorts import CohortSet
+from repro.simulate.vector.sampling import (
+    sample_independent,
+    sample_renewal_candidates,
+)
+from repro.topology.classes import SYSTEM_CLASS_ORDER
+
+START = 500.0
 
 
 @pytest.fixture
@@ -19,42 +33,76 @@ def rng():
     return np.random.default_rng(0)
 
 
-class TestPoissonArrivals:
-    def test_sorted(self, rng):
-        times = poisson_arrivals(rng, 0.01, 0.0, 10_000.0)
-        assert np.all(np.diff(times) >= 0.0)
+def shelf(n_slots):
+    """A one-cohort set: one system with one shelf deployed at START."""
+    return CohortSet(
+        keys=[(SYSTEM_CLASS_ORDER[0], "shelf", "disk", False, 0)],
+        rates=[{}],
+        active=FAILURE_TYPE_ORDER,
+        systems=np.asarray([0], dtype=np.int64),
+        system_start=np.asarray([0, 1], dtype=np.int64),
+        shelves=np.asarray([0], dtype=np.int64),
+        shelf_start=np.asarray([0, 1], dtype=np.int64),
+        shelf_deploy=np.asarray([START]),
+        shelf_n_slots=np.asarray([n_slots], dtype=np.int64),
+        shelf_offset=np.asarray([0], dtype=np.int64),
+    )
 
+
+def poisson_arrivals(rng, rate, end, n_slots=1):
+    """Independent per-bay Poisson arrival times on [START, end)."""
+    return sample_independent(
+        [rng],
+        shelf(n_slots),
+        FailureType.PROTOCOL,
+        np.asarray([rate]),
+        end,
+        InjectorConfig().multipath,
+    )
+
+
+def renewal_arrivals(rng, mean_seconds, end, shape=1.0):
+    """One shelf's renewal arrival times on [START, end), one bay."""
+    config = InjectorConfig(disk_renewal_shape=shape)
+    return sample_renewal_candidates(
+        [rng],
+        shelf(1),
+        FailureType.DISK,
+        np.asarray([1.0 / mean_seconds]),
+        resolve_backend("analytic"),
+        config,
+        end,
+        config.multipath,
+    ).time
+
+
+class TestPoissonArrivals:
     def test_within_bounds(self, rng):
-        times = poisson_arrivals(rng, 0.01, 500.0, 10_000.0)
+        times = poisson_arrivals(rng, 0.01, 10_000.0).time
         assert times.size > 0
-        assert times.min() >= 500.0
+        assert times.min() >= START
         assert times.max() < 10_000.0
 
     def test_zero_rate(self, rng):
-        assert poisson_arrivals(rng, 0.0, 0.0, 1000.0).size == 0
+        assert len(poisson_arrivals(rng, 0.0, 1000.0)) == 0
 
     def test_empty_window(self, rng):
-        assert poisson_arrivals(rng, 1.0, 100.0, 100.0).size == 0
-        assert poisson_arrivals(rng, 1.0, 100.0, 50.0).size == 0
-
-    def test_negative_rate_rejected(self, rng):
-        with pytest.raises(SpecificationError):
-            poisson_arrivals(rng, -1.0, 0.0, 10.0)
+        assert len(poisson_arrivals(rng, 1.0, START)) == 0
+        assert len(poisson_arrivals(rng, 1.0, START - 50.0)) == 0
 
     def test_mean_count_matches_rate(self):
         rng = np.random.default_rng(1)
-        counts = [
-            poisson_arrivals(rng, 0.002, 0.0, 10_000.0).size for _ in range(300)
-        ]
-        # Expected 20 arrivals; the sample mean should be close.
+        out = poisson_arrivals(rng, 0.002, START + 10_000.0, n_slots=300)
+        counts = np.bincount(out.slot, minlength=300)
+        # Expected 20 arrivals per bay; the sample mean should be close.
         assert np.mean(counts) == pytest.approx(20.0, rel=0.1)
 
     @given(rate=st.floats(min_value=1e-6, max_value=0.01), seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
     def test_property_bounds(self, rate, seed):
         rng = np.random.default_rng(seed)
-        times = poisson_arrivals(rng, rate, 10.0, 5_000.0)
-        assert np.all((times >= 10.0) & (times < 5_000.0))
+        times = poisson_arrivals(rng, rate, 5_000.0, n_slots=4).time
+        assert np.all((times >= START) & (times < 5_000.0))
 
 
 class TestInterarrivalFamilies:
@@ -93,22 +141,22 @@ class TestInterarrivalFamilies:
 
 class TestRenewalArrivals:
     def test_within_bounds_and_sorted(self, rng):
-        dist = ExponentialInterarrival(mean_seconds=50.0)
-        times = renewal_arrivals(rng, dist, 100.0, 2_000.0)
-        assert all(100.0 < t < 2_000.0 for t in times)
-        assert times == sorted(times)
+        times = renewal_arrivals(rng, 50.0, 2_000.0)
+        assert times.size > 0
+        assert np.all((times > START) & (times < 2_000.0))
+        assert np.all(np.diff(times) > 0.0)
 
     def test_empty_window(self, rng):
-        dist = ExponentialInterarrival(mean_seconds=50.0)
-        assert renewal_arrivals(rng, dist, 100.0, 100.0) == []
+        assert renewal_arrivals(rng, 50.0, START).size == 0
 
     def test_exponential_renewal_matches_poisson_rate(self):
         rng = np.random.default_rng(3)
-        dist = ExponentialInterarrival(mean_seconds=100.0)
-        counts = [len(renewal_arrivals(rng, dist, 0.0, 10_000.0)) for _ in range(200)]
+        counts = [
+            renewal_arrivals(rng, 100.0, START + 10_000.0).size for _ in range(200)
+        ]
         assert np.mean(counts) == pytest.approx(100.0, rel=0.05)
 
     def test_first_arrival_after_start(self, rng):
-        dist = GammaInterarrival.from_mean(shape=0.6, mean_seconds=10.0)
-        times = renewal_arrivals(rng, dist, 1_000.0, 1_100.0)
-        assert all(t > 1_000.0 for t in times)
+        times = renewal_arrivals(rng, 10.0, START + 100.0, shape=0.6)
+        assert times.size > 0
+        assert np.all(times > START)

@@ -1,12 +1,19 @@
-"""Tests for the failure injector."""
+"""Tests for the failure injector: what any injection must satisfy.
+
+These run the batched injector
+(:class:`~repro.simulate.vector.engine.VectorFailureInjector`) at small
+scale and check event well-formedness, disk replacement, determinism,
+the config knobs and the delivered rates.
+"""
 
 import pytest
 
-from repro.failures.injector import FailureInjector, InjectorConfig
+from repro.failures.injector import InjectorConfig
 from repro.failures.types import FAILURE_TYPE_ORDER, FailureType, InterconnectCause
 from repro.fleet.builder import build_fleet
 from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
+from repro.simulate.vector.engine import VectorFailureInjector
 from repro.topology.classes import SystemClass
 from repro.units import SCRUB_PERIOD_SECONDS, seconds_to_years
 
@@ -14,7 +21,7 @@ from repro.units import SCRUB_PERIOD_SECONDS, seconds_to_years
 def run_injection(seed=1, scale=0.002, config=None, **spec_overrides):
     spec = FleetSpec.paper_default(scale=scale, **spec_overrides)
     fleet = build_fleet(spec, RandomSource(seed))
-    injector = FailureInjector(config)
+    injector = VectorFailureInjector(config)
     return injector.inject(fleet, RandomSource(seed))
 
 
@@ -172,7 +179,7 @@ class TestDeliveredRates:
         # delivered AFR must come out near the calibrated 3.4%.
         spec = FleetSpec.single_class(SystemClass.NEARLINE, n_systems=60)
         fleet = build_fleet(spec, RandomSource(8))
-        result = FailureInjector().inject(fleet, RandomSource(8))
+        result = VectorFailureInjector().inject(fleet, RandomSource(8))
         exposure = seconds_to_years(fleet.disk_exposure_seconds())
         afr = 100.0 * len(result.events) / exposure
         assert afr == pytest.approx(3.45, rel=0.25)
@@ -180,7 +187,7 @@ class TestDeliveredRates:
     def test_dual_path_reduces_interconnect(self):
         spec = FleetSpec.single_class(SystemClass.HIGH_END, n_systems=120)
         fleet = build_fleet(spec, RandomSource(9))
-        result = FailureInjector().inject(fleet, RandomSource(9))
+        result = VectorFailureInjector().inject(fleet, RandomSource(9))
         phys = [
             e for e in result.events
             if e.failure_type is FailureType.PHYSICAL_INTERCONNECT

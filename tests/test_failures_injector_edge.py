@@ -1,18 +1,23 @@
-"""Edge-case tests for the failure injector's configuration space."""
+"""Edge-case tests for the failure injector's configuration space.
+
+They run the batched injector
+(:class:`~repro.simulate.vector.engine.VectorFailureInjector`).
+"""
 
 import pytest
 
-from repro.failures.injector import FailureInjector, InjectorConfig
+from repro.failures.injector import InjectorConfig
 from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
 from repro.fleet.builder import build_fleet
 from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
+from repro.simulate.vector.engine import VectorFailureInjector
 from repro.topology.classes import SystemClass
 
 
 def run(config=None, seed=11, scale=0.002):
     fleet = build_fleet(FleetSpec.paper_default(scale=scale), RandomSource(seed))
-    return FailureInjector(config).inject(fleet, RandomSource(seed))
+    return VectorFailureInjector(config).inject(fleet, RandomSource(seed))
 
 
 class TestRateMultipliers:
@@ -116,7 +121,7 @@ class TestSingleClassFleets:
     def test_each_class_runs_alone(self, system_class):
         spec = FleetSpec.single_class(system_class, n_systems=5)
         fleet = build_fleet(spec, RandomSource(2))
-        result = FailureInjector().inject(fleet, RandomSource(2))
+        result = VectorFailureInjector().inject(fleet, RandomSource(2))
         assert result.events
         assert all(
             event.system_class == system_class.value for event in result.events

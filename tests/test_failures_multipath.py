@@ -1,52 +1,78 @@
-"""Tests for multipath masking."""
+"""Tests for multipath masking.
+
+Masking is drawn by the injector's batched samplers; these tests draw
+interconnect faults on one-shelf cohorts and check which ones the
+second path masked.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.columns import CAUSE_ORDER
 from repro.failures.multipath import MultipathModel
-from repro.failures.types import InterconnectCause
+from repro.failures.types import FAILURE_TYPE_ORDER, FailureType, InterconnectCause
+from repro.simulate.vector.cohorts import CohortSet
+from repro.simulate.vector.sampling import sample_independent
+from repro.topology.classes import SYSTEM_CLASS_ORDER
 
 
-@pytest.fixture
-def rng():
-    return np.random.default_rng(11)
+def faults(mask_probability, dual_path=True, n=5_000, seed=11):
+    """About ``n`` independent interconnect faults on one 14-bay shelf."""
+    cohort = CohortSet(
+        keys=[(SYSTEM_CLASS_ORDER[2], "shelf", "disk", dual_path, 0)],
+        rates=[{}],
+        active=FAILURE_TYPE_ORDER,
+        systems=np.asarray([0], dtype=np.int64),
+        system_start=np.asarray([0, 1], dtype=np.int64),
+        shelves=np.asarray([0], dtype=np.int64),
+        shelf_start=np.asarray([0, 1], dtype=np.int64),
+        shelf_deploy=np.zeros(1),
+        shelf_n_slots=np.asarray([14], dtype=np.int64),
+        shelf_offset=np.asarray([0], dtype=np.int64),
+    )
+    window = 1.0e8
+    return sample_independent(
+        [np.random.default_rng(seed)],
+        cohort,
+        FailureType.PHYSICAL_INTERCONNECT,
+        np.asarray([n / (14 * window)]),
+        window,
+        MultipathModel(mask_probability=mask_probability),
+    )
+
+
+def cause_code(cause):
+    return CAUSE_ORDER.index(cause)
 
 
 class TestMasking:
-    def test_single_path_never_masks(self, rng):
-        model = MultipathModel(mask_probability=1.0)
-        assert not any(
-            model.masks(rng, False, InterconnectCause.NETWORK_PATH)
-            for _ in range(100)
-        )
+    def test_single_path_never_masks(self):
+        out = faults(1.0, dual_path=False, n=200)
+        assert len(out) > 0
+        assert not out.masked.any()
 
-    def test_backplane_never_masked(self, rng):
-        model = MultipathModel(mask_probability=1.0)
-        assert not any(
-            model.masks(rng, True, InterconnectCause.BACKPLANE) for _ in range(100)
-        )
+    def test_backplane_never_masked(self):
+        out = faults(1.0)
+        backplane = out.cause == cause_code(InterconnectCause.BACKPLANE)
+        assert backplane.any()
+        assert not out.masked[backplane].any()
 
-    def test_shared_hba_never_masked(self, rng):
-        model = MultipathModel(mask_probability=1.0)
-        assert not any(
-            model.masks(rng, True, InterconnectCause.SHARED_HBA) for _ in range(100)
-        )
+    def test_shared_hba_never_masked(self):
+        out = faults(1.0)
+        shared = out.cause == cause_code(InterconnectCause.SHARED_HBA)
+        assert shared.any()
+        assert not out.masked[shared].any()
 
     def test_network_path_masked_at_probability(self):
-        rng = np.random.default_rng(3)
-        model = MultipathModel(mask_probability=0.7)
-        masked = sum(
-            model.masks(rng, True, InterconnectCause.NETWORK_PATH)
-            for _ in range(5_000)
-        )
-        assert masked / 5_000 == pytest.approx(0.7, abs=0.03)
+        out = faults(0.7, seed=3)
+        network = out.cause == cause_code(InterconnectCause.NETWORK_PATH)
+        assert network.sum() > 1_000
+        assert out.masked[network].mean() == pytest.approx(0.7, abs=0.03)
 
-    def test_zero_probability_masks_nothing(self, rng):
-        model = MultipathModel(mask_probability=0.0)
-        assert not any(
-            model.masks(rng, True, InterconnectCause.NETWORK_PATH)
-            for _ in range(100)
-        )
+    def test_zero_probability_masks_nothing(self):
+        out = faults(0.0, n=200)
+        assert len(out) > 0
+        assert not out.masked.any()
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):

@@ -1,101 +1,145 @@
-"""Tests for shared shock processes."""
+"""Tests for shared shock processes.
+
+The injector draws shelf-scoped shocks in batches
+(:func:`repro.simulate.vector.sampling.sample_shock_candidates`): Poisson
+onsets per shelf, a Bernoulli hit per bay, an exponential spread delay
+per hit, and for interconnect shocks one cause and one masking decision
+shared by every disk the shock afflicts.  These tests draw the shocks
+of one shelf and check them.
+"""
 
 import numpy as np
 import pytest
 
-from repro.failures.shocks import generate_shocks, shock_rate_per_shelf
-from repro.failures.types import FailureType
+from repro.core.columns import CAUSE_ORDER
+from repro.failures.multipath import MultipathModel
+from repro.failures.types import FAILURE_TYPE_ORDER, FailureType, InterconnectCause
 from repro.fleet.calibration import SHOCK_PARAMS, ShockParams
+from repro.simulate.vector.cohorts import CohortSet
+from repro.simulate.vector.sampling import sample_shock_candidates
+from repro.topology.classes import SYSTEM_CLASS_ORDER
+
+PHYS = FailureType.PHYSICAL_INTERCONNECT
+DEPLOY = 5.0e6
 
 
-@pytest.fixture
-def rng():
-    return np.random.default_rng(7)
+def shelf(n_slots=14, dual_path=False):
+    """A one-cohort set: one system with one shelf deployed at DEPLOY."""
+    return CohortSet(
+        keys=[(SYSTEM_CLASS_ORDER[2], "shelf", "disk", dual_path, 0)],
+        rates=[{}],
+        active=FAILURE_TYPE_ORDER,
+        systems=np.asarray([0], dtype=np.int64),
+        system_start=np.asarray([0, 1], dtype=np.int64),
+        shelves=np.asarray([0], dtype=np.int64),
+        shelf_start=np.asarray([0, 1], dtype=np.int64),
+        shelf_deploy=np.asarray([DEPLOY]),
+        shelf_n_slots=np.asarray([n_slots], dtype=np.int64),
+        shelf_offset=np.asarray([0], dtype=np.int64),
+    )
+
+
+def shocks(
+    seed=7,
+    rate=1e-8,
+    params=SHOCK_PARAMS[PHYS],
+    window_end=1e8,
+    n_slots=14,
+    dual_path=False,
+    multipath=MultipathModel(),
+):
+    return sample_shock_candidates(
+        [np.random.default_rng(seed)],
+        shelf(n_slots, dual_path),
+        PHYS,
+        np.asarray([rate]),
+        params,
+        window_end,
+        multipath,
+    )
+
+
+def by_onset(candidates):
+    """Candidate rows grouped by shock, for shocks spread over < 1 s and
+    spaced far apart: the rows of one shock share their whole second."""
+    _, first, inverse = np.unique(
+        np.floor(candidates.time), return_index=True, return_inverse=True
+    )
+    return [np.flatnonzero(inverse == group) for group in range(first.size)]
+
+
+#: Shocks whose hits all land within milliseconds of their onset.
+TIGHT = ShockParams(rho=0.8, hit_prob=0.3, window_mean_seconds=1e-3)
 
 
 class TestShockRate:
-    def test_rate_accounting_identity(self):
-        # onset_rate * hit_prob must equal the shock share of the
-        # per-disk rate: that is the calibration invariant.
-        params = ShockParams(rho=0.8, hit_prob=0.25, window_mean_seconds=100.0)
-        delivered = 1e-9
-        onset = shock_rate_per_shelf(delivered, params)
-        assert onset * params.hit_prob == pytest.approx(params.rho * delivered)
-
-    def test_zero_rho_means_no_shocks(self, rng):
+    def test_zero_rho_means_no_shocks(self):
         params = ShockParams(rho=0.0, hit_prob=0.5, window_mean_seconds=100.0)
-        # rho=0 is excluded by validation; emulate via zero rate instead.
-        shocks = generate_shocks(
-            rng, FailureType.DISK, "sh", 10, 0.0, SHOCK_PARAMS[FailureType.DISK],
-            0.0, 1e8,
-        )
-        assert shocks == []
+        assert len(shocks(params=params)) == 0
+        assert len(shocks(rate=0.0)) == 0
         assert params.rho == 0.0  # constructed fine with rho exactly 0
 
 
 class TestGenerateShocks:
-    def run(self, rng, rate=1e-8, n_slots=14, window=(0.0, 1e8)):
-        return generate_shocks(
-            rng,
-            FailureType.PHYSICAL_INTERCONNECT,
-            "sh-test",
-            n_slots,
-            rate,
-            SHOCK_PARAMS[FailureType.PHYSICAL_INTERCONNECT],
-            window[0],
-            window[1],
-        )
+    def test_shocks_in_window(self):
+        out = shocks()
+        assert len(out) > 0
+        assert np.all((out.time >= DEPLOY) & (out.time < 1e8))
 
-    def test_shocks_in_window(self, rng):
-        shocks = self.run(rng)
-        assert shocks
-        for shock in shocks:
-            assert 0.0 <= shock.time < 1e8
+    def test_hit_slots_valid(self):
+        out = shocks()
+        assert np.all((out.slot >= 0) & (out.slot < 14))
+        assert np.all(out.cohort == 0)
 
-    def test_shocks_sorted(self, rng):
-        times = [s.time for s in self.run(rng)]
-        assert times == sorted(times)
-
-    def test_hit_slots_valid(self, rng):
-        for shock in self.run(rng):
-            assert shock.hit_slots  # zero-hit shocks are dropped
-            assert all(0 <= index < 14 for index in shock.hit_slots)
-            assert len(shock.hit_slots) == len(shock.spread_delays)
-
-    def test_delays_positive(self, rng):
-        for shock in self.run(rng):
-            assert all(delay >= 0.0 for delay in shock.spread_delays)
-
-    def test_shelf_and_type_recorded(self, rng):
-        for shock in self.run(rng):
-            assert shock.shelf_id == "sh-test"
-            assert shock.failure_type is FailureType.PHYSICAL_INTERCONNECT
+    def test_delays_positive(self):
+        # Every hit lands at or after its shock's onset, and onsets
+        # start at the shelf's deployment.
+        out = shocks(params=TIGHT, rate=7.5e-7)
+        for rows in by_onset(out):
+            assert np.ptp(out.time[rows]) < 0.1
+        assert np.all(out.time >= DEPLOY)
 
     def test_mean_hits_match_hit_prob(self):
-        rng = np.random.default_rng(1)
-        shocks = self.run(rng, rate=3e-8)
-        params = SHOCK_PARAMS[FailureType.PHYSICAL_INTERCONNECT]
-        mean_hits = np.mean([len(s.hit_slots) for s in shocks])
-        # Conditioned on >= 1 hit, the mean exceeds n*p slightly.
-        expected = 14 * params.hit_prob / (1 - (1 - params.hit_prob) ** 14)
+        out = shocks(seed=1, params=TIGHT, rate=7.5e-7)
+        groups = by_onset(out)
+        mean_hits = np.mean([rows.size for rows in groups])
+        # Shocks that hit nothing leave no candidates, so the mean over
+        # the shocks seen is conditioned on >= 1 hit.
+        expected = 14 * TIGHT.hit_prob / (1 - (1 - TIGHT.hit_prob) ** 14)
+        assert len(groups) > 50
         assert mean_hits == pytest.approx(expected, rel=0.15)
 
     def test_delivered_per_disk_rate(self):
-        # Sum of hits per slot over a long window approximates the
-        # shock share of the delivered rate.
-        rng = np.random.default_rng(2)
+        # Hits per bay over a long window approximate the shock share of
+        # the delivered rate.
         rate = 2e-8
-        params = SHOCK_PARAMS[FailureType.PHYSICAL_INTERCONNECT]
+        params = SHOCK_PARAMS[PHYS]
         window = 5e8
-        shocks = generate_shocks(
-            rng, FailureType.PHYSICAL_INTERCONNECT, "sh", 14, rate, params,
-            0.0, window,
-        )
-        hits = sum(len(s.hit_slots) for s in shocks)
-        per_disk = hits / (14 * window)
+        out = shocks(seed=2, rate=rate, window_end=DEPLOY + window)
+        per_disk = len(out) / (14 * window)
         # Compound-Poisson variance is large: ~40 onsets of ~3 hits each
         # gives ~18% relative noise, hence the loose tolerance.
         assert per_disk == pytest.approx(params.rho * rate, rel=0.4)
 
-    def test_empty_window(self, rng):
-        assert self.run(rng, window=(100.0, 100.0)) == []
+    def test_empty_window(self):
+        assert len(shocks(window_end=DEPLOY)) == 0
+        assert len(shocks(n_slots=0)) == 0  # a shelf with no bays
+
+
+class TestShockLevelMasking:
+    def test_one_cause_and_one_mask_decision_per_shock(self):
+        out = shocks(
+            seed=5,
+            params=TIGHT,
+            rate=7.5e-7,
+            dual_path=True,
+            multipath=MultipathModel(mask_probability=0.5),
+        )
+        groups = [rows for rows in by_onset(out) if rows.size > 1]
+        assert len(groups) > 20
+        for rows in groups:
+            assert np.unique(out.cause[rows]).size == 1
+            assert np.unique(out.masked[rows]).size == 1
+        network = out.cause == CAUSE_ORDER.index(InterconnectCause.NETWORK_PATH)
+        assert out.masked[network].any() and not out.masked[network].all()
+        assert not out.masked[~network].any()

@@ -26,24 +26,9 @@ from repro.units import seconds_to_years
 SCALE = 0.01
 
 
-@pytest.fixture(autouse=True)
-def vector_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTOR_ENGINE", "1")
-
-
 @pytest.fixture(scope="module")
 def simulated():
-    import os
-
-    previous = os.environ.get("REPRO_VECTOR_ENGINE")
-    os.environ["REPRO_VECTOR_ENGINE"] = "1"
-    try:
-        return run_scenario("paper-default", scale=SCALE, seed=4)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_VECTOR_ENGINE"]
-        else:
-            os.environ["REPRO_VECTOR_ENGINE"] = previous
+    return run_scenario("paper-default", scale=SCALE, seed=4)
 
 
 def _walked_exposure(system, end):

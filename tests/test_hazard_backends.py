@@ -27,7 +27,7 @@ from repro.failures.types import (
 )
 from repro.fleet.spec import FleetSpec
 from repro.runconfig import RunConfig
-from repro.simulate.vector.engine import make_engine
+from repro.simulate.engine import SimulationEngine
 from repro.stats import mle
 
 
@@ -143,15 +143,6 @@ class TestHazardContract:
         assert shaped.shape == (3, 4)
         np.testing.assert_array_equal(shaped.ravel(), flat)
 
-    def test_sample_alias(self):
-        pool = GapPool(np.linspace(1.0, 2.0, 8))
-        hazard = EmpiricalHazard(pool, 50.0)
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        np.testing.assert_array_equal(
-            hazard.sample(rng_a, 5), hazard.sample_interarrivals(rng_b, 5)
-        )
-
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Hazard().sample_interarrivals(np.random.default_rng(0), 1)
@@ -202,13 +193,9 @@ class TestTraceBackend:
         for failure_type in FAILURE_TYPE_ORDER:
             assert backend.uses_renewal(config, failure_type)
 
-    @pytest.mark.parametrize("vector", ("0", "1"))
-    def test_both_engines_run_under_trace_backend(
-        self, trace_path, monkeypatch, vector
-    ):
-        monkeypatch.setenv("REPRO_VECTOR_ENGINE", vector)
-        engine = make_engine(
-            spec=FleetSpec.paper_default(scale=0.005),
+    def test_engine_runs_under_trace_backend(self, trace_path):
+        engine = SimulationEngine(
+            FleetSpec.paper_default(scale=0.005),
             injector_config=InjectorConfig(
                 hazard_backend="trace:%s" % trace_path
             ),
@@ -282,11 +269,9 @@ class TestFittedBackend:
 
 
 class TestOperatorErrorScenario:
-    @pytest.mark.parametrize("vector", ("0", "1"))
-    def test_fifth_type_rides_both_engines(self, monkeypatch, vector):
+    def test_fifth_type_rides_the_engine(self):
         from repro.simulate.scenario import run_scenario
 
-        monkeypatch.setenv("REPRO_VECTOR_ENGINE", vector)
         result = run_scenario("operator-error", scale=0.01, seed=4)
         counts = result.injection.counts_by_type()
         assert counts[FailureType.OPERATOR_ERROR] > 0

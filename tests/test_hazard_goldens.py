@@ -2,9 +2,9 @@
 
 Replays the exact capture that produced the committed
 tests/goldens/hazard_backend_goldens.json — paper-default injection
-content digests plus fig4a/fig9a/fig10a text+data digests, three seeds,
-BOTH engines — and compares.  Any drift in the default hazard path,
-on either engine, fails here first.
+content digests plus fig4a/fig9a/fig10a text+data digests, three
+seeds, under the batched engine's key ``vector`` — and compares.  Any
+drift in the default hazard path fails here first.
 
 Regenerate (only for a deliberate behavior change):
 
@@ -27,17 +27,12 @@ GOLDENS_PATH = os.path.join(
 def captured(request):
     """One fresh capture shared by every comparison in this module."""
     sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-    saved = os.environ.get("REPRO_VECTOR_ENGINE")
     try:
         from capture_hazard_goldens import capture
 
         yield capture()
     finally:
         sys.path.remove(os.path.join(REPO_ROOT, "tools"))
-        if saved is None:
-            os.environ.pop("REPRO_VECTOR_ENGINE", None)
-        else:
-            os.environ["REPRO_VECTOR_ENGINE"] = saved
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +41,8 @@ def committed():
         return json.load(handle)
 
 
-def test_goldens_cover_both_engines_and_three_seeds(committed):
-    assert sorted(committed["engines"]) == ["legacy", "vector"]
+def test_goldens_cover_three_seeds(committed):
+    assert sorted(committed["engines"]) == ["vector"]
     assert len(committed["seeds"]) == 3
     for per_engine in committed["engines"].values():
         assert sorted(per_engine["injection"]) == sorted(
@@ -55,7 +50,7 @@ def test_goldens_cover_both_engines_and_three_seeds(committed):
         )
 
 
-@pytest.mark.parametrize("engine", ("legacy", "vector"))
+@pytest.mark.parametrize("engine", ("vector",))
 def test_injection_digests_match(captured, committed, engine):
     assert (
         captured["engines"][engine]["injection"]
@@ -63,7 +58,7 @@ def test_injection_digests_match(captured, committed, engine):
     )
 
 
-@pytest.mark.parametrize("engine", ("legacy", "vector"))
+@pytest.mark.parametrize("engine", ("vector",))
 def test_experiment_digests_match(captured, committed, engine):
     assert (
         captured["engines"][engine]["experiments"]

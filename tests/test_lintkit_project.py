@@ -1,4 +1,4 @@
-"""The whole-program analyzer: module graph, dataflow, and RPL102-RPL104.
+"""The whole-program analyzer: module graph, dataflow, and RPL102-RPL103.
 
 Testing strategy mirrors how the simulator itself is goldened — by
 *mutation*, not inspection: each rule gets a miniature in-memory
@@ -68,13 +68,13 @@ def test_modgraph_binds_imports_and_definitions():
 
 def test_modgraph_chases_reexport_chains():
     graph = graph_of(
-        impl="def make_engine(config):\n    return config\n",
+        impl="def run_scenario(config):\n    return config\n",
         __init__="",
-        facade="from repro.impl import make_engine\n",
-        user="from repro.facade import make_engine\n",
+        facade="from repro.impl import run_scenario\n",
+        user="from repro.facade import run_scenario\n",
     )
     assert (
-        graph.qualify("repro.user", "make_engine") == "repro.impl.make_engine"
+        graph.qualify("repro.user", "run_scenario") == "repro.impl.run_scenario"
     )
 
 
@@ -279,57 +279,6 @@ def test_rpl103_conditional_module_scope_still_fires():
     assert codes(graph, select=["RPL103"]) == ["RPL103"]
 
 
-# -- RPL104: engine dispatch --------------------------------------------------
-
-ENGINE = """\
-class VectorSimulationEngine:
-    def __init__(self, config):
-        self.config = config
-
-def make_engine(config):
-    return VectorSimulationEngine(config)
-"""
-
-
-def test_rpl104_fires_on_direct_construction_outside_factory():
-    graph = graph_of(
-        engine=ENGINE,
-        rogue=(
-            "from repro.engine import VectorSimulationEngine\n"
-            "def sneaky(config):\n"
-            "    return VectorSimulationEngine(config)\n"
-        ),
-    )
-    findings, _ = run_project_rules(graph, select=["RPL104"])
-    assert [f.code for f in findings] == ["RPL104"]
-    assert "make_engine" in findings[0].message
-
-
-def test_rpl104_defining_and_factory_modules_are_exempt():
-    graph = graph_of(
-        engine=ENGINE,
-        user=(
-            "from repro.engine import make_engine\n"
-            "def go(config):\n"
-            "    return make_engine(config)\n"
-        ),
-    )
-    assert codes(graph, select=["RPL104"]) == []
-
-
-def test_rpl104_reexported_construction_still_resolves():
-    graph = graph_of(
-        engine=ENGINE,
-        facade="from repro.engine import VectorSimulationEngine\n",
-        rogue=(
-            "from repro.facade import VectorSimulationEngine\n"
-            "def sneaky(config):\n"
-            "    return VectorSimulationEngine(config)\n"
-        ),
-    )
-    assert codes(graph, select=["RPL104"]) == ["RPL104"]
-
-
 # -- allowlist hygiene --------------------------------------------------------
 
 
@@ -401,7 +350,7 @@ def test_cli_project_rejects_explicit_paths(tmp_path, capsys):
 def test_cli_project_select(tmp_path, capsys):
     root = _bad_project_repo(tmp_path)
     assert (
-        cli_main(["--root", str(root), "--project", "--select", "RPL104"])
+        cli_main(["--root", str(root), "--project", "--select", "RPL102"])
         == 0
     )
     assert (
@@ -414,7 +363,7 @@ def test_cli_project_select(tmp_path, capsys):
 def test_cli_list_rules_includes_project_codes(capsys):
     assert cli_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPL102", "RPL103", "RPL104"):
+    for code in ("RPL102", "RPL103"):
         assert code in out
 
 

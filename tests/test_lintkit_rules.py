@@ -344,7 +344,7 @@ def test_rpl006_allows_registered_names():
             """\
             from repro import envvars
             a = envvars.get("REPRO_HAZARD_BACKEND")
-            b = envvars.get_flag("REPRO_VECTOR_ENGINE")
+            b = envvars.get_flag("REPRO_TRACE_WORKERS")
             c = envvars.get_int("REPRO_SHARDS", 1)
             """,
             relpath=OBS,
@@ -386,7 +386,7 @@ def test_rpl006_skips_dynamic_names():
 def test_rpl007_flags_env_reads_in_simulation_packages():
     source = """\
     from repro import envvars
-    a = envvars.get_flag("REPRO_VECTOR_ENGINE")
+    a = envvars.get_flag("REPRO_TRACE_WORKERS")
     """
     for package in ("simulate", "failures", "fleet", "core", "experiments"):
         relpath = "src/repro/%s/mod.py" % package

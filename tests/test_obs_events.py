@@ -20,7 +20,7 @@ from repro.obs.events import (
     read_events,
     read_events_meta,
 )
-from tests.conftest import make_engine
+from tests.conftest import small_engine
 
 
 class TestFleetEventLog:
@@ -171,7 +171,7 @@ class TestSimulationEmission:
         """One tiny simulation with event emission on (class-shared)."""
         obs.configure(enable=True)
         try:
-            result = make_engine(scale=0.002).run(seed=11)
+            result = small_engine(scale=0.002).run(seed=11)
             yield result, obs.fleet_events()
         finally:
             obs.reset()
@@ -242,7 +242,7 @@ class TestSimulationEmission:
 
     def test_disabled_emission_adds_no_events(self):
         assert not obs.OBSERVER.fleet_events.enabled
-        make_engine(scale=0.002).run(seed=11)
+        small_engine(scale=0.002).run(seed=11)
         assert obs.OBSERVER.fleet_events.count() == 0
 
     def test_emission_is_deterministic_per_seed(self, event_run):
@@ -250,7 +250,7 @@ class TestSimulationEmission:
         obs.reset()
         obs.configure(enable=True)
         try:
-            make_engine(scale=0.002).run(seed=11)
+            small_engine(scale=0.002).run(seed=11)
             replay = obs.fleet_events()
         finally:
             obs.reset()

@@ -18,7 +18,7 @@ from repro.obs.health import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.units import SECONDS_PER_YEAR
-from tests.conftest import make_engine
+from tests.conftest import small_engine
 
 
 def fleet_event(disks=100, shelves=10, raid_groups=20, years=1.0):
@@ -230,7 +230,7 @@ class TestSimulatedStream:
         fleet shows P(2) well above the independence prediction."""
         obs.configure(enable=True)
         try:
-            make_engine(scale=0.01).run(seed=7)
+            small_engine(scale=0.01).run(seed=7)
             health = health_from_events(obs.fleet_events())
         finally:
             obs.reset()

@@ -132,7 +132,7 @@ class TestPipeline:
         from repro.failures.injector import InjectionResult
 
         stripped = InjectionResult(
-            events=sim.injection.events,
+            table=sim.injection.to_table(),
             recovered_errors=[],
             fleet=sim.injection.fleet,
         )

@@ -3,8 +3,8 @@
 The design claim is that a config field cannot be left out of a cache
 key and a worker cannot fall back to the environment.  These tests
 check the design itself: every field reaches both keys, default keys
-keep their historical strings, and a run given an explicit config
-never calls ``RunConfig.from_env`` — in the parent or in a worker.
+carry no config terms, and a run given an explicit config never calls
+``RunConfig.from_env`` — in the parent or in a worker.
 """
 
 from __future__ import annotations
@@ -16,19 +16,17 @@ import pytest
 
 from repro.core.afr import dataset_afr
 from repro.core.colstore import SPILL_SCHEMA_VERSION
-from repro.errors import SpecificationError
 from repro.experiments import EXPERIMENTS, ExperimentContext
 from repro.failures.injector import InjectorConfig
 from repro.fleet.spec import FleetSpec
-from repro.runconfig import HAZARD_BACKEND_ENV, VECTOR_ENGINE_ENV, RunConfig
+from repro.runconfig import HAZARD_BACKEND_ENV, RunConfig
 from repro.runtime import Job, RuntimeConfig, RuntimeContext, Scheduler, ShardPlan
 from repro.runtime.shard import shard_canonical, shard_key
 from repro.simulate.batch import batch_run
+from repro.simulate.engine import SimulationEngine
 from repro.simulate.scenario import run_scenario
 from repro.simulate.vector.engine import (
     VectorFailureInjector,
-    VectorSimulationEngine,
-    make_engine,
     vector_engine_enabled,
 )
 from repro.version import __version__
@@ -44,7 +42,7 @@ def trace_spec(tmp_path):
 
 def non_default_values(trace_spec):
     """One non-default value per RunConfig field."""
-    values = {"engine": "vector", "hazard_backend": trace_spec}
+    values = {"hazard_backend": trace_spec}
     assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}, (
         "give every RunConfig field a non-default value here"
     )
@@ -53,35 +51,27 @@ def non_default_values(trace_spec):
 
 class TestResolution:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(VECTOR_ENGINE_ENV, raising=False)
         monkeypatch.delenv(HAZARD_BACKEND_ENV, raising=False)
         assert RunConfig.from_env() == RunConfig()
-        assert RunConfig() == RunConfig(engine="legacy", hazard_backend="analytic")
+        assert RunConfig() == RunConfig(hazard_backend="analytic")
 
     def test_explicit_then_env_then_default(self, monkeypatch):
-        monkeypatch.setenv(VECTOR_ENGINE_ENV, "1")
         monkeypatch.setenv(HAZARD_BACKEND_ENV, "trace:x.jsonl")
-        assert RunConfig.from_env() == RunConfig("vector", "trace:x.jsonl")
+        assert RunConfig.from_env() == RunConfig("trace:x.jsonl")
         # None means "not given": a CLI passes unset flags straight in.
         assert RunConfig.from_env(hazard_backend=None).hazard_backend == (
             "trace:x.jsonl"
         )
-        assert RunConfig.from_env(
-            engine="legacy", hazard_backend="analytic"
-        ) == RunConfig()
+        assert RunConfig.from_env(hazard_backend="analytic") == RunConfig()
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SpecificationError):
-            RunConfig(engine="quantum")
-
-    def test_make_engine_applies_the_config(self, trace_spec):
+    def test_engine_applies_the_config(self, trace_spec):
         spec = FleetSpec.paper_default(scale=0.001)
-        config = RunConfig(engine="vector", hazard_backend=trace_spec)
-        engine = make_engine(spec, config=config)
-        assert type(engine) is VectorSimulationEngine
+        config = RunConfig(hazard_backend=trace_spec)
+        engine = SimulationEngine(spec, config=config)
+        assert type(engine.injector) is VectorFailureInjector
         assert engine.injector.backend.name == "trace"
         # An injector config that names its backend keeps it.
-        pinned = make_engine(
+        pinned = SimulationEngine(
             spec,
             injector_config=InjectorConfig(hazard_backend="analytic"),
             config=config,
@@ -90,29 +80,28 @@ class TestResolution:
 
 
 class TestKeys:
-    def test_default_terms_are_the_historical_engine_term(self):
-        assert RunConfig().canonical() == "engine=legacy"
-        assert RunConfig(engine="vector").canonical() == "engine=vector"
+    def test_default_config_renders_no_terms(self):
+        assert RunConfig().canonical() == ""
 
     def test_analytic_keys_keep_their_strings(self):
         assert Job.scenario(
             "paper-default", 0.01, 1, config=RunConfig()
         ).canonical() == (
             "repro/%s kind=scenario name=paper-default scale=0.01 seed=1 "
-            "via_logs=0 engine=legacy" % __version__
+            "via_logs=0" % __version__
         )
         assert Job.experiment(
-            "fig4a", 0.05, 2, shards=4, config=RunConfig(engine="vector")
+            "fig4a", 0.05, 2, shards=4, config=RunConfig()
         ).canonical() == (
             "repro/%s kind=experiment name=fig4a scale=0.05 seed=2 "
-            "via_logs=0 engine=vector shards=4" % __version__
+            "via_logs=0 shards=4" % __version__
         )
         shard = ShardPlan.build(FleetSpec.paper_default(scale=0.01), 2).shards[0]
         assert shard_canonical(
             "paper-default", 0.01, 1, shard, RunConfig()
         ) == (
             "repro/%s shard scenario=paper-default scale=0.01 seed=1 "
-            "engine=legacy schema=%d cells=%s"
+            "schema=%d cells=%s"
             % (
                 __version__,
                 SPILL_SCHEMA_VERSION,
@@ -137,7 +126,7 @@ class TestKeys:
             ), name
 
     def test_payload_round_trips_the_config(self, trace_spec):
-        config = RunConfig(engine="vector", hazard_backend=trace_spec)
+        config = RunConfig(hazard_backend=trace_spec)
         job = Job.experiment("fig4a", 0.01, 1, shards=2, config=config)
         assert Job(**job.payload()) == job
         assert job.simulation_job().config == config
@@ -155,7 +144,7 @@ def test_explicit_config_never_falls_back_to_the_environment(
         raise AssertionError("RunConfig.from_env called on an explicit run")
 
     monkeypatch.setattr(RunConfig, "from_env", classmethod(no_env))
-    config = RunConfig(engine="vector")
+    config = RunConfig()
     runtime = RuntimeContext(RuntimeConfig(jobs=2, cache_dir=str(tmp_path)))
     results = Scheduler(runtime).run(
         [
@@ -178,21 +167,23 @@ def test_explicit_config_never_falls_back_to_the_environment(
     assert len(spreads["afr"].values) == 2
 
 
-def test_environment_default_reaches_the_benchmark_entry_points(monkeypatch):
-    """API calls given no config take ``REPRO_VECTOR_ENGINE`` from the
-    environment, as the benchmark's calls rely on."""
-    monkeypatch.setenv(VECTOR_ENGINE_ENV, "1")
+def test_environment_default_reaches_the_benchmark_entry_points(
+    trace_spec, monkeypatch
+):
+    """API calls given no config take ``REPRO_HAZARD_BACKEND`` from the
+    environment, as the benchmark's calls rely on, and run the batched
+    injector."""
+    monkeypatch.setenv(HAZARD_BACKEND_ENV, trace_spec)
+    traced = RunConfig(hazard_backend=trace_spec)
     assert vector_engine_enabled()
-    assert ExperimentContext(scale=0.01, seed=1).config.engine == "vector"
-    assert (
-        ExperimentContext(scale=0.01, seed=1, via_logs=True).config.engine
-        == "vector"
-    )
+    assert ExperimentContext(scale=0.01, seed=1).config == traced
+    assert ExperimentContext(scale=0.01, seed=1, via_logs=True).config == traced
     jobs = []
     runtime = RuntimeContext(RuntimeConfig(jobs=1, cache_enabled=False))
     monkeypatch.setattr(runtime, "run_job", jobs.append)
     runtime.run_scenario("paper-default", 0.6, 1, False, 4)
-    assert jobs[0].config.engine == "vector" and jobs[0].shards == 4
+    assert jobs[0].config == traced and jobs[0].shards == 4
+    monkeypatch.delenv(HAZARD_BACKEND_ENV)
     injected = []
     inject = VectorFailureInjector.inject
 

@@ -2,8 +2,8 @@
 
 The differential goldens here are the PR's acceptance gate: a sharded
 run's merged event table — and every analysis computed from it — must
-be *byte-identical* to the unsharded run, on both engines, at multiple
-seeds and shard counts.
+be *byte-identical* to the unsharded run, at multiple seeds and shard
+counts.
 """
 
 from __future__ import annotations
@@ -136,21 +136,11 @@ class TestShardPlan:
         assert shard_key("paper-default", SCALE * 2, 101, shard, config) != baseline
         assert shard_key("no-shocks", SCALE, 101, shard, config) != baseline
 
-    def test_shard_keys_depend_on_engine(self):
-        spec = FleetSpec.paper_default(scale=SCALE)
-        shard = ShardPlan.build(spec, 4).shards[0]
-        legacy = shard_key(
-            "paper-default", SCALE, 101, shard, RunConfig(engine="legacy")
-        )
-        assert shard_key(
-            "paper-default", SCALE, 101, shard, RunConfig(engine="vector")
-        ) != legacy
-
 
 class TestShardKeyRunConfig:
     """A hazard backend change must miss every cached shard.
 
-    The shard key once rendered only the engine, so a ``trace:`` run on
+    The shard key once rendered no hazard term, so a ``trace:`` run on
     a cache warmed by an analytic run reused the analytic shards and
     printed the analytic result.
     """
@@ -158,12 +148,11 @@ class TestShardKeyRunConfig:
     def test_trace_run_does_not_reuse_analytic_shards(self, tmp_path):
         trace_path = str(tmp_path / "trace.npz")
         recorded = run_scenario(
-            "paper-default", scale=0.002, seed=5,
-            config=RunConfig(engine="vector"),
+            "paper-default", scale=0.002, seed=5, config=RunConfig()
         )
         save_table(trace_path, recorded.dataset.table)
-        analytic = RunConfig(engine="vector")
-        traced = RunConfig(engine="vector", hazard_backend="trace:" + trace_path)
+        analytic = RunConfig()
+        traced = RunConfig(hazard_backend="trace:" + trace_path)
 
         def sharded(runtime, config):
             return run_sharded_scenario(
@@ -209,15 +198,7 @@ class TestJobSharding:
             Job.scenario("paper-default", 0.01, 1, shards=0)
 
 
-@pytest.mark.parametrize("engine", ["legacy", "vector"])
 class TestByteIdentity:
-    @pytest.fixture(autouse=True)
-    def engine_env(self, engine, monkeypatch):
-        if engine == "vector":
-            monkeypatch.setenv("REPRO_VECTOR_ENGINE", "1")
-        else:
-            monkeypatch.delenv("REPRO_VECTOR_ENGINE", raising=False)
-
     def test_sharded_table_matches_unsharded(self, tmp_path):
         for seed in SEEDS:
             base = run_scenario("paper-default", scale=SCALE, seed=seed)
@@ -272,10 +253,7 @@ class TestAnalysesGoldens:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("experiment_id", ["fig4a", "fig9a", "fig10a"])
-    def test_experiment_outputs_identical(
-        self, tmp_path, monkeypatch, experiment_id, seed
-    ):
-        monkeypatch.setenv("REPRO_VECTOR_ENGINE", "1")
+    def test_experiment_outputs_identical(self, tmp_path, experiment_id, seed):
         base_ctx = ExperimentContext(scale=SCALE, seed=seed)
         shard_ctx = ExperimentContext(
             scale=SCALE,
@@ -290,11 +268,10 @@ class TestAnalysesGoldens:
         assert base.checks == sharded.checks
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_findings_identical(self, tmp_path, monkeypatch, seed):
+    def test_findings_identical(self, tmp_path, seed):
         from repro.core.findings import evaluate_findings
         from repro.core.report import format_findings
 
-        monkeypatch.setenv("REPRO_VECTOR_ENGINE", "1")
         base = run_scenario("paper-default", scale=SCALE, seed=seed)
         sharded = run_sharded_scenario(
             "paper-default",

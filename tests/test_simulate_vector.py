@@ -1,15 +1,14 @@
 """Tests for the vector (batched) simulation engine.
 
-Three layers of assurance:
+Two layers of assurance here:
 
 * unit tests for the frame / cohort / sampling substrate;
 * exactness tests where the engine *is* deterministic — same seed,
   same table; one cohort replayed in isolation reproduces its rows
-  bit-for-bit (content-addressed streams);
-* a multi-seed statistical differential against the legacy engine,
-  which stays the oracle: the two consume randomness in different
-  orders, so they agree on distributions, not on individual draws.
-  Tolerances here are ~3x the deviations observed across seeds.
+  bit-for-bit (content-addressed streams).
+
+The statistical check against the per-unit engine the batched one
+replaced lives in tests/test_engine_oracle.py.
 """
 
 from __future__ import annotations
@@ -19,32 +18,23 @@ import re
 import numpy as np
 import pytest
 
-from repro import envvars, obs
-from repro.core.afr import dataset_afr
+from repro import obs
 from repro.failures.backends import Hazard, resolve as resolve_backend
 from repro.failures.backends.analytic import AnalyticBackend
 from repro.failures.injector import InjectorConfig
-from repro.failures.types import (
-    ALL_FAILURE_TYPES,
-    FAILURE_TYPE_ORDER,
-    FailureType,
-)
+from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
 from repro.fleet.builder import build_fleet
 from repro.fleet.partition import cell_of
 from repro.fleet.spec import FleetSpec
 from repro.obs.sampler import PROGRESS
 from repro.rng import RandomSource
-from repro.runconfig import VECTOR_ENGINE_ENV
 from repro.simulate.engine import SimulationEngine
-from repro.simulate.scenario import run_scenario
 from repro.simulate.vector.cohorts import CohortSet, group_cohorts, system_cells
 from repro.simulate.vector.emit import RecoveredBatch
 from repro.simulate.vector.engine import (
     VectorFailureInjector,
-    VectorSimulationEngine,
     build_frame,
     inject_cohorts,
-    make_engine,
 )
 from repro.simulate.vector.sampling import (
     CandidateSet,
@@ -502,29 +492,8 @@ class TestStageMajor:
 
 
 class TestEngineFacade:
-    def test_registered_flag_defaults_off(self, monkeypatch):
-        # The CI matrix exports the flag; test the registry default,
-        # not the ambient environment.
-        monkeypatch.delenv(VECTOR_ENGINE_ENV, raising=False)
-        var = envvars.REGISTRY[VECTOR_ENGINE_ENV]
-        assert var.default == "0"
-        assert not envvars.get_flag(VECTOR_ENGINE_ENV)
-
-    def test_make_engine_defaults_to_legacy(self, monkeypatch):
-        monkeypatch.delenv(VECTOR_ENGINE_ENV, raising=False)
-        engine = make_engine(FleetSpec.paper_default(scale=0.001))
-        assert type(engine) is SimulationEngine
-
-    def test_make_engine_flag_routes_to_vector(self, monkeypatch):
-        monkeypatch.setenv(VECTOR_ENGINE_ENV, "1")
-        engine = make_engine(FleetSpec.paper_default(scale=0.001))
-        assert isinstance(engine, VectorSimulationEngine)
-        monkeypatch.setenv(VECTOR_ENGINE_ENV, "0")
-        engine = make_engine(FleetSpec.paper_default(scale=0.001))
-        assert type(engine) is SimulationEngine
-
-    def test_run_contract_matches_legacy(self):
-        engine = VectorSimulationEngine(FleetSpec.paper_default(scale=0.002))
+    def test_run_contract(self):
+        engine = SimulationEngine(FleetSpec.paper_default(scale=0.002))
         result = engine.run(seed=2)
         assert result.seed == 2
         assert result.dataset.fleet is result.fleet
@@ -532,82 +501,10 @@ class TestEngineFacade:
         assert len(result.dataset.events) == result.injection.n_events() > 0
 
     def test_via_logs_round_trip(self):
-        engine = VectorSimulationEngine(FleetSpec.paper_default(scale=0.002))
+        engine = SimulationEngine(FleetSpec.paper_default(scale=0.002))
         result = engine.run(seed=9, via_logs=True)
         assert result.archive is not None and result.archive.logs
         assert (
             result.dataset.counts_by_type()
             == result.injection.counts_by_type()
         )
-
-    def test_cache_key_embeds_engine_selection(self, monkeypatch):
-        # The engines are statistically, not byte, equivalent — a
-        # vector-flag run must never be served a legacy cached result.
-        from repro.runtime import Job
-
-        monkeypatch.delenv(VECTOR_ENGINE_ENV, raising=False)
-        legacy_key = Job.scenario("paper-default", 0.01, 1).key()
-        monkeypatch.setenv(VECTOR_ENGINE_ENV, "1")
-        assert Job.scenario("paper-default", 0.01, 1).key() != legacy_key
-
-    def test_run_scenario_honors_flag(self, monkeypatch):
-        monkeypatch.setenv(VECTOR_ENGINE_ENV, "1")
-        result = run_scenario("paper-default", scale=0.002, seed=4)
-        assert len(result.dataset.events) > 0
-
-
-DIFF_SEEDS = (101, 202, 303)
-
-
-@pytest.fixture(scope="module")
-def differential_runs():
-    """Per-seed (legacy, vector) dataset pairs at a modest scale."""
-    spec = FleetSpec.paper_default(scale=0.02)
-    pairs = []
-    for seed in DIFF_SEEDS:
-        legacy = SimulationEngine(spec).run(seed=seed).dataset
-        vector = VectorSimulationEngine(spec).run(seed=seed).dataset
-        pairs.append((legacy, vector))
-    return pairs
-
-
-class TestDifferential:
-    """Vector vs legacy: statistical agreement, legacy as oracle."""
-
-    def test_per_type_counts_agree(self, differential_runs):
-        legacy_pool = np.zeros(len(ALL_FAILURE_TYPES))
-        vector_pool = np.zeros(len(ALL_FAILURE_TYPES))
-        for legacy, vector in differential_runs:
-            legacy_pool += legacy.table.counts_by_type()
-            vector_pool += vector.table.counts_by_type()
-        # Only the paper's four types fire under the default backend;
-        # extended slots stay zero on both engines.
-        core = len(FAILURE_TYPE_ORDER)
-        assert legacy_pool[:core].min() > 0 and vector_pool[:core].min() > 0
-        assert legacy_pool[core:].sum() == 0 and vector_pool[core:].sum() == 0
-        ratios = vector_pool[:core] / legacy_pool[:core]
-        assert np.all((ratios > 0.8) & (ratios < 1.25)), ratios
-
-    def test_total_counts_agree_per_seed(self, differential_runs):
-        for legacy, vector in differential_runs:
-            ratio = len(vector.table) / len(legacy.table)
-            assert 0.85 < ratio < 1.18, ratio
-
-    def test_subsystem_afr_agrees(self, differential_runs):
-        for legacy, vector in differential_runs:
-            ratio = dataset_afr(vector).percent / dataset_afr(legacy).percent
-            assert 0.85 < ratio < 1.18, ratio
-
-    def test_disk_share_stays_minority(self, differential_runs):
-        # The paper's headline: disks are not the dominant contributor.
-        # Both engines must land on the same side of 50%.
-        for _, vector in differential_runs:
-            counts = vector.table.counts_by_type()
-            disk = counts[FAILURE_TYPE_ORDER.index(FailureType.DISK)]
-            assert 0.1 < disk / counts.sum() < 0.5
-
-    def test_replaced_share_agrees(self, differential_runs):
-        for legacy, vector in differential_runs:
-            legacy_share = np.mean(legacy.table.replaced_disk)
-            vector_share = np.mean(vector.table.replaced_disk)
-            assert abs(legacy_share - vector_share) < 0.06

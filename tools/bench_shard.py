@@ -75,7 +75,6 @@ def _child(mode: str, scale: float, seed: int, shards: int, workdir: str) -> int
 
 def _measure(mode: str, args: argparse.Namespace, workdir: str) -> dict:
     env = dict(os.environ)
-    env["REPRO_VECTOR_ENGINE"] = "1"
     env["REPRO_SHARD_SPILL_DIR"] = os.path.join(workdir, "spills")
     command = [
         sys.executable, os.path.abspath(__file__), "--child-mode", mode,

@@ -1,7 +1,6 @@
 """Capture analysis-layer goldens: digests of what each analysis returns.
 
-For each engine (legacy / vector, passed to every simulation as a
-``RunConfig``) records SHA-256 digests of
+Records SHA-256 digests, under the batched engine's key ``vector``, of
 
 - per seed 3/5/7 at scale 0.005 (``paper-default``): ``counts_by_type``,
   ``afr_stack``, ``afr_by_class`` with and without the Disk H family,
@@ -44,7 +43,8 @@ import json
 import sys
 from pathlib import Path
 
-ENGINES = ("legacy", "vector")
+#: The goldens' engine keys: the batched (vector) engine's digests.
+ENGINES = ("vector",)
 SEEDS = (3, 5, 7)
 SCALE = 0.005
 #: The dataset the method-level cases read (the first seed's).
@@ -272,21 +272,18 @@ def section_outputs(section: str, config=None) -> dict:
     raise ValueError("unknown section %r" % section)
 
 
-def capture_section(engine: str, section: str) -> dict:
-    """Digests of one section's outputs on one engine."""
+def capture_section(section: str) -> dict:
+    """Digests of one section's outputs at the default run config."""
     from repro.runconfig import RunConfig
 
-    outputs = section_outputs(section, RunConfig(engine=engine))
+    outputs = section_outputs(section, RunConfig())
     return {name: canonical(value) for name, value in outputs.items()}
 
 
 def capture() -> dict:
     return {
         "engines": {
-            engine: {
-                section: capture_section(engine, section)
-                for section in SECTIONS
-            }
+            engine: {section: capture_section(section) for section in SECTIONS}
             for engine in ENGINES
         },
     }

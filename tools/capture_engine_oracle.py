@@ -12,26 +12,27 @@ EXPERIMENTS.md) once per seed and records, for each seed,
   replacement-discrepancy and availability, plus Findings 1-11.
 
 tests/goldens/engine_oracle.json holds these records for the per-unit
-(legacy) engine at seeds 1-100, with the commit they were taken at.
-tests/test_engine_oracle.py records the engine under test at its own
+(legacy) engine at seeds 1-100, captured by this script at the commit
+the file names, the last one that had that engine.
+tests/test_engine_oracle.py records the batched engine at its own
 seeds and compares the two samples with :func:`comparisons`: a Welch
 t-test per statistic's mean, a two-sided F-test per statistic's
 variance and a Fisher exact test per check's failure count.
 
-Capture (writes the oracle; takes minutes):
-
-    PYTHONPATH=src python tools/capture_engine_oracle.py capture --engine legacy
-
-Compare the batched engine against the committed oracle, smallest p first:
+Compare the engine against the committed oracle, smallest p first:
 
     PYTHONPATH=src python tools/capture_engine_oracle.py compare --seeds 1-30
+
+Record this tree's engine as a new reference (takes minutes; the
+committed oracle stays the per-unit engine's):
+
+    PYTHONPATH=src python tools/capture_engine_oracle.py capture --out FILE
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import subprocess
 import sys
@@ -72,9 +73,11 @@ def record(seed: int, config=None) -> Tuple[Dict[str, float], Dict[str, bool]]:
     from repro.core.afr import afr_stack
     from repro.core.findings import evaluate_findings
     from repro.experiments import ExperimentContext, run_experiment
+    from repro.runconfig import RunConfig
 
-    kwargs = {} if config is None else {"config": config}
-    context = ExperimentContext(scale=SCALE, seed=seed, **kwargs)
+    context = ExperimentContext(
+        scale=SCALE, seed=seed, config=config or RunConfig.from_env()
+    )
     dataset = context.dataset(SCENARIO)
     results = {eid: run_experiment(eid, context) for eid in EXPERIMENTS}
 
@@ -224,28 +227,25 @@ def _seed_range(text: str) -> Tuple[int, ...]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    capture = sub.add_parser("capture", help="record an engine and write the oracle")
-    capture.add_argument("--engine", required=True)
+    capture = sub.add_parser("capture", help="record the engine as a reference")
     capture.add_argument("--seeds", type=_seed_range, default=ORACLE_SEEDS)
     capture.add_argument("--jobs", type=int, default=2)
-    capture.add_argument("--out", default=str(DEFAULT_OUT))
-    compare = sub.add_parser("compare", help="compare the batched engine with the oracle")
+    capture.add_argument("--out", required=True)
+    compare = sub.add_parser("compare", help="compare the engine with the oracle")
     compare.add_argument("--seeds", type=_seed_range, default=_seed_range("1-30"))
     compare.add_argument("--jobs", type=int, default=1)
     compare.add_argument("--oracle", default=str(DEFAULT_OUT))
     compare.add_argument("--top", type=int, default=10)
     args = parser.parse_args(argv)
 
-    from repro.runconfig import RunConfig
-
     if args.command == "capture":
         oracle = {
             "commit": _commit(),
-            "engine": args.engine,
+            "engine": "batched",
             "scenario": SCENARIO,
             "scale": SCALE,
         }
-        oracle.update(records(args.seeds, RunConfig(engine=args.engine), args.jobs))
+        oracle.update(records(args.seeds, jobs=args.jobs))
         Path(args.out).write_text(json.dumps(oracle, indent=1) + "\n")
         print(
             "wrote %d seeds, %d statistics, %d checks to %s"
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         return 0
 
     oracle = json.loads(Path(args.oracle).read_text())
-    observed = records(args.seeds, RunConfig(engine="vector"), args.jobs)
+    observed = records(args.seeds, jobs=args.jobs)
     rows = comparisons(oracle, observed)
     bound = 0.01 / len(rows)
     print("m = %d comparisons, bound p >= %.3g" % (len(rows), bound))

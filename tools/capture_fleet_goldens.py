@@ -8,10 +8,10 @@ plus one shard's ``selection=`` slice, records SHA-256 digests of
 - every bay's RAID group id;
 - every disk's id, serial and install time;
 - the configuration snapshot text (``write_snapshot``);
-- the disk lifetime table (install and remove per disk) after injection
-  under the legacy and the vector engine;
-- after the vector engine's injection, the snapshot text and every
-  system's exposure (disk-seconds, ``repr`` of the float).
+- after injection by the batched (vector) engine: the disk lifetime
+  table (install and remove per disk), the snapshot text and every
+  system's exposure (disk-seconds, ``repr`` of the float).  Their keys
+  keep the ``_vector`` suffix they were first captured under.
 
 The digests only read the public fleet surface (``systems``,
 ``iter_slots``, ``iter_disks``), so the same script captures them from
@@ -118,14 +118,13 @@ def exposure_lines(fleet):
         yield "%s %r" % (system.system_id, system.disk_exposure_seconds(end))
 
 
-def injected(seed, policy, selection, engine):
-    from repro.failures.injector import FailureInjector, InjectorConfig
+def injected(seed, policy, selection):
+    from repro.failures.injector import InjectorConfig
     from repro.rng import RandomSource
     from repro.simulate.vector.engine import VectorFailureInjector
 
     fleet = build(seed, policy, selection)
-    injector_cls = VectorFailureInjector if engine == "vector" else FailureInjector
-    injector_cls(InjectorConfig()).inject(fleet, RandomSource(seed))
+    VectorFailureInjector(InjectorConfig()).inject(fleet, RandomSource(seed))
     return fleet
 
 
@@ -141,9 +140,8 @@ def case_digests(seed, policy, selection) -> dict:
         "n_systems": fleet.system_count,
         "n_disks": fleet.disk_count_ever,
     }
-    for engine in ("legacy", "vector"):
-        fleet = injected(seed, policy, selection, engine)
-        digests["lifetimes_%s" % engine] = _sha(lifetime_lines(fleet))
+    fleet = injected(seed, policy, selection)
+    digests["lifetimes_vector"] = _sha(lifetime_lines(fleet))
     digests["snapshot_vector"] = _sha([write_snapshot(fleet)])
     digests["exposure_vector"] = _sha(exposure_lines(fleet))
     return digests

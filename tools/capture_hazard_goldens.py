@@ -1,11 +1,11 @@
 """Capture hazard-backend differential goldens.
 
-Records, for each engine (legacy / vector) x seed, the content digest
-of the paper-default injection table plus text/data digests of the
-fig4a, fig9a, and fig10a experiments, all at a fixed small scale.  The
-committed JSON pins the `analytic` hazard backend byte-identical to the
-pre-backend-refactor output on BOTH engines; tests/test_hazard_goldens.py
-replays the same runs and compares.
+Records, per seed, the content digest of the paper-default injection
+table plus text/data digests of the fig4a, fig9a, and fig10a
+experiments, all at a fixed small scale, under the batched engine's key
+``vector``.  The committed JSON pins the `analytic` hazard backend
+byte-identical to the pre-backend-refactor output;
+tests/test_hazard_goldens.py replays the same runs and compares.
 
 Regenerate (only when a deliberate behavior change lands):
 
@@ -42,25 +42,22 @@ def capture() -> dict:
         "seeds": list(SEEDS),
         "engines": {},
     }
-    for engine_name in ("legacy", "vector"):
-        config = RunConfig(engine=engine_name)
-        per_engine: dict = {"injection": {}, "experiments": {}}
-        for seed in SEEDS:
-            result = run_scenario(
-                "paper-default", scale=SCALE, seed=seed, config=config
-            )
-            table = result.injection.to_table()
-            per_engine["injection"][str(seed)] = table.content_digest()
-            per_seed: dict = {}
-            context = ExperimentContext(scale=SCALE, seed=seed, config=config)
-            for experiment_id in EXPERIMENTS:
-                exp = run_experiment(experiment_id, context)
-                per_seed[experiment_id] = {
-                    "text": _sha(exp.text),
-                    "data": _sha(json.dumps(exp.data, sort_keys=True)),
-                }
-            per_engine["experiments"][str(seed)] = per_seed
-        goldens["engines"][engine_name] = per_engine
+    config = RunConfig()
+    per_engine: dict = {"injection": {}, "experiments": {}}
+    for seed in SEEDS:
+        result = run_scenario("paper-default", scale=SCALE, seed=seed, config=config)
+        table = result.injection.to_table()
+        per_engine["injection"][str(seed)] = table.content_digest()
+        per_seed: dict = {}
+        context = ExperimentContext(scale=SCALE, seed=seed, config=config)
+        for experiment_id in EXPERIMENTS:
+            exp = run_experiment(experiment_id, context)
+            per_seed[experiment_id] = {
+                "text": _sha(exp.text),
+                "data": _sha(json.dumps(exp.data, sort_keys=True)),
+            }
+        per_engine["experiments"][str(seed)] = per_seed
+    goldens["engines"]["vector"] = per_engine
     return goldens
 
 

@@ -10,8 +10,8 @@ Two independent layers run by default:
 * **Invariants** — reprolint (``src/repro/lintkit``): the AST checks
   for determinism, sim-clock purity, columnar-core discipline, and
   env-var hygiene (incl. RPL007: no environment reads in simulation
-  code), followed by the whole-program pass (RPL102-RPL104:
-  fork-safety, import-time env reads, engine-dispatch discipline).
+  code), followed by the whole-program pass (RPL102-RPL103:
+  fork-safety, import-time env reads).
   See docs/LINTING.md.
 
 reprolint is stdlib-only and is loaded here *without executing the
@@ -166,7 +166,7 @@ def run_reprolint(json_out=None) -> int:
 
 
 def run_reprolint_project(json_out=None) -> int:
-    """Whole-program pass (RPL102-RPL104); see docs/LINTING.md."""
+    """Whole-program pass (RPL102-RPL103); see docs/LINTING.md."""
     lintkit = load_lintkit()
     argv = ["--root", REPO, "--project"]
     if json_out:
