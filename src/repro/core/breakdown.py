@@ -2,13 +2,15 @@
 
 Each public function returns :class:`BreakdownRow` records — one stacked
 bar each — so benchmarks and reports can print exactly the series the
-paper plots.
+paper plots.  Every bar is a system mask over the whole fleet
+(:meth:`~repro.fleet.fleet.Fleet.where`), a panel's mask ANDed with the
+bar's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,14 +86,13 @@ def afr_by_disk_model(
     confidence: float = 0.995,
 ) -> List[BreakdownRow]:
     """Fig. 5: AFR per disk model within one class + shelf-model panel."""
-    panel = dataset.filter_systems(
-        dataset.fleet.where(system_class=system_class, shelf_model=shelf_model)
-    )
+    fleet = dataset.fleet
+    panel = fleet.where(system_class=system_class, shelf_model=shelf_model)
     return _stacked_rows(
-        panel,
+        dataset,
         (
-            ("Disk %s" % model, panel.fleet.where(disk_model=model))
-            for model in sorted(set(panel.fleet.disk_models))
+            ("Disk %s" % model, panel & fleet.where(disk_model=model))
+            for model in _values_of(fleet.disk_models, panel)
         ),
         confidence,
     )
@@ -104,14 +105,16 @@ def afr_by_shelf_model(
     confidence: float = 0.995,
 ) -> List[BreakdownRow]:
     """Fig. 6: AFR per shelf enclosure model, disk model held fixed."""
-    panel = dataset.filter_systems(
-        dataset.fleet.where(system_class=system_class, disk_model=disk_model)
-    )
+    fleet = dataset.fleet
+    panel = fleet.where(system_class=system_class, disk_model=disk_model)
     return _stacked_rows(
-        panel,
+        dataset,
         (
-            ("Shelf Enclosure Model %s" % shelf_model, panel.fleet.where(shelf_model=shelf_model))
-            for shelf_model in sorted(set(panel.fleet.shelf_models))
+            (
+                "Shelf Enclosure Model %s" % shelf_model,
+                panel & fleet.where(shelf_model=shelf_model),
+            )
+            for shelf_model in _values_of(fleet.shelf_models, panel)
         ),
         confidence,
     )
@@ -127,15 +130,21 @@ def afr_by_path_config(
     The paper quotes the physical-interconnect error bars at 99.9%
     confidence, hence the different default.
     """
-    panel = dataset.filter_systems(dataset.fleet.where(system_class=system_class))
+    fleet = dataset.fleet
+    panel = fleet.where(system_class=system_class)
     return _stacked_rows(
-        panel,
+        dataset,
         (
-            (label, panel.fleet.where(dual_path=dual_path))
+            (label, panel & fleet.where(dual_path=dual_path))
             for dual_path, label in ((False, "Single Path"), (True, "Dual Paths"))
         ),
         confidence,
     )
+
+
+def _values_of(values: Sequence[str], systems: np.ndarray) -> List[str]:
+    """The distinct ``values`` of the systems ``systems`` picks, sorted."""
+    return sorted({value for value, inside in zip(values, systems.tolist()) if inside})
 
 
 def _stacked_rows(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.experiments.base import ExperimentContext, ExperimentResult, register
 from repro.failures.injector import InjectorConfig
 from repro.raid.dataloss import estimate_dataloss
@@ -29,9 +27,8 @@ def run(context: ExperimentContext) -> ExperimentResult:
         dataset = context.simulate(
             InjectorConfig(detection_lag_max_seconds=hours * SECONDS_PER_HOUR)
         )
-        lags = np.array(
-            [event.detect_time - event.occur_time for event in dataset.events]
-        )
+        table = dataset.table
+        lags = table.detect_time - table.occur_time
         lag_mean[hours] = float(lags.mean())
         loss_rate[hours] = estimate_dataloss(
             dataset
