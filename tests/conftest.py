@@ -16,13 +16,17 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import numpy as np
 import pytest
 
+from repro.failures.types import FAILURE_TYPE_ORDER
 from repro.fleet.builder import build_fleet
 from repro.fleet.spec import FleetSpec
 from repro.rng import RandomSource
 from repro.simulate.engine import SimulationEngine
 from repro.simulate.scenario import run_scenario
+from repro.simulate.vector.cohorts import CohortSet
+from repro.topology.classes import SYSTEM_CLASS_ORDER
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -103,3 +107,22 @@ def independent_dataset():
 def small_engine(scale: float = 0.002, **spec_overrides) -> SimulationEngine:
     """Helper for tests needing their own (mutable) simulation."""
     return SimulationEngine(FleetSpec.paper_default(scale=scale, **spec_overrides))
+
+
+def one_shelf_cohort(
+    n_bays: int = 14, deploy: float = 0.0, dual_path: bool = False
+) -> CohortSet:
+    """A one-cohort set for the batched samplers: one system with one
+    shelf of ``n_bays`` bays, deployed at ``deploy``."""
+    return CohortSet(
+        keys=[(SYSTEM_CLASS_ORDER[0], "test-shelf", "test-disk", dual_path, 0)],
+        rates=[{}],
+        active=FAILURE_TYPE_ORDER,
+        systems=np.asarray([0], dtype=np.int64),
+        system_start=np.asarray([0, 1], dtype=np.int64),
+        shelves=np.asarray([0], dtype=np.int64),
+        shelf_start=np.asarray([0, 1], dtype=np.int64),
+        shelf_deploy=np.asarray([deploy]),
+        shelf_n_slots=np.asarray([n_bays], dtype=np.int64),
+        shelf_offset=np.asarray([0], dtype=np.int64),
+    )

@@ -17,13 +17,12 @@ from repro.failures.hazards import (
     WeibullInterarrival,
 )
 from repro.failures.injector import InjectorConfig
-from repro.failures.types import FAILURE_TYPE_ORDER, FailureType
-from repro.simulate.vector.cohorts import CohortSet
+from repro.failures.types import FailureType
 from repro.simulate.vector.sampling import (
     sample_independent,
     sample_renewal_candidates,
 )
-from repro.topology.classes import SYSTEM_CLASS_ORDER
+from tests.conftest import one_shelf_cohort
 
 START = 500.0
 
@@ -33,27 +32,11 @@ def rng():
     return np.random.default_rng(0)
 
 
-def shelf(n_slots):
-    """A one-cohort set: one system with one shelf deployed at START."""
-    return CohortSet(
-        keys=[(SYSTEM_CLASS_ORDER[0], "shelf", "disk", False, 0)],
-        rates=[{}],
-        active=FAILURE_TYPE_ORDER,
-        systems=np.asarray([0], dtype=np.int64),
-        system_start=np.asarray([0, 1], dtype=np.int64),
-        shelves=np.asarray([0], dtype=np.int64),
-        shelf_start=np.asarray([0, 1], dtype=np.int64),
-        shelf_deploy=np.asarray([START]),
-        shelf_n_slots=np.asarray([n_slots], dtype=np.int64),
-        shelf_offset=np.asarray([0], dtype=np.int64),
-    )
-
-
 def poisson_arrivals(rng, rate, end, n_slots=1):
     """Independent per-bay Poisson arrival times on [START, end)."""
     return sample_independent(
         [rng],
-        shelf(n_slots),
+        one_shelf_cohort(n_slots, START),
         FailureType.PROTOCOL,
         np.asarray([rate]),
         end,
@@ -66,7 +49,7 @@ def renewal_arrivals(rng, mean_seconds, end, shape=1.0):
     config = InjectorConfig(disk_renewal_shape=shape)
     return sample_renewal_candidates(
         [rng],
-        shelf(1),
+        one_shelf_cohort(1, START),
         FailureType.DISK,
         np.asarray([1.0 / mean_seconds]),
         resolve_backend("analytic"),

@@ -10,30 +10,17 @@ import pytest
 
 from repro.core.columns import CAUSE_ORDER
 from repro.failures.multipath import MultipathModel
-from repro.failures.types import FAILURE_TYPE_ORDER, FailureType, InterconnectCause
-from repro.simulate.vector.cohorts import CohortSet
+from repro.failures.types import FailureType, InterconnectCause
 from repro.simulate.vector.sampling import sample_independent
-from repro.topology.classes import SYSTEM_CLASS_ORDER
+from tests.conftest import one_shelf_cohort
 
 
 def faults(mask_probability, dual_path=True, n=5_000, seed=11):
     """About ``n`` independent interconnect faults on one 14-bay shelf."""
-    cohort = CohortSet(
-        keys=[(SYSTEM_CLASS_ORDER[2], "shelf", "disk", dual_path, 0)],
-        rates=[{}],
-        active=FAILURE_TYPE_ORDER,
-        systems=np.asarray([0], dtype=np.int64),
-        system_start=np.asarray([0, 1], dtype=np.int64),
-        shelves=np.asarray([0], dtype=np.int64),
-        shelf_start=np.asarray([0, 1], dtype=np.int64),
-        shelf_deploy=np.zeros(1),
-        shelf_n_slots=np.asarray([14], dtype=np.int64),
-        shelf_offset=np.asarray([0], dtype=np.int64),
-    )
     window = 1.0e8
     return sample_independent(
         [np.random.default_rng(seed)],
-        cohort,
+        one_shelf_cohort(dual_path=dual_path),
         FailureType.PHYSICAL_INTERCONNECT,
         np.asarray([n / (14 * window)]),
         window,

@@ -13,30 +13,13 @@ import pytest
 
 from repro.core.columns import CAUSE_ORDER
 from repro.failures.multipath import MultipathModel
-from repro.failures.types import FAILURE_TYPE_ORDER, FailureType, InterconnectCause
+from repro.failures.types import FailureType, InterconnectCause
 from repro.fleet.calibration import SHOCK_PARAMS, ShockParams
-from repro.simulate.vector.cohorts import CohortSet
 from repro.simulate.vector.sampling import sample_shock_candidates
-from repro.topology.classes import SYSTEM_CLASS_ORDER
+from tests.conftest import one_shelf_cohort
 
 PHYS = FailureType.PHYSICAL_INTERCONNECT
 DEPLOY = 5.0e6
-
-
-def shelf(n_slots=14, dual_path=False):
-    """A one-cohort set: one system with one shelf deployed at DEPLOY."""
-    return CohortSet(
-        keys=[(SYSTEM_CLASS_ORDER[2], "shelf", "disk", dual_path, 0)],
-        rates=[{}],
-        active=FAILURE_TYPE_ORDER,
-        systems=np.asarray([0], dtype=np.int64),
-        system_start=np.asarray([0, 1], dtype=np.int64),
-        shelves=np.asarray([0], dtype=np.int64),
-        shelf_start=np.asarray([0, 1], dtype=np.int64),
-        shelf_deploy=np.asarray([DEPLOY]),
-        shelf_n_slots=np.asarray([n_slots], dtype=np.int64),
-        shelf_offset=np.asarray([0], dtype=np.int64),
-    )
 
 
 def shocks(
@@ -50,7 +33,7 @@ def shocks(
 ):
     return sample_shock_candidates(
         [np.random.default_rng(seed)],
-        shelf(n_slots, dual_path),
+        one_shelf_cohort(n_slots, DEPLOY, dual_path),
         PHYS,
         np.asarray([rate]),
         params,

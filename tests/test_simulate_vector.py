@@ -43,6 +43,7 @@ from repro.simulate.vector.sampling import (
     sample_shock_candidates,
 )
 from repro.topology.classes import SYSTEM_CLASS_ORDER
+from tests.conftest import one_shelf_cohort
 
 
 @pytest.fixture(scope="module")
@@ -126,22 +127,6 @@ class TestCohorts:
         assert cohorts[0].stream(source) is cohorts[0].stream(source)
 
 
-def _one_shelf_cohort(n_bays: int = 14) -> CohortSet:
-    """A one-cohort set: one system with one shelf of ``n_bays`` bays."""
-    return CohortSet(
-        keys=[(SYSTEM_CLASS_ORDER[0], "test-shelf", "test-disk", False, 0)],
-        rates=[{}],
-        active=FAILURE_TYPE_ORDER,
-        systems=np.asarray([0], dtype=np.int64),
-        system_start=np.asarray([0, 1], dtype=np.int64),
-        shelves=np.asarray([0], dtype=np.int64),
-        shelf_start=np.asarray([0, 1], dtype=np.int64),
-        shelf_deploy=np.zeros(1),
-        shelf_n_slots=np.asarray([n_bays], dtype=np.int64),
-        shelf_offset=np.asarray([0], dtype=np.int64),
-    )
-
-
 class TestSampling:
     def test_zero_rate_is_empty(self, cohorts):
         rng = np.random.default_rng(0)
@@ -178,7 +163,7 @@ class TestSampling:
         # The renewal process starts in equilibrium, so arrivals over the
         # window are rate * bays * window in expectation; the tolerance
         # is several standard deviations wide.
-        cohort = _one_shelf_cohort(n_bays=14)
+        cohort = one_shelf_cohort(n_bays=14)
         rate, window = 2.0e-5, 1.0e6
         config = InjectorConfig(disk_renewal_shape=1.4)
         out = sample_renewal_candidates(
@@ -198,7 +183,7 @@ class TestSampling:
         assert not out.masked.any()
 
     def test_independent_interconnect_has_causes(self):
-        cohort = _one_shelf_cohort(n_bays=10)
+        cohort = one_shelf_cohort(n_bays=10)
         out = sample_independent(
             [np.random.default_rng(3)],
             cohort,
@@ -212,7 +197,7 @@ class TestSampling:
         assert not out.masked.any()  # single-path cohort masks nothing
 
     def test_concat_round_trip(self):
-        cohort = _one_shelf_cohort()
+        cohort = one_shelf_cohort()
         rng = np.random.default_rng(1)
         config = InjectorConfig(disk_renewal_shape=1.4)
         a = sample_renewal_candidates(

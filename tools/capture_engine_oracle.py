@@ -12,8 +12,9 @@ EXPERIMENTS.md) once per seed and records, for each seed,
   replacement-discrepancy and availability, plus Findings 1-11.
 
 tests/goldens/engine_oracle.json holds these records for the per-unit
-(legacy) engine at seeds 1-100, captured by this script at the commit
-the file names, the last one that had that engine.
+(legacy) engine at seeds 1-100.  This script's ``capture`` command took
+them at the commit the file names, the last one that had that engine;
+with the engine gone, the command went too.
 tests/test_engine_oracle.py records the batched engine at its own
 seeds and compares the two samples with :func:`comparisons`: a Welch
 t-test per statistic's mean, a two-sided F-test per statistic's
@@ -21,12 +22,7 @@ variance and a Fisher exact test per check's failure count.
 
 Compare the engine against the committed oracle, smallest p first:
 
-    PYTHONPATH=src python tools/capture_engine_oracle.py compare --seeds 1-30
-
-Record this tree's engine as a new reference (takes minutes; the
-committed oracle stays the per-unit engine's):
-
-    PYTHONPATH=src python tools/capture_engine_oracle.py capture --out FILE
+    PYTHONPATH=src python tools/capture_engine_oracle.py --seeds 1-30
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -112,20 +107,14 @@ def record(seed: int, config=None) -> Tuple[Dict[str, float], Dict[str, bool]]:
     return {name: float(value) for name, value in stats.items()}, verdicts
 
 
-def records(seeds: Sequence[int], config=None, jobs: int = 1) -> dict:
+def records(seeds: Sequence[int], config=None) -> dict:
     """Every seed's record, in the oracle's column layout.
 
     ``statistics`` maps each name to its per-seed values in ``seeds``
     order; ``failures`` maps each check to the seeds where it did not
     pass (a check a seed does not produce counts as not passing).
     """
-    if jobs > 1:
-        from multiprocessing import get_context
-
-        with get_context("spawn").Pool(jobs) as pool:
-            rows = pool.starmap(record, [(seed, config) for seed in seeds])
-    else:
-        rows = [record(seed, config) for seed in seeds]
+    rows = [record(seed, config) for seed in seeds]
     stat_names = list(rows[0][0])
     check_names = sorted({name for _, verdicts in rows for name in verdicts})
     return {
@@ -206,19 +195,6 @@ def comparisons(oracle: dict, observed: dict) -> List[Tuple[float, str, str]]:
     return rows
 
 
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def _seed_range(text: str) -> Tuple[int, ...]:
     first, _, last = text.partition("-")
     return tuple(range(int(first), int(last or first) + 1))
@@ -226,41 +202,13 @@ def _seed_range(text: str) -> Tuple[int, ...]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    capture = sub.add_parser("capture", help="record the engine as a reference")
-    capture.add_argument("--seeds", type=_seed_range, default=ORACLE_SEEDS)
-    capture.add_argument("--jobs", type=int, default=2)
-    capture.add_argument("--out", required=True)
-    compare = sub.add_parser("compare", help="compare the engine with the oracle")
-    compare.add_argument("--seeds", type=_seed_range, default=_seed_range("1-30"))
-    compare.add_argument("--jobs", type=int, default=1)
-    compare.add_argument("--oracle", default=str(DEFAULT_OUT))
-    compare.add_argument("--top", type=int, default=10)
+    parser.add_argument("--seeds", type=_seed_range, default=_seed_range("1-30"))
+    parser.add_argument("--oracle", default=str(DEFAULT_OUT))
+    parser.add_argument("--top", type=int, default=10)
     args = parser.parse_args(argv)
 
-    if args.command == "capture":
-        oracle = {
-            "commit": _commit(),
-            "engine": "batched",
-            "scenario": SCENARIO,
-            "scale": SCALE,
-        }
-        oracle.update(records(args.seeds, jobs=args.jobs))
-        Path(args.out).write_text(json.dumps(oracle, indent=1) + "\n")
-        print(
-            "wrote %d seeds, %d statistics, %d checks to %s"
-            % (
-                len(oracle["seeds"]),
-                len(oracle["statistics"]),
-                len(oracle["failures"]),
-                args.out,
-            )
-        )
-        return 0
-
     oracle = json.loads(Path(args.oracle).read_text())
-    observed = records(args.seeds, jobs=args.jobs)
-    rows = comparisons(oracle, observed)
+    rows = comparisons(oracle, records(args.seeds))
     bound = 0.01 / len(rows)
     print("m = %d comparisons, bound p >= %.3g" % (len(rows), bound))
     for p_value, name, summary in rows[: args.top]:
