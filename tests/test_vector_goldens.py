@@ -2,10 +2,11 @@
 
 tests/goldens/vector_engine_goldens.json holds digests that
 tools/capture_vector_goldens.py took from the vector engine: the event
-table, the lifetime table, the materialized recovered errors and the
-written log archive, for eight cases (four scenarios, infant
-mortality, no recovered errors, the ``trace:`` backend, one shard
-slice) at three seeds.  Each case is replayed here and compared.
+table, the lifetime table, the materialized recovered errors, the
+written log archive and the tables mined back from it, for eight cases
+(four scenarios, infant mortality, no recovered errors, the ``trace:``
+backend, one shard slice) at three seeds.  Each case is replayed here
+and compared.
 
 Regenerate (only for a deliberate change to the engine's output):
 

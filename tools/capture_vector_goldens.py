@@ -10,6 +10,10 @@ engine's non-default paths, records SHA-256 digests of
   record, in list order);
 - the ``write_logs`` archive (the snapshot, then every system's log in
   fleet order);
+- the table ``parse_archive`` mines from that archive against the
+  injection's fleet, in strict mode (``parsed``), and, for
+  ``paper-default``, leniently from the archive's own snapshot
+  (``parsed_snapshot``);
 
 plus the event and recovered-record counts.  The cases:
 
@@ -143,18 +147,24 @@ def archive_lines(archive):
 
 
 def case_digests(case: str, seed: int, trace_path) -> dict:
+    from repro.autosupport.parser import parse_archive
     from repro.autosupport.writer import write_logs
 
     fleet, result = inject(case, seed, trace_path)
     errors = result.recovered_errors
-    return {
+    archive = write_logs(result)
+    digests = {
         "events": result.n_events(),
         "recovered": len(errors),
         "table": result.to_table().content_digest(),
         "lifetimes": _sha(lifetime_lines(fleet)),
         "recovered_errors": _sha(recovered_lines(errors)),
-        "logs": _sha(archive_lines(write_logs(result))),
+        "logs": _sha(archive_lines(archive)),
+        "parsed": parse_archive(archive, fleet=fleet, strict=True).table.content_digest(),
     }
+    if case == "paper-default":
+        digests["parsed_snapshot"] = parse_archive(archive).table.content_digest()
+    return digests
 
 
 def capture() -> dict:
