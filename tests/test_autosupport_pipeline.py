@@ -1,16 +1,56 @@
 """Tests for the log writer + parser pipeline (end to end)."""
 
+import dataclasses
+
 import pytest
 
+from repro.autosupport.messages import _TEMPLATES, format_line, parse_line
 from repro.autosupport.parser import parse_archive, parse_system_log
 from repro.autosupport.writer import LogArchive, write_logs
+from repro.core.columns import EventTable
+from repro.errors import LogFormatError
+from repro.failures.injector import InjectionResult
+from repro.failures.raidlayer import CASCADES
 from repro.failures.types import FailureType
 from repro.simulate.clock import SimulationClock
+from repro.simulate.scenario import run_scenario
+
+CLOCK = SimulationClock()
 
 
 @pytest.fixture(scope="module")
 def archive(logged_sim):
     return logged_sim.archive
+
+
+@pytest.fixture(scope="module")
+def busiest(logged_sim):
+    system_id = max(
+        logged_sim.archive.logs,
+        key=lambda sid: logged_sim.archive.logs[sid].count("[raid."),
+    )
+    return logged_sim.fleet.system(system_id), logged_sim.archive.logs[system_id]
+
+
+def _one_event_injection(logged_sim, detect_time):
+    """The logged simulation's first event alone, detected at ``detect_time``."""
+    event = logged_sim.injection.events[0]
+    moved = dataclasses.replace(
+        event,
+        occur_time=min(event.occur_time, detect_time),
+        detect_time=detect_time,
+    )
+    return event, InjectionResult(
+        table=EventTable.from_events([moved]),
+        recovered_errors=[],
+        fleet=logged_sim.fleet,
+    )
+
+
+def _strict_error(text, system):
+    with pytest.raises(LogFormatError) as info:
+        parse_system_log(text, system, strict=True)
+    return str(info.value)
 
 
 class TestWriter:
@@ -48,6 +88,44 @@ class TestWriter:
 
     def test_snapshot_attached(self, archive):
         assert archive.snapshot.startswith("[meta]")
+
+    @pytest.mark.parametrize(
+        "fraction, second", [(0.9999996, 1), (0.9999994, 0), (0.999999, 0), (0.5, 0)]
+    )
+    def test_timestamps_round_like_clock_format(self, logged_sim, fraction, second):
+        # timedelta rounds to the microsecond, so k + 0.9999996 renders k + 1.
+        whole = float(int(logged_sim.injection.events[0].detect_time))
+        event, injection = _one_event_injection(logged_sim, whole + fraction)
+        fleet = logged_sim.fleet
+        serial = fleet.disk_serials()[fleet.find_disk(event.disk_id)]
+        detect = whole + fraction
+        expected = [
+            format_line(CLOCK, max(0.0, detect - lead), name, event.disk_id, serial)
+            for _layer, name, lead in CASCADES[event.failure_type]
+        ]
+        expected.append(
+            format_line(
+                CLOCK, detect, event.failure_type.raid_event, event.disk_id, serial
+            )
+        )
+        text = write_logs(injection).logs[event.system_id]
+        assert text == "".join(line + "\n" for line in expected)
+        assert text.splitlines()[-1].startswith(CLOCK.format(whole + second) + " [raid.")
+
+    def test_lines_equal_format_line_for_every_event_name(self):
+        # The operator-error scenario's cascades also log event names
+        # with no template of their own (the fallback prose).
+        sim = run_scenario("operator-error", scale=0.002, seed=9, via_logs=True)
+        names = set()
+        for text in sim.archive.logs.values():
+            for raw in text.splitlines():
+                line = parse_line(CLOCK, raw)
+                names.add(line.event)
+                assert raw == format_line(
+                    CLOCK, line.time, line.event, line.disk_id, line.serial or ""
+                )
+        assert set(_TEMPLATES) <= names
+        assert names - set(_TEMPLATES)
 
 
 class TestRoundTripViaDisk(object):
@@ -148,6 +226,56 @@ class TestParser:
         # Appending a copy of an existing RAID line within the dedup
         # window must not add an event.
         assert len(withdup) <= len(base) + 1
+
+    def test_strptime_only_timestamps_mine_the_same_events(self, busiest):
+        system, text = busiest
+        lines = text.splitlines()
+        # Lower case ("sun jul 23") and a space-padded day ("Jul  3"):
+        # only strptime reads these.
+        rewritten = [
+            raw[:24].lower() + raw[24:] if index % 2 else raw
+            for index, raw in enumerate(lines)
+        ]
+        rewritten = [
+            raw[:8] + " " + raw[9:] if raw[8] == "0" else raw for raw in rewritten
+        ]
+        assert rewritten != lines
+        assert any(raw[8] == " " for raw in rewritten)
+        assert parse_system_log("\n".join(rewritten), system, strict=True) == (
+            parse_system_log(text, system, strict=True)
+        )
+
+    def test_strict_errors_name_the_fault(self, busiest, logged_sim):
+        system, text = busiest
+        assert _strict_error("GARBAGE LINE\n" + text, system) == (
+            "unparseable log line: 'GARBAGE LINE'"
+        )
+        raid = next(raw for raw in text.splitlines() if "[raid." in raw)
+        event = raid.split("[", 1)[1].split(":", 1)[0]
+        unknown = raid.replace(event, "raid.disk.exploded")
+        assert _strict_error(text + unknown + "\n", system) == (
+            "unknown RAID event 'raid.disk.exploded'"
+        )
+        disk = parse_line(CLOCK, raid).disk_id
+        stranger = raid.replace(disk, "sh-nowhere-00/00#0")
+        assert _strict_error(text + stranger + "\n", system) == (
+            "disk 'sh-nowhere-00/00#0' not found in snapshot topology"
+        )
+        other = next(s for s in logged_sim.fleet.systems if s.system_id != system.system_id)
+        foreign = raid.replace(disk, "%s/00#0" % logged_sim.fleet.shelf_ids[
+            logged_sim.fleet.system_shelf_start[other.fleet_index]
+        ])
+        assert _strict_error(text + foreign + "\n", system) == (
+            "disk %r not found in snapshot topology" % parse_line(CLOCK, foreign).disk_id
+        )
+        logs = dict(logged_sim.archive.logs, **{"sys-unknown": raid + "\n"})
+        with pytest.raises(LogFormatError) as info:
+            parse_archive(
+                LogArchive(logs=logs, snapshot=logged_sim.archive.snapshot),
+                fleet=logged_sim.fleet,
+                strict=True,
+            )
+        assert str(info.value) == "log for unknown system 'sys-unknown'"
 
     def test_disk_topology_attributes_populated(self, archive, logged_sim):
         mined = parse_archive(archive, fleet=logged_sim.fleet)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.autosupport.parser import parse_system_log
 from repro.autosupport.stream import stream_system_log
+from repro.errors import LogFormatError
 
 _noise_line = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
@@ -82,3 +83,38 @@ class TestNoiseInjection:
         # invent events beyond the RAID lines present.
         assert len(events) <= len(baseline)
         assert len(events) > 0
+
+
+def _mined(text, system, strict):
+    """Events, or the strict-mode error text."""
+    try:
+        return parse_system_log(text, system, strict=strict)
+    except LogFormatError as exc:
+        return str(exc)
+
+
+class TestLineSeparators:
+    """``str.splitlines`` boundaries other than ``\\n`` split lines too."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_crlf_endings(self, busy_system, strict):
+        system, text = busy_system
+        assert _mined(text.replace("\n", "\r\n"), system, strict) == _mined(
+            text, system, strict
+        )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("separator", ["\x1c", "\u2028"])
+    def test_separator_inside_a_line(self, busy_system, separator, strict):
+        system, text = busy_system
+        lines = text.splitlines()
+        raid = next(i for i, raw in enumerate(lines) if "[raid." in raw)
+        # After the tag of a RAID line and inside the timestamp of a
+        # lower-layer line: both halves are then malformed lines.
+        lines[raid] = lines[raid].replace("]: ", "]: " + separator, 1)
+        lines[raid - 1] = lines[raid - 1][:5] + separator + lines[raid - 1][5:]
+        split = "\n".join(lines)
+        mined = _mined(split, system, strict)
+        assert mined == _mined(split.replace(separator, "\n"), system, strict)
+        if not strict:
+            assert len(mined) == len(parse_system_log(text, system)) - 1
