@@ -28,6 +28,7 @@ Compare the engine against the committed oracle, smallest p first:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -112,9 +113,13 @@ def records(seeds: Sequence[int], config=None) -> dict:
 
     ``statistics`` maps each name to its per-seed values in ``seeds``
     order; ``failures`` maps each check to the seeds where it did not
-    pass (a check a seed does not produce counts as not passing).
+    pass (a check a seed does not produce counts as not passing).  The
+    seeds run on two worker processes; each record depends only on its
+    seed.
     """
-    rows = [record(seed, config) for seed in seeds]
+    from repro.runtime.pool import WorkerPool
+
+    rows = WorkerPool(jobs=2).map(functools.partial(record, config=config), seeds)
     stat_names = list(rows[0][0])
     check_names = sorted({name for _, verdicts in rows for name in verdicts})
     return {
