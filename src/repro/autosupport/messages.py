@@ -13,8 +13,9 @@ prose varies per event name like real support logs do.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import LogFormatError
 from repro.simulate.clock import SimulationClock
@@ -91,6 +92,31 @@ class LogLine:
         return self.layer == "raid"
 
 
+@functools.lru_cache(maxsize=None)
+def line_parts(
+    event: str, severity: Optional[str] = None
+) -> Tuple[str, str, Optional[str]]:
+    """The fixed text of ``event``'s lines, as ``(head, middle, tail)``.
+
+    A line reads ``<timestamp> <head><disk id><middle>``; when ``tail``
+    is not None, the template logs the serial and ``<serial><tail>``
+    follows.  :func:`format_line` and the log writer share these parts.
+    """
+    if severity is None:
+        severity = "info" if event.startswith("raid.") or event.endswith("Recovered") else "error"
+    if severity not in _SEVERITIES:
+        raise LogFormatError("unknown severity %r" % severity)
+    template = _TEMPLATES.get(event)
+    if template is None:
+        before, middle, tail = "Device ", ": event %s" % event, None
+    else:
+        before, _, after = template.partition("{disk}")
+        middle, serial, tail = after.partition("{serial}")
+        if not serial:
+            tail = None
+    return "[%s:%s]: %s" % (event, severity, before), middle, tail
+
+
 def format_line(
     clock: SimulationClock,
     time: float,
@@ -100,13 +126,9 @@ def format_line(
     severity: Optional[str] = None,
 ) -> str:
     """Render one log line in the Fig. 3 dialect."""
-    if severity is None:
-        severity = "info" if event.startswith("raid.") or event.endswith("Recovered") else "error"
-    if severity not in _SEVERITIES:
-        raise LogFormatError("unknown severity %r" % severity)
-    template = _TEMPLATES.get(event, "Device {disk}: event %s" % event)
-    message = template.format(disk=disk_id, serial=serial or "UNKNOWN")
-    return "%s [%s:%s]: %s" % (clock.format(time), event, severity, message)
+    head, middle, tail = line_parts(event, severity)
+    line = "%s %s%s%s" % (clock.format(time), head, disk_id, middle)
+    return line if tail is None else line + (serial or "UNKNOWN") + tail
 
 
 def parse_line(clock: SimulationClock, line: str) -> LogLine:

@@ -24,73 +24,120 @@ _FORMAT_VERSION = "1"
 
 
 def write_snapshot(fleet: Fleet) -> str:
-    """Serialize a fleet (topology + disk lifetimes) to snapshot text."""
-    lines: List[str] = []
-    lines.append("[meta]")
-    lines.append("version = %s" % _FORMAT_VERSION)
-    lines.append("duration_seconds = %r" % fleet.duration_seconds)
-    lines.append("")
+    """Serialize a fleet (topology + disk lifetimes) to snapshot text.
+
+    Every section ends in a blank line.  The sections of each kind are
+    rendered in one pass over their arrays, then laid out per system:
+    the system, each shelf followed by its disks (the lifetime table is
+    in system, shelf, bay and generation order), then its RAID groups.
+    """
     all_slots = np.arange(fleet.slot_count)
     slot_keys = fleet.slot_keys(all_slots)
     slot_groups = fleet.slot_group_ids(all_slots)
     slot_local = (all_slots - fleet.shelf_slot_start[fleet.slot_shelf]).tolist()
-    members = fleet.group_members(all_slots)
-    disk_slot = fleet.disk_slot.tolist()
-    disk_ids = [
-        "%s#%d" % (slot_keys[slot], gen)
-        for slot, gen in zip(disk_slot, fleet.disk_gen.tolist())
+    system_ids = fleet.system_ids
+    disk_models = fleet.disk_models
+    shelf_models = fleet.shelf_models
+
+    systems = [
+        "[system %s]\nclass = %s\nshelf_model = %s\ndisk_model = %s\n"
+        "dual_path = %s\ndeploy_time = %r\n\n"
+        % (
+            system_id,
+            system_class.value,
+            shelf_model,
+            disk_model,
+            "true" if dual else "false",
+            deploy,
+        )
+        for system_id, system_class, shelf_model, disk_model, dual, deploy in zip(
+            system_ids,
+            fleet.system_classes,
+            shelf_models,
+            disk_models,
+            fleet.dual_path.tolist(),
+            fleet.deploy_time.tolist(),
+        )
     ]
-    serials = fleet.disk_serials()
-    installs = fleet.disk_install.tolist()
-    removes = [
-        "none" if value == np.inf else repr(value)
-        for value in fleet.disk_remove.tolist()
+    slot_starts = fleet.shelf_slot_start.tolist()
+    shelves = [
+        "[shelf %s]\nsystem = %s\nmodel = %s\nslots = %d\nslot_groups = %s\n\n"
+        % (
+            shelf_id,
+            system_ids[system],
+            shelf_models[system],
+            last - first,
+            ",".join(slot_groups[first:last]),
+        )
+        for shelf_id, system, first, last in zip(
+            fleet.shelf_ids, fleet.shelf_system.tolist(), slot_starts, slot_starts[1:]
+        )
+    ]
+    disks = [
+        "[disk %s#%d]\nmodel = %s\nslot = %d\nserial = %s\n"
+        "install_time = %s\nremove_time = %s\n\n"
+        % (slot_keys[slot], gen, disk_models[system], slot_local[slot], serial, install, remove)
+        for slot, gen, system, serial, install, remove in zip(
+            fleet.disk_slot.tolist(),
+            fleet.disk_gen.tolist(),
+            fleet.slot_system[fleet.disk_slot].tolist(),
+            # serial_text, inlined
+            ["S%08X" % value if value >= 0 else "" for value in fleet.disk_serial.tolist()],
+            _reprs(fleet.disk_install, "inf"),
+            _reprs(fleet.disk_remove, "none"),
+        )
+    ]
+    # A RAID group lists its bays in layout order: slot-major across
+    # shelves, as Fleet.group_members orders them.
+    order = np.lexsort((fleet.slot_shelf, slot_local, fleet.slot_group))
+    member_starts = np.searchsorted(
+        fleet.slot_group[order], np.arange(fleet.raid_group_count + 1)
+    ).tolist()
+    members = [slot_keys[slot] for slot in order.tolist()]
+    groups = [
+        "[raidgroup %s]\nsystem = %s\nraid_type = %s\nslot_keys = %s\n\n"
+        % (
+            group_id,
+            system_ids[system],
+            RAID_TYPES[raid_type].value,
+            ",".join(members[first:last]),
+        )
+        for group_id, system, raid_type, first, last in zip(
+            fleet.group_ids,
+            np.repeat(
+                np.arange(fleet.system_count), np.diff(fleet.system_group_start)
+            ).tolist(),
+            fleet.group_raid_type.tolist(),
+            member_starts,
+            member_starts[1:],
+        )
+    ]
+
+    sections = [
+        "[meta]\nversion = %s\nduration_seconds = %r\n\n"
+        % (_FORMAT_VERSION, fleet.duration_seconds)
     ]
     shelf_starts = fleet.system_shelf_start.tolist()
     group_starts = fleet.system_group_start.tolist()
-    slot_starts = fleet.shelf_slot_start.tolist()
-    disk_starts = fleet.slot_disk_start.tolist()
-    for index, system in enumerate(fleet.systems):
-        system_id = system.system_id
-        lines.append("[system %s]" % system_id)
-        lines.append("class = %s" % system.system_class.value)
-        lines.append("shelf_model = %s" % system.shelf_model)
-        lines.append("disk_model = %s" % system.primary_disk_model)
-        lines.append("dual_path = %s" % ("true" if system.dual_path else "false"))
-        lines.append("deploy_time = %r" % system.deploy_time)
-        lines.append("")
+    disk_starts = fleet.slot_disk_start[fleet.shelf_slot_start].tolist()
+    for index, system in enumerate(systems):
+        sections.append(system)
         for shelf in range(shelf_starts[index], shelf_starts[index + 1]):
-            first, last = slot_starts[shelf], slot_starts[shelf + 1]
-            lines.append("[shelf %s]" % fleet.shelf_ids[shelf])
-            lines.append("system = %s" % system_id)
-            lines.append("model = %s" % system.shelf_model)
-            lines.append("slots = %d" % (last - first))
-            lines.append("slot_groups = %s" % ",".join(slot_groups[first:last]))
-            lines.append("")
-            for row in range(disk_starts[first], disk_starts[last]):
-                # One element per section; the join adds its blank line.
-                lines.append(
-                    "[disk %s]\nmodel = %s\nslot = %d\nserial = %s\n"
-                    "install_time = %r\nremove_time = %s\n"
-                    % (
-                        disk_ids[row],
-                        system.primary_disk_model,
-                        slot_local[disk_slot[row]],
-                        serials[row],
-                        installs[row],
-                        removes[row],
-                    )
-                )
-        for group in range(group_starts[index], group_starts[index + 1]):
-            lines.append("[raidgroup %s]" % fleet.group_ids[group])
-            lines.append("system = %s" % system_id)
-            lines.append("raid_type = %s" % RAID_TYPES[fleet.group_raid_type[group]].value)
-            lines.append(
-                "slot_keys = %s"
-                % ",".join(slot_keys[slot] for slot in members.get(group, []))
-            )
-            lines.append("")
-    return "\n".join(lines) + "\n"
+            sections.append(shelves[shelf])
+            sections.extend(disks[disk_starts[shelf] : disk_starts[shelf + 1]])
+        sections.extend(groups[group_starts[index] : group_starts[index + 1]])
+    return "".join(sections)
+
+
+def _reprs(values: np.ndarray, infinity: str) -> List[str]:
+    """``repr`` of every value (``infinity`` for +inf), rendered once per
+    distinct bit pattern."""
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [
+        infinity if value == np.inf else repr(value)
+        for value in bits.view(np.float64).tolist()
+    ]
+    return [texts[code] for code in codes.tolist()]
 
 
 def parse_snapshot(text: str) -> Fleet:

@@ -3,10 +3,11 @@
 The batch parser (:mod:`repro.autosupport.parser`) wants the whole log
 text; real AutoSupport feeds arrive as line streams over weeks.  The
 :class:`StreamingLogParser` accepts lines (or arbitrary text chunks) as
-they come, maintains the same cascade/dedup state the batch parser
-uses, and yields each subsystem failure as soon as its RAID-layer line
-arrives.  Feeding it a whole log in any chunking produces exactly the
-batch parser's events.
+they come, feeds them to the batch parser's cascade/dedup state
+machine (:class:`~repro.autosupport.parser.CascadeState`), and yields
+each subsystem failure as soon as its RAID-layer line arrives.  Feeding
+it a whole log in any chunking produces exactly the batch parser's
+events.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.autosupport.messages import parse_line
-from repro.autosupport.parser import CASCADE_WINDOW_SECONDS, build_event
-from repro.core.dataset import DEDUP_WINDOW_SECONDS
+from repro.autosupport.parser import CascadeState, build_event
 from repro.errors import LogFormatError
 from repro.failures.events import FailureEvent
 from repro.failures.types import FailureType
@@ -46,8 +46,7 @@ class StreamingLogParser:
         self.clock = clock
         self.strict = strict
         self._buffer = ""
-        self._last_lower: dict = {}
-        self._last_raid: dict = {}
+        self._state = CascadeState()
         self._events_out = 0
 
     # -- feeding -------------------------------------------------------------
@@ -96,9 +95,7 @@ class StreamingLogParser:
         if line.disk_id is None:
             return None
         if not line.is_raid_event:
-            previous = self._last_lower.get(line.disk_id)
-            if previous is None or line.time - previous > CASCADE_WINDOW_SECONDS:
-                self._last_lower[line.disk_id] = line.time
+            self._state.observe(line.time, line.disk_id)
             return None
         try:
             failure_type = FailureType.from_raid_event(line.event)
@@ -106,17 +103,9 @@ class StreamingLogParser:
             if self.strict:
                 raise LogFormatError("unknown RAID event %r" % line.event)
             return None
-        key = (line.disk_id, failure_type)
-        previous = self._last_raid.get(key)
-        if previous is not None and line.time - previous < DEDUP_WINDOW_SECONDS:
+        occur = self._state.observe(line.time, line.disk_id, failure_type)
+        if occur is None:
             return None
-        self._last_raid[key] = line.time
-        onset = self._last_lower.get(line.disk_id)
-        occur = (
-            onset
-            if onset is not None and line.time - onset <= CASCADE_WINDOW_SECONDS
-            else line.time
-        )
         event = build_event(self.system, line, failure_type, occur)
         if event is None:
             if self.strict:

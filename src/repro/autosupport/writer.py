@@ -17,11 +17,14 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import LogFormatError
 from repro.failures.injector import InjectionResult
-from repro.failures.raidlayer import component_errors_for_failure
-from repro.autosupport.messages import format_line
+from repro.failures.raidlayer import CASCADES, RECOVERY_EVENTS
+from repro.failures.types import ALL_FAILURE_TYPES
+from repro.autosupport.messages import line_parts
 from repro.autosupport.snapshot import write_snapshot
+from repro.fleet.fleet import serial_text
 from repro.simulate.clock import SimulationClock
 
 
@@ -84,61 +87,119 @@ class LogArchive:
         return cls(logs=logs, snapshot=snapshot_file.read_text())
 
 
+#: Every event name a line can carry, and its code.
+_NAMES = sorted(
+    {name for cascade in CASCADES.values() for _, name, _ in cascade}
+    | {failure_type.raid_event for failure_type in ALL_FAILURE_TYPES}
+    | {name for _, name in RECOVERY_EVENTS.values()}
+)
+_NAME_CODE = {name: code for code, name in enumerate(_NAMES)}
+
+
+def _line_table(per_type: List[List[Tuple[str, float]]]) -> Tuple[np.ndarray, ...]:
+    """Per failure type code: its lines' name codes and leads (padded to
+    the longest type), and its line count."""
+    width = max(len(lines) for lines in per_type)
+    names = np.zeros((len(per_type), width), dtype=np.int64)
+    leads = np.zeros((len(per_type), width), dtype=np.float64)
+    for code, lines in enumerate(per_type):
+        names[code, : len(lines)] = [_NAME_CODE[name] for name, _ in lines]
+        leads[code, : len(lines)] = [lead for _, lead in lines]
+    return names, leads, np.array([len(lines) for lines in per_type])
+
+
+#: A delivered failure logs its cascade, then its RAID-layer event at
+#: detection; a recovered incident logs its cascade's first two events,
+#: then the recovery event (repro.failures.raidlayer).
+_DELIVERED = _line_table(
+    [
+        [(name, lead) for _, name, lead in CASCADES[failure_type]]
+        + [(failure_type.raid_event, 0.0)]
+        for failure_type in ALL_FAILURE_TYPES
+    ]
+)
+_RECOVERED = _line_table(
+    [
+        [(name, lead) for _, name, lead in CASCADES[failure_type][:2]]
+        + [(RECOVERY_EVENTS[failure_type][1], 0.0)]
+        for failure_type in ALL_FAILURE_TYPES
+    ]
+)
+
+
+def _expand(
+    line_table: Tuple[np.ndarray, ...], types: np.ndarray, times: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every record's lines, record by record: (record, name code, time)."""
+    names, leads, counts = line_table
+    per_record = counts[types]
+    record = np.repeat(np.arange(types.size), per_record)
+    step = np.arange(record.size) - np.repeat(np.cumsum(per_record) - per_record, per_record)
+    kind = types[record]
+    return record, names[kind, step], times[record] - leads[kind, step]
+
+
 def write_logs(
     injection: InjectionResult,
     clock: SimulationClock = SimulationClock(),
 ) -> LogArchive:
     """Render the injection's events and recovered errors as logs."""
+    with obs.span("autosupport.write.lines"):
+        logs = _system_logs(injection, clock)
+    with obs.span("autosupport.write.snapshot"):
+        snapshot = write_snapshot(injection.fleet)
+    return LogArchive(logs=logs, snapshot=snapshot)
+
+
+def _system_logs(injection: InjectionResult, clock: SimulationClock) -> Dict[str, str]:
+    """Every system's log text, in fleet order.
+
+    A system's lines are stably sorted by their time, clamped at 0:
+    first the delivered failures' lines, in event-table order, then the
+    recovered incidents' lines, in :attr:`InjectionResult.recovered_errors`
+    order (by unclamped time, then expansion order).  One lexsort over
+    (system, clamped time, delivered first, unclamped time, expansion
+    order) gives that order.
+    """
     fleet = injection.fleet
-    owners = fleet.slot_system[fleet.disk_slot].tolist()
-    serial_index: Dict[str, Tuple[str, str]] = dict(
-        zip(
-            fleet.disk_ids(np.arange(fleet.disk_count_ever)),
-            zip(
-                fleet.disk_serials(),
-                [fleet.system_ids[owner] for owner in owners],
-            ),
-        )
+    table = injection.to_table()
+    event_rows = fleet.disk_rows(table.disk_ids.values)[table.disk_codes]
+    if (event_rows < 0).any():
+        missing = table.disk_codes[np.argmin(event_rows)]
+        raise LogFormatError("event disk %r is not in the fleet" % table.disk_ids.value(missing))
+    event_of, delivered_names, delivered_times = _expand(
+        _DELIVERED, table.type_codes, table.detect_time
     )
+    types, times, slots, gens = injection.recovered_batch.incidents()
+    incident_of, recovered_names, recovered_times = _expand(_RECOVERED, types, times)
+    # A disk the lifetime table never held logs nothing.
+    incident_rows = fleet.bay_rows(slots, gens)[incident_of]
+    kept = incident_rows >= 0
 
-    per_system: Dict[str, List[Tuple[float, str]]] = {
-        system_id: [] for system_id in fleet.system_ids
+    rows = np.concatenate((event_rows[event_of], incident_rows[kept]))
+    names = np.concatenate((delivered_names, recovered_names[kept]))
+    unclamped = np.concatenate((np.zeros(event_of.size), recovered_times[kept]))
+    recovered = np.arange(rows.size) >= event_of.size
+    clamped = np.maximum(np.concatenate((delivered_times, recovered_times[kept])), 0.0)
+    owners = fleet.slot_system[fleet.disk_slot[rows]]
+    order = np.lexsort((np.arange(rows.size), unclamped, recovered, clamped, owners))
+
+    disks, disk_codes = np.unique(rows[order], return_inverse=True)
+    disk_ids = fleet.disk_ids(disks)
+    serials = [serial_text(value) or "UNKNOWN" for value in fleet.disk_serial[disks].tolist()]
+    parts = [line_parts(name) for name in _NAMES]
+    lines = [
+        "%s %s%s%s\n" % (stamp, head, disk_ids[disk], middle)
+        if tail is None
+        else "%s %s%s%s%s%s\n" % (stamp, head, disk_ids[disk], middle, serials[disk], tail)
+        for stamp, (head, middle, tail), disk in zip(
+            clock.format_many(clamped[order]),
+            [parts[name] for name in names[order].tolist()],
+            disk_codes.tolist(),
+        )
+    ]
+    bounds = np.searchsorted(owners[order], np.arange(fleet.system_count + 1)).tolist()
+    return {
+        system_id: "".join(lines[first:last])
+        for system_id, first, last in zip(fleet.system_ids, bounds, bounds[1:])
     }
-
-    for event in injection.events:
-        serial, system_id = serial_index[event.disk_id]
-        lines = per_system[system_id]
-        for error in component_errors_for_failure(
-            event.failure_type, event.disk_id, event.detect_time
-        ):
-            time = max(0.0, error.time)
-            lines.append(
-                (time, format_line(clock, time, error.event, event.disk_id, serial))
-            )
-        lines.append(
-            (
-                event.detect_time,
-                format_line(
-                    clock,
-                    event.detect_time,
-                    event.failure_type.raid_event,
-                    event.disk_id,
-                    serial,
-                ),
-            )
-        )
-
-    for error in injection.recovered_errors:
-        serial, system_id = serial_index.get(error.disk_id, ("", ""))
-        if not system_id:
-            continue  # disk id unknown to the fleet; drop the noise line
-        time = max(0.0, error.time)
-        per_system[system_id].append(
-            (time, format_line(clock, time, error.event, error.disk_id, serial))
-        )
-
-    logs = {}
-    for system_id, lines in per_system.items():
-        lines.sort(key=lambda pair: pair[0])
-        logs[system_id] = "".join(text + "\n" for _, text in lines)
-    return LogArchive(logs=logs, snapshot=write_snapshot(injection.fleet))

@@ -14,7 +14,7 @@ the fleet with its disk removals and replacements applied.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.fleet import calibration, catalog
 from repro.fleet.fleet import Fleet
 from repro.raid.rebuild import RebuildModel
 from repro.units import SCRUB_PERIOD_SECONDS
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.simulate.vector.emit import RecoveredBatch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,34 +115,28 @@ class InjectionResult:
     Attributes:
         events: delivered subsystem failures, sorted by detection time
             (materialized lazily from the columnar table).
-        recovered_errors: component errors of incidents that lower layers
-            recovered (masked interconnect faults, successful retries);
-            these never became subsystem failures.
+        recovered_batch: the incidents that lower layers recovered
+            (masked interconnect faults, successful retries), which
+            never became subsystem failures, as flat arrays.
+        recovered_errors: the same incidents as time-sorted component
+            error records (materialized on first access).
         fleet: the (mutated) fleet, with disk replacements applied.
 
     ``table`` (the injector's columnar output) seeds the result; the
-    dataclass list materializes on first access.  ``recovered_errors``
-    may be an eager list or any lazy batch object exposing ``__len__``
-    and ``materialize()``.
+    dataclass list materializes on first access.
     """
 
     def __init__(
         self,
         table: EventTable,
-        recovered_errors: object = None,
+        recovered_errors: RecoveredBatch,
         fleet: Optional[Fleet] = None,
     ) -> None:
         self.fleet = fleet
+        self.recovered_batch = recovered_errors
         self._events: Optional[List[FailureEvent]] = None
+        self._recovered: Optional[List[ComponentError]] = None
         self._table = table
-        if recovered_errors is None:
-            recovered_errors = []
-        if isinstance(recovered_errors, list):
-            self._recovered: Optional[List[ComponentError]] = recovered_errors
-            self._recovered_batch = None
-        else:
-            self._recovered = None
-            self._recovered_batch = recovered_errors
 
     @property
     def events(self) -> List[FailureEvent]:
@@ -152,7 +149,7 @@ class InjectionResult:
     def recovered_errors(self) -> List[ComponentError]:
         """Recovered incidents as dataclasses (materialized on demand)."""
         if self._recovered is None:
-            self._recovered = self._recovered_batch.materialize()
+            self._recovered = self.recovered_batch.materialize()
         return self._recovered
 
     def n_events(self) -> int:
@@ -161,9 +158,7 @@ class InjectionResult:
 
     def n_recovered(self) -> int:
         """Recovered error count, without materializing dataclasses."""
-        if self._recovered is not None:
-            return len(self._recovered)
-        return len(self._recovered_batch)
+        return len(self.recovered_batch)
 
     def to_table(self) -> EventTable:
         """The delivered failures as a columnar :class:`EventTable`.
@@ -174,20 +169,16 @@ class InjectionResult:
         return self._table
 
     def __getstate__(self) -> Dict[str, object]:
-        # Pickle the columnar form; the shared table object means a
+        # Pickle the columnar forms; the shared table object means a
         # SimulationResult's injection and dataset cost one table.
         return {
             "table": self.to_table(),
-            "recovered_errors": self.recovered_errors,
+            "recovered_errors": self.recovered_batch,
             "fleet": self.fleet,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self._recovered = state["recovered_errors"]
-        self._recovered_batch = None
-        self.fleet = state["fleet"]
-        self._events = None
-        self._table = state["table"]
+        self.__init__(state["table"], state["recovered_errors"], state["fleet"])
 
     def counts_by_type(self) -> Dict[FailureType, int]:
         """Event counts per failure type (Table 1's rightmost column).

@@ -406,10 +406,6 @@ class Fleet:
             "%s#%d" % (key, gen) for key, gen in zip(keys, self.disk_gen[rows].tolist())
         ]
 
-    def disk_serials(self) -> List[str]:
-        """Every lifetime-table row's serial, as logged."""
-        return ["S%08X" % value if value >= 0 else "" for value in self.disk_serial.tolist()]
-
     @functools.cached_property
     def _shelf_index(self) -> Dict[str, int]:
         return {shelf_id: index for index, shelf_id in enumerate(self.shelf_ids)}
@@ -420,21 +416,63 @@ class Fleet:
 
     def find_disk(self, disk_id: str) -> int:
         """The lifetime-table row of a disk id, or -1 if none matches."""
-        slot_key, _, gen_text = disk_id.rpartition("#")
-        shelf_id, _, local_text = slot_key.rpartition("/")
-        shelf = self._shelf_index.get(shelf_id)
-        if shelf is None or not (local_text.isdigit() and gen_text.isdigit()):
-            return -1
-        local, gen = int(local_text), int(gen_text)
-        if "%02d" % local != local_text or "%d" % gen != gen_text:
-            return -1
-        if local >= self.shelf_n_slots[shelf]:
-            return -1
-        slot = int(self.shelf_slot_start[shelf]) + local
-        starts = self.slot_disk_start
-        first, last = int(starts[slot]), int(starts[slot + 1])
-        hits = np.flatnonzero(self.disk_gen[first:last] == gen)
-        return first + int(hits[0]) if hits.size else -1
+        return int(self.disk_rows([disk_id])[0])
+
+    def disk_rows(self, disk_ids: Sequence[str]) -> np.ndarray:
+        """Lifetime-table rows of disk ids (-1 for an id that names no disk).
+
+        An id names a disk when it is ``<shelf id>/<nn>#<generation>``
+        with the fleet's own shelf id, a two-digit bay of that shelf and
+        a generation the bay has held, each written as rendered.
+        """
+        shelves = np.full(len(disk_ids), -1, dtype=np.int64)
+        bays = np.zeros(len(disk_ids), dtype=np.int64)
+        gens = np.zeros(len(disk_ids), dtype=np.int64)
+        index = self._shelf_index
+        for row, disk_id in enumerate(disk_ids):
+            slot_key, _, gen_text = disk_id.rpartition("#")
+            shelf_id, _, bay_text = slot_key.rpartition("/")
+            shelf = index.get(shelf_id)
+            if shelf is None or not (bay_text.isdigit() and gen_text.isdigit()):
+                continue
+            bay, gen = int(bay_text), int(gen_text)
+            if "%02d" % bay != bay_text or "%d" % gen != gen_text or max(bay, gen) >= 2**31:
+                continue
+            shelves[row], bays[row], gens[row] = shelf, bay, gen
+        known = shelves >= 0
+        known[known] = bays[known] < self.shelf_n_slots[shelves[known]]
+        slots = np.where(known, self.shelf_slot_start[np.maximum(shelves, 0)] + bays, -1)
+        return self.bay_rows(slots, gens)
+
+    def bay_rows(self, slots: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """Lifetime-table rows of (bay, generation) pairs (-1 for a pair
+        the table does not hold)."""
+        slots = np.asarray(slots, dtype=np.int64)
+        gens = np.asarray(gens, dtype=np.int64)
+        keys, order = self._disk_keys
+        rows = np.full(slots.size, -1, dtype=np.int64)
+        if not keys.size:
+            return rows
+        wanted = slots * 2**31 + gens
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        hit = (keys[at] == wanted) & (slots >= 0) & (gens >= 0) & (gens < 2**31)
+        rows[hit] = order[at[hit]]
+        return rows
+
+    @property
+    def _disk_keys(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted ``bay * 2**31 + generation`` keys of the lifetime
+        table, and the row of each (the first row on a tie)."""
+        cached = self._lifetime_cache.get("disk_keys")
+        if cached is None:
+            keys = self.disk_slot * 2**31 + self.disk_gen
+            if bool(np.all(keys[1:] >= keys[:-1])):
+                order = np.arange(keys.size)
+            else:
+                order = np.argsort(keys, kind="stable")
+            cached = (keys[order], order)
+            self._lifetime_cache["disk_keys"] = cached
+        return cached
 
     def system_index(self, system_id: str) -> int:
         """Row of a system id."""

@@ -24,7 +24,7 @@ stage-major execution.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -176,16 +176,17 @@ class RecoveredBatch:
 
     Incidents arrive stage by stage (masked faults type by type, then
     precursors, then background noise), each stage over every cohort.
-    :meth:`materialize` restores the order a cohort-at-a-time run
-    records them in — per cohort, the stages in arrival order, each
-    stage's rows by failure type — before its stable time sort, so
-    records with equal times keep that order.
+    :meth:`incidents` restores the order a cohort-at-a-time run records
+    them in — per cohort, the stages in arrival order, each stage's rows
+    by failure type; :meth:`materialize` expands them in that order
+    before its stable time sort, so records with equal times keep it.
     """
 
     def __init__(self, fleet: Fleet) -> None:
         self._fleet = fleet
         self._chunks: List[Tuple[np.ndarray, ...]] = []
         self._incidents = 0
+        self._ordered: Optional[Tuple[np.ndarray, ...]] = None
 
     def add(
         self,
@@ -200,27 +201,41 @@ class RecoveredBatch:
             return
         self._chunks.append((cohort, type_codes, time, slot, gen))
         self._incidents += int(time.size)
+        self._ordered = None
 
     def __len__(self) -> int:
         return 3 * self._incidents
 
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["_ordered"] = None  # derived; rebuilt on first use
+        return state
+
+    def incidents(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(type codes, times, bays, generations)`` per incident, in
+        the cohort-at-a-time order (class docstring)."""
+        if self._ordered is None:
+            if not self._chunks:
+                empty = np.zeros(0, dtype=np.int64)
+                self._ordered = (empty, empty.astype(np.float64), empty, empty)
+                return self._ordered
+            arrival = np.repeat(
+                np.arange(len(self._chunks)), [chunk[2].size for chunk in self._chunks]
+            )
+            cohort, type_codes, times, slots, gens = (
+                np.concatenate([chunk[column] for chunk in self._chunks])
+                for column in range(5)
+            )
+            order = np.lexsort((type_codes, arrival, cohort))
+            self._ordered = (type_codes[order], times[order], slots[order], gens[order])
+        return self._ordered
+
     def materialize(self) -> List[ComponentError]:
         """Expand to time-sorted ComponentError dataclasses."""
+        type_codes, times, slots, gens = self.incidents()
         errors: List[ComponentError] = []
-        if not self._chunks:
-            return errors
-        arrival = np.repeat(
-            np.arange(len(self._chunks)), [chunk[2].size for chunk in self._chunks]
-        )
-        cohort, type_codes, times, slots, gens = (
-            np.concatenate([chunk[column] for chunk in self._chunks])
-            for column in range(5)
-        )
-        order = np.lexsort((type_codes, arrival, cohort))
-        keys = self._fleet.slot_keys(slots[order])
-        for code, t, key, g in zip(
-            type_codes[order].tolist(), times[order].tolist(), keys, gens[order].tolist()
-        ):
+        keys = self._fleet.slot_keys(slots)
+        for code, t, key, g in zip(type_codes.tolist(), times.tolist(), keys, gens.tolist()):
             errors.extend(
                 component_errors_for_recovery(
                     ALL_FAILURE_TYPES[code], "%s#%d" % (key, g), t

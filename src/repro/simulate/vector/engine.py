@@ -135,7 +135,9 @@ class VectorFailureInjector:
         PROGRESS.advance("events_emitted", len(events))
         result = InjectionResult(
             table=table,
-            recovered_errors=recovered if config.emit_recovered_errors else [],
+            recovered_errors=(
+                recovered if config.emit_recovered_errors else RecoveredBatch(frame)
+            ),
             fleet=fleet,
         )
         if obs.OBSERVER.registry.enabled:

@@ -1,3 +1,3 @@
 """Package version, importable without triggering heavy imports."""
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"

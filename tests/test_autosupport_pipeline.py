@@ -12,8 +12,11 @@ from repro.errors import LogFormatError
 from repro.failures.injector import InjectionResult
 from repro.failures.raidlayer import CASCADES
 from repro.failures.types import FailureType
+from repro.fleet.fleet import serial_text
 from repro.simulate.clock import SimulationClock
 from repro.simulate.scenario import run_scenario
+from repro.simulate.vector.emit import RecoveredBatch
+from repro.topology.system import StorageSystem
 
 CLOCK = SimulationClock()
 
@@ -42,7 +45,7 @@ def _one_event_injection(logged_sim, detect_time):
     )
     return event, InjectionResult(
         table=EventTable.from_events([moved]),
-        recovered_errors=[],
+        recovered_errors=RecoveredBatch(logged_sim.fleet),
         fleet=logged_sim.fleet,
     )
 
@@ -97,7 +100,7 @@ class TestWriter:
         whole = float(int(logged_sim.injection.events[0].detect_time))
         event, injection = _one_event_injection(logged_sim, whole + fraction)
         fleet = logged_sim.fleet
-        serial = fleet.disk_serials()[fleet.find_disk(event.disk_id)]
+        serial = serial_text(int(fleet.disk_serial[fleet.find_disk(event.disk_id)]))
         detect = whole + fraction
         expected = [
             format_line(CLOCK, max(0.0, detect - lead), name, event.disk_id, serial)
@@ -276,6 +279,23 @@ class TestParser:
                 strict=True,
             )
         assert str(info.value) == "log for unknown system 'sys-unknown'"
+
+    def test_hand_built_system_mines_the_same_events(self, busiest):
+        system, text = busiest
+        by_hand = StorageSystem(
+            system.system_id,
+            system.system_class,
+            system.shelf_model,
+            system.primary_disk_model,
+            system.dual_path,
+            system.deploy_time,
+            shelves=system.shelves,
+            raid_groups=system.raid_groups,
+        )
+        assert by_hand.fleet is None
+        assert parse_system_log(text, by_hand, strict=True) == parse_system_log(
+            text, system, strict=True
+        )
 
     def test_disk_topology_attributes_populated(self, archive, logged_sim):
         mined = parse_archive(archive, fleet=logged_sim.fleet)

@@ -190,9 +190,13 @@ class TestSerialization:
         assert restored.counts_by_type() == small_dataset.counts_by_type()
 
     def test_injection_pickle_round_trip(self, small_sim):
-        restored = pickle.loads(pickle.dumps(small_sim.injection))
+        blob = pickle.dumps(small_sim.injection)
+        restored = pickle.loads(blob)
         assert restored.events == small_sim.injection.events
         assert restored.counts_by_type() == small_sim.injection.counts_by_type()
+        assert restored.recovered_errors == small_sim.injection.recovered_errors
+        # The recovered incidents travel as arrays, not as dataclasses.
+        assert b"ComponentError" not in blob
 
 
 class TestSortedness:

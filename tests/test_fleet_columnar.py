@@ -220,6 +220,62 @@ class TestSubsetsAndPacking:
         assert fleet.disk_count_ever == fleet.slot_count + 1
 
 
+class TestDiskLookup:
+    def test_every_id_and_pair_finds_its_row(self, simulated):
+        fleet = simulated.fleet
+        rows = np.arange(fleet.disk_count_ever)
+        assert fleet.disk_slot.size > fleet.slot_count  # replacements present
+        assert np.array_equal(fleet.disk_rows(fleet.disk_ids(rows)), rows)
+        assert np.array_equal(fleet.bay_rows(fleet.disk_slot, fleet.disk_gen), rows)
+        assert fleet.find_disk(fleet.disk_ids(rows[-1:])[0]) == rows[-1]
+
+    def test_what_names_no_disk(self, simulated):
+        fleet = simulated.fleet
+        disk_id = fleet.disk_ids(np.array([0]))[0]
+        slot_key, _, _ = disk_id.rpartition("#")
+        shelf_id, _, _ = slot_key.rpartition("/")
+        stray = [
+            "",
+            "#0",
+            "no-such-shelf/00#0",
+            disk_id + "9",  # a generation the bay never held
+            slot_key + "#00",
+            slot_key + "#-1",
+            slot_key + "#" + "9" * 30,
+            shelf_id + "/0#0",
+            shelf_id + "/%02d#0" % fleet.shelf_n_slots[0],
+            shelf_id + "/" + "9" * 30 + "#0",
+            shelf_id + "/\u0660\u0660#0",  # Arabic-Indic digits
+        ]
+        assert fleet.disk_rows(stray).tolist() == [-1] * len(stray)
+        assert fleet.disk_rows([]).tolist() == []
+        assert fleet.bay_rows(
+            np.array([-1, 0, 0, fleet.slot_count]), np.array([0, 99, -1, 0])
+        ).tolist() == [-1, -1, -1, -1]
+
+    def test_an_unsorted_table_finds_the_first_row(self):
+        fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(8))
+        order = np.arange(fleet.disk_count_ever)[::-1]
+        columns = {
+            name: getattr(fleet, name)[order]
+            for name in ("disk_slot", "disk_gen", "disk_install", "disk_remove", "disk_serial")
+        }
+        reversed_fleet = Fleet.from_columns(
+            fleet.duration_seconds,
+            **{
+                name: getattr(fleet, name)
+                for name in (
+                    "system_ids", "system_classes", "shelf_models", "disk_models",
+                    "dual_path", "deploy_time", "system_shelf_start", "shelf_slot_start",
+                    "system_group_start", "group_raid_type", "slot_group",
+                )
+            },
+            **columns,
+        )
+        ids = fleet.disk_ids(np.arange(fleet.disk_count_ever))
+        assert np.array_equal(reversed_fleet.disk_rows(ids), order)
+
+
 def test_dataset_round_trips_through_pickle(simulated):
     dataset = FailureDataset(events=simulated.dataset.table, fleet=simulated.fleet)
     again = pickle.loads(pickle.dumps(dataset))

@@ -130,10 +130,11 @@ class TestPipeline:
 
     def test_requires_component_errors(self, sim):
         from repro.failures.injector import InjectionResult
+        from repro.simulate.vector.emit import RecoveredBatch
 
         stripped = InjectionResult(
             table=sim.injection.to_table(),
-            recovered_errors=[],
+            recovered_errors=RecoveredBatch(sim.injection.fleet),
             fleet=sim.injection.fleet,
         )
         with pytest.raises(AnalysisError):
