@@ -92,7 +92,7 @@ class LogLine:
         return self.layer == "raid"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def line_parts(
     event: str, severity: Optional[str] = None
 ) -> Tuple[str, str, Optional[str]]:

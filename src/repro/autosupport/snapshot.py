@@ -87,13 +87,11 @@ def write_snapshot(fleet: Fleet) -> str:
             _reprs(fleet.disk_remove, "none"),
         )
     ]
-    # A RAID group lists its bays in layout order: slot-major across
-    # shelves, as Fleet.group_members orders them.
-    order = np.lexsort((fleet.slot_shelf, slot_local, fleet.slot_group))
+    layout = fleet.group_layout(all_slots)
     member_starts = np.searchsorted(
-        fleet.slot_group[order], np.arange(fleet.raid_group_count + 1)
+        fleet.slot_group[layout], np.arange(fleet.raid_group_count + 1)
     ).tolist()
-    members = [slot_keys[slot] for slot in order.tolist()]
+    members = [slot_keys[slot] for slot in layout.tolist()]
     groups = [
         "[raidgroup %s]\nsystem = %s\nraid_type = %s\nslot_keys = %s\n\n"
         % (

@@ -415,8 +415,12 @@ class Fleet:
         return {system_id: index for index, system_id in enumerate(self.system_ids)}
 
     def find_disk(self, disk_id: str) -> int:
-        """The lifetime-table row of a disk id, or -1 if none matches."""
-        return int(self.disk_rows([disk_id])[0])
+        """The lifetime-table row of a disk id, or -1 if none matches
+        (:meth:`disk_rows` for one id)."""
+        key = self._disk_key(disk_id)
+        keys, order = self._disk_keys
+        at = int(keys.searchsorted(key))
+        return int(order[at]) if key >= 0 and at < keys.size and keys[at] == key else -1
 
     def disk_rows(self, disk_ids: Sequence[str]) -> np.ndarray:
         """Lifetime-table rows of disk ids (-1 for an id that names no disk).
@@ -425,39 +429,39 @@ class Fleet:
         with the fleet's own shelf id, a two-digit bay of that shelf and
         a generation the bay has held, each written as rendered.
         """
-        shelves = np.full(len(disk_ids), -1, dtype=np.int64)
-        bays = np.zeros(len(disk_ids), dtype=np.int64)
-        gens = np.zeros(len(disk_ids), dtype=np.int64)
-        index = self._shelf_index
-        for row, disk_id in enumerate(disk_ids):
-            slot_key, _, gen_text = disk_id.rpartition("#")
-            shelf_id, _, bay_text = slot_key.rpartition("/")
-            shelf = index.get(shelf_id)
-            if shelf is None or not (bay_text.isdigit() and gen_text.isdigit()):
-                continue
-            bay, gen = int(bay_text), int(gen_text)
-            if "%02d" % bay != bay_text or "%d" % gen != gen_text or max(bay, gen) >= 2**31:
-                continue
-            shelves[row], bays[row], gens[row] = shelf, bay, gen
-        known = shelves >= 0
-        known[known] = bays[known] < self.shelf_n_slots[shelves[known]]
-        slots = np.where(known, self.shelf_slot_start[np.maximum(shelves, 0)] + bays, -1)
-        return self.bay_rows(slots, gens)
+        return self._rows_of_keys(
+            np.fromiter(map(self._disk_key, disk_ids), dtype=np.int64, count=len(disk_ids))
+        )
 
     def bay_rows(self, slots: np.ndarray, gens: np.ndarray) -> np.ndarray:
         """Lifetime-table rows of (bay, generation) pairs (-1 for a pair
         the table does not hold)."""
         slots = np.asarray(slots, dtype=np.int64)
         gens = np.asarray(gens, dtype=np.int64)
+        valid = (slots >= 0) & (gens >= 0) & (gens < 2**31)
+        return self._rows_of_keys(np.where(valid, slots * 2**31 + gens, -1))
+
+    def _disk_key(self, disk_id: str) -> int:
+        """``bay * 2**31 + generation`` of a disk id (-1 when malformed
+        or not a bay of this fleet)."""
+        slot_key, _, gen_text = disk_id.rpartition("#")
+        shelf_id, _, bay_text = slot_key.rpartition("/")
+        shelf = self._shelf_index.get(shelf_id)
+        if shelf is None or not (bay_text.isdigit() and gen_text.isdigit()):
+            return -1
+        bay, gen = int(bay_text), int(gen_text)
+        if "%02d" % bay != bay_text or "%d" % gen != gen_text or gen >= 2**31:
+            return -1
+        if bay >= self.shelf_n_slots[shelf]:
+            return -1
+        return (int(self.shelf_slot_start[shelf]) + bay) * 2**31 + gen
+
+    def _rows_of_keys(self, wanted: np.ndarray) -> np.ndarray:
         keys, order = self._disk_keys
-        rows = np.full(slots.size, -1, dtype=np.int64)
         if not keys.size:
-            return rows
-        wanted = slots * 2**31 + gens
+            return np.full(wanted.size, -1, dtype=np.int64)
         at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        hit = (keys[at] == wanted) & (slots >= 0) & (gens >= 0) & (gens < 2**31)
-        rows[hit] = order[at[hit]]
-        return rows
+        return np.where((wanted >= 0) & (keys[at] == wanted), order[at], -1)
 
     @property
     def _disk_keys(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -634,19 +638,23 @@ class Fleet:
         ]
 
     def group_members(self, slots: np.ndarray) -> Dict[int, List[int]]:
-        """The bays among ``slots`` of each RAID group, in layout order.
+        """The bays among ``slots`` of each RAID group, in layout order."""
+        ordered = self.group_layout(slots)
+        members: Dict[int, List[int]] = {}
+        for slot, group in zip(ordered.tolist(), self.slot_group[ordered].tolist()):
+            members.setdefault(group, []).append(slot)
+        return members
+
+    def group_layout(self, slots: np.ndarray) -> np.ndarray:
+        """``slots`` sorted by RAID group (ungrouped bays first), each
+        group's bays in layout order.
 
         Layout order is slot-major across shelves (the Fig. 8 run
         order), which is bay order for a group within one shelf.
         """
-        groups = self.slot_group[slots]
         shelves = self.slot_shelf[slots]
         local = slots - self.shelf_slot_start[shelves]
-        order = np.lexsort((shelves, local, groups))
-        members: Dict[int, List[int]] = {}
-        for slot, group in zip(slots[order].tolist(), groups[order].tolist()):
-            members.setdefault(group, []).append(slot)
-        return members
+        return slots[np.lexsort((shelves, local, self.slot_group[slots]))]
 
     def iter_shelves(self) -> Iterator[Shelf]:
         """All shelf enclosures in the fleet (builds their objects)."""
