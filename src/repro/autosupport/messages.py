@@ -18,7 +18,7 @@ import re
 from typing import Optional, Tuple
 
 from repro.errors import LogFormatError
-from repro.simulate.clock import SimulationClock
+from repro.simulate.clock import WRITTEN_PATTERN, SimulationClock
 
 #: Prose templates per event name; ``{disk}`` and ``{serial}`` are
 #: substituted.  Unknown events fall back to a generic message.
@@ -53,12 +53,26 @@ _TEMPLATES = {
 
 _SEVERITIES = {"info", "warning", "error"}
 
+#: The ``[event:severity]: `` tag after a line's timestamp.
+_TAG = r"\[(?P<event>[\w.]+):(?P<severity>\w+)\]: "
 _LINE_RE = re.compile(
-    r"^(?P<timestamp>\w{3} \w{3} [ \d]\d \d{2}:\d{2}:\d{2} \d{4}) "
-    r"\[(?P<event>[\w.]+):(?P<severity>\w+)\]: (?P<message>.*)$"
+    r"^(?P<timestamp>\w{3} \w{3} [ \d]\d \d{2}:\d{2}:\d{2} \d{4}) %s(?P<message>.*)$" % _TAG
 )
 _DISK_RE = re.compile(r"(?:device|Device|Disk) (?P<disk>\S+?/\d{2}#\d+)")
 _SERIAL_RE = re.compile(r"S/N \[(?P<serial>[^\]]+)\]")
+
+#: The line boundaries of ``str.splitlines``.
+_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: A line laid out as the writer writes it, with no other line boundary
+#: in it.  ``findall`` over a whole log gives each such line's
+#: timestamp, event, severity and first disk id, as :func:`parse_line`
+#: reads them; the batch parser scans logs with it.
+WRITTEN_LINE = re.compile(
+    r"^(?P<timestamp>%s) %s[^%s]*?%s[^%s]*$"
+    % (WRITTEN_PATTERN, _TAG, _BOUNDARIES, _DISK_RE.pattern, _BOUNDARIES),
+    re.MULTILINE,
+)
 
 
 @dataclasses.dataclass(frozen=True)

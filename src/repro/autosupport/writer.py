@@ -13,14 +13,14 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import pathlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import LogFormatError
 from repro.failures.injector import InjectionResult
-from repro.failures.raidlayer import CASCADES, RECOVERY_EVENTS
+from repro.failures.raidlayer import component_errors_for_failure, component_errors_for_recovery
 from repro.failures.types import ALL_FAILURE_TYPES
 from repro.autosupport.messages import line_parts
 from repro.autosupport.snapshot import write_snapshot
@@ -87,16 +87,28 @@ class LogArchive:
         return cls(logs=logs, snapshot=snapshot_file.read_text())
 
 
+#: Per failure type, the lines of a delivered failure and of a recovered
+#: incident as (event name, seconds before the record's time): the
+#: failure's cascade (repro.failures.raidlayer), then its RAID-layer
+#: event at detection; the recovered incident's component errors.
+_DELIVERED_LINES = [
+    [(error.event, -error.time) for error in component_errors_for_failure(failure_type, "", 0.0)]
+    + [(failure_type.raid_event, 0.0)]
+    for failure_type in ALL_FAILURE_TYPES
+]
+_RECOVERED_LINES = [
+    [(error.event, -error.time) for error in component_errors_for_recovery(failure_type, "", 0.0)]
+    for failure_type in ALL_FAILURE_TYPES
+]
+
 #: Every event name a line can carry, and its code.
 _NAMES = sorted(
-    {name for cascade in CASCADES.values() for _, name, _ in cascade}
-    | {failure_type.raid_event for failure_type in ALL_FAILURE_TYPES}
-    | {name for _, name in RECOVERY_EVENTS.values()}
+    {name for lines in _DELIVERED_LINES + _RECOVERED_LINES for name, _ in lines}
 )
 _NAME_CODE = {name: code for code, name in enumerate(_NAMES)}
 
 
-def _line_table(per_type: List[List[Tuple[str, float]]]) -> Tuple[np.ndarray, ...]:
+def _line_table(per_type: Sequence[Sequence[Tuple[str, float]]]) -> Tuple[np.ndarray, ...]:
     """Per failure type code: its lines' name codes and leads (padded to
     the longest type), and its line count."""
     width = max(len(lines) for lines in per_type)
@@ -108,23 +120,8 @@ def _line_table(per_type: List[List[Tuple[str, float]]]) -> Tuple[np.ndarray, ..
     return names, leads, np.array([len(lines) for lines in per_type])
 
 
-#: A delivered failure logs its cascade, then its RAID-layer event at
-#: detection; a recovered incident logs its cascade's first two events,
-#: then the recovery event (repro.failures.raidlayer).
-_DELIVERED = _line_table(
-    [
-        [(name, lead) for _, name, lead in CASCADES[failure_type]]
-        + [(failure_type.raid_event, 0.0)]
-        for failure_type in ALL_FAILURE_TYPES
-    ]
-)
-_RECOVERED = _line_table(
-    [
-        [(name, lead) for _, name, lead in CASCADES[failure_type][:2]]
-        + [(RECOVERY_EVENTS[failure_type][1], 0.0)]
-        for failure_type in ALL_FAILURE_TYPES
-    ]
-)
+_DELIVERED = _line_table(_DELIVERED_LINES)
+_RECOVERED = _line_table(_RECOVERED_LINES)
 
 
 def _expand(

@@ -52,12 +52,15 @@ _MONTH_KEYS, _MONTH_OF_KEY = (
     )
 )
 
-#: Exactly what :meth:`SimulationClock.format` writes (C locale).
-_WRITTEN = re.compile(
-    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) (\d\d) (\d\d):(\d\d):(\d\d) (\d{4})"
-    % "|".join(_MONTHS),
-    re.ASCII,
+#: Exactly what :meth:`SimulationClock.format` writes (C locale), a
+#: fixed-width layout: month at [4:7], day [8:10], hour [11:13], minute
+#: [14:16], second [17:19], year [20:24].  No groups, so other patterns
+#: (the log-line scan) can embed it.
+WRITTEN_PATTERN = (
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?:%s) "
+    r"[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2} [0-9]{4}" % "|".join(_MONTHS)
 )
+_WRITTEN = re.compile(WRITTEN_PATTERN)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,13 +124,11 @@ class SimulationClock:
         Raises:
             LogFormatError: when the text does not match the format.
         """
-        match = _WRITTEN.fullmatch(text)
-        if match is not None:
-            month, day, hour, minute, second, year = match.groups()
+        if _WRITTEN.fullmatch(text) is not None:
             try:
                 when = datetime.datetime(
-                    int(year), _MONTH_NUMBERS[month], int(day),
-                    int(hour), int(minute), int(second),
+                    int(text[20:24]), _MONTH_NUMBERS[text[4:7]], int(text[8:10]),
+                    int(text[11:13]), int(text[14:16]), int(text[17:19]),
                 )
             except ValueError:
                 pass  # e.g. Feb 30: strptime below words the error
