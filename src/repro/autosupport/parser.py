@@ -19,13 +19,12 @@ resolve in one lookup per system.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.autosupport.messages import LogLine, parse_line
+from repro.autosupport.messages import WRITTEN_LINE, LogLine, parse_line
 from repro.autosupport.writer import LogArchive
 from repro.autosupport.snapshot import parse_snapshot
 from repro.core.columns import EventTable
@@ -39,21 +38,6 @@ from repro.topology.system import StorageSystem
 
 #: How far back before a RAID event the cascade's first line may lie.
 CASCADE_WINDOW_SECONDS = 600.0
-
-#: The line boundaries of ``str.splitlines``.
-_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-#: A line in the writer's layout with no other line boundary in it:
-#: its timestamp, event name and first disk id, as ``parse_line``
-#: reads them (``_LINE_RE``, then ``_DISK_RE`` on the message).
-_SCAN = re.compile(
-    r"^((?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) "
-    r"(?:Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) "
-    r"[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2} [0-9]{4}) "
-    r"\[([\w.]+):\w+\]: "
-    r"[^%(b)s]*?(?:device|Device|Disk) (\S+?/\d{2}#\d+)[^%(b)s]*$" % {"b": _BOUNDARIES},
-    re.MULTILINE,
-)
 
 _TYPE_CODE = {failure_type: code for code, failure_type in enumerate(ALL_FAILURE_TYPES)}
 
@@ -129,10 +113,10 @@ def _scan(
     every scanned timestamp is decoded in one pass.  Any other log is
     read line by line (lenient mode skips malformed lines).
     """
-    scans = [_SCAN.findall(text) for _, text in logs]
+    scans = [WRITTEN_LINE.findall(text) for _, text in logs]
     whole = [len(found) == len(text.splitlines()) for found, (_, text) in zip(scans, logs)]
     times = clock.parse_written(
-        [stamp for found, ok in zip(scans, whole) if ok for stamp, _, _ in found]
+        [stamp for found, ok in zip(scans, whole) if ok for stamp, _, _, _ in found]
     )
     lines = _Lines()
     start = 0
@@ -140,7 +124,7 @@ def _scan(
         if ok:
             stamped, start = times[start : start + len(found)], start + len(found)
             if not np.isnan(stamped).any():
-                _, events, disks = zip(*found) if found else ((), (), ())
+                _, events, _, disks = zip(*found) if found else ((), (), (), ())
                 lines.add(system, stamped, events, disks)
                 continue
         try:
@@ -278,6 +262,19 @@ def _mine_logs(
     return table
 
 
+def as_fleet_row(system: StorageSystem) -> StorageSystem:
+    """``system`` as a row of a fleet: itself, or, for a system built by
+    hand, the one row of a fleet packed from its objects.
+
+    Both parsers resolve disks through a fleet's arrays.  Packing raises
+    :class:`~repro.errors.TopologyError` for objects the arrays cannot
+    hold (see :class:`~repro.fleet.fleet.Fleet`).
+    """
+    if system.fleet is not None:
+        return system
+    return Fleet([system], 0.0).systems[0]
+
+
 def parse_system_log(
     text: str,
     system: StorageSystem,
@@ -288,7 +285,8 @@ def parse_system_log(
 
     Args:
         text: full log text.
-        system: the owning system (from the parsed snapshot).
+        system: the owning system (from the parsed snapshot); a system
+            built by hand is packed first (:func:`as_fleet_row`).
         clock: timestamp mapping.
         strict: raise on unparseable lines instead of skipping them
             (real log mining tolerates noise; tests use strict mode).
@@ -296,10 +294,9 @@ def parse_system_log(
     Returns:
         Events in detection-time order, duplicates collapsed.
     """
-    fleet, index = system.fleet, system.fleet_index
-    if fleet is None:  # a system built by hand: pack its objects
-        fleet, index = Fleet([system], 0.0), 0
-    return list(_mine_logs(fleet, [(index, text)], clock, strict).events())
+    system = as_fleet_row(system)
+    table = _mine_logs(system.fleet, [(system.fleet_index, text)], clock, strict)
+    return list(table.events())
 
 
 def build_event(
@@ -311,59 +308,35 @@ def build_event(
     """Materialize a RAID-layer log line into a :class:`FailureEvent`.
 
     Resolves the line's disk id against the system's snapshot topology
-    (bay, then disk generation within the bay) and attaches every
-    topology attribute the analyses group by.  Returns ``None`` when
-    the disk cannot be found — callers decide whether that is noise to
-    skip or (in strict mode) an error.  The streaming parser builds its
-    events one line at a time with this.
+    (its fleet's :meth:`~repro.fleet.fleet.Fleet.find_disk`) and
+    attaches every topology attribute the analyses group by.  Returns
+    ``None`` when the id names no disk of the system — callers decide
+    whether that is noise to skip or (in strict mode) an error.  A
+    system built by hand is packed first (:func:`as_fleet_row`).  The
+    streaming parser builds its events one line at a time with this.
     """
-    found = _locate(system, line.disk_id)
-    if found is None:
-        return None
-    shelf_id, raid_group_id, disk_model = found
-    return FailureEvent(
-        occur_time=min(occur_time, line.time),
-        detect_time=line.time,
-        failure_type=failure_type,
-        disk_id=line.disk_id,
-        shelf_id=shelf_id,
-        raid_group_id=raid_group_id,
-        system_id=system.system_id,
-        system_class=system.system_class.value,
-        disk_model=disk_model,
-        shelf_model=system.shelf_model,
-        dual_path=system.dual_path,
-        replaced_disk=(failure_type is FailureType.DISK),
-    )
-
-
-def _locate(system: StorageSystem, disk_id: str) -> Optional[Tuple[str, str, str]]:
-    """(shelf id, RAID group id, model) of a disk of ``system``, or None.
-
-    A system of a fleet answers from the fleet's arrays; a system built
-    by hand from its objects.
-    """
+    system = as_fleet_row(system)
     fleet = system.fleet
-    if fleet is None:
-        try:
-            slot = system.slot_by_key(disk_id.rsplit("#", 1)[0])
-        except Exception:
-            return None
-        for disk in slot.disks:
-            if disk.disk_id == disk_id:
-                return disk.shelf_id, slot.raid_group_id, disk.model
-        return None
-    row = fleet.find_disk(disk_id)
+    row = fleet.find_disk(line.disk_id)
     if row < 0:
         return None
     slot = fleet.disk_slot[row]
     if fleet.slot_system[slot] != system.fleet_index:
         return None
     group = fleet.slot_group[slot]
-    return (
-        fleet.shelf_ids[fleet.slot_shelf[slot]],
-        fleet.group_ids[group] if group >= 0 else "",
-        system.primary_disk_model,
+    return FailureEvent(
+        occur_time=min(occur_time, line.time),
+        detect_time=line.time,
+        failure_type=failure_type,
+        disk_id=line.disk_id,
+        shelf_id=fleet.shelf_ids[fleet.slot_shelf[slot]],
+        raid_group_id=fleet.group_ids[group] if group >= 0 else "",
+        system_id=system.system_id,
+        system_class=system.system_class.value,
+        disk_model=system.primary_disk_model,
+        shelf_model=system.shelf_model,
+        dual_path=system.dual_path,
+        replaced_disk=(failure_type is FailureType.DISK),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.autosupport.messages import parse_line
-from repro.autosupport.parser import CascadeState, build_event
+from repro.autosupport.parser import CascadeState, as_fleet_row, build_event
 from repro.errors import LogFormatError
 from repro.failures.events import FailureEvent
 from repro.failures.types import FailureType
@@ -25,6 +25,9 @@ from repro.topology.system import StorageSystem
 
 class StreamingLogParser:
     """Parses one system's log incrementally.
+
+    A system built by hand is packed into a one-system fleet, as the
+    batch parser does (:func:`~repro.autosupport.parser.as_fleet_row`).
 
     Usage::
 
@@ -45,6 +48,8 @@ class StreamingLogParser:
         self.system = system
         self.clock = clock
         self.strict = strict
+        # A system built by hand is packed once, as the batch parser does.
+        self._row = as_fleet_row(system)
         self._buffer = ""
         self._state = CascadeState()
         self._events_out = 0
@@ -106,7 +111,7 @@ class StreamingLogParser:
         occur = self._state.observe(line.time, line.disk_id, failure_type)
         if occur is None:
             return None
-        event = build_event(self.system, line, failure_type, occur)
+        event = build_event(self._row, line, failure_type, occur)
         if event is None:
             if self.strict:
                 raise LogFormatError(

@@ -119,7 +119,9 @@ class Fleet:
     Raises:
         TopologyError: duplicate system ids, or objects the arrays cannot
             hold (a shelf or disk whose model differs from its system's,
-            a disk id that is not ``<bay key>#<generation>``).
+            a bay whose key is not its shelf's id and its position on
+            the shelf, a disk id that is not ``<bay key>#<generation>``,
+            a serial that is not ``S`` + 8 hex digits).
     """
 
     def __init__(
@@ -918,7 +920,12 @@ def _pack(systems: Sequence[StorageSystem]) -> Dict[str, object]:
                 )
             shelf_ids.append(shelf.shelf_id)
             shelf_slots.append(len(shelf.slots))
-            for slot in shelf.slots:
+            for position, slot in enumerate(shelf.slots):
+                if slot.slot_key != "%s/%02d" % (shelf.shelf_id, position):
+                    raise TopologyError(
+                        "bay %s is not bay %02d of shelf %s"
+                        % (slot.slot_key, position, shelf.shelf_id)
+                    )
                 slot_index = len(slot_group)
                 if slot.raid_group_id and slot.raid_group_id not in groups:
                     raise TopologyError(

@@ -1,14 +1,16 @@
 """Tests for the log writer + parser pipeline (end to end)."""
 
+import copy
 import dataclasses
 
 import pytest
 
 from repro.autosupport.messages import _TEMPLATES, format_line, parse_line
 from repro.autosupport.parser import parse_archive, parse_system_log
+from repro.autosupport.stream import stream_system_log
 from repro.autosupport.writer import LogArchive, write_logs
 from repro.core.columns import EventTable
-from repro.errors import LogFormatError
+from repro.errors import LogFormatError, TopologyError
 from repro.failures.injector import InjectionResult
 from repro.failures.raidlayer import CASCADES
 from repro.failures.types import FailureType
@@ -48,6 +50,28 @@ def _one_event_injection(logged_sim, detect_time):
         recovered_errors=RecoveredBatch(logged_sim.fleet),
         fleet=logged_sim.fleet,
     )
+
+
+def _by_hand(system, shelves):
+    """A copy of ``system`` built from objects, holding ``shelves``."""
+    return StorageSystem(
+        system.system_id,
+        system.system_class,
+        system.shelf_model,
+        system.primary_disk_model,
+        system.dual_path,
+        system.deploy_time,
+        shelves=shelves,
+        raid_groups=system.raid_groups,
+    )
+
+
+def _mix_disk_models(shelves):
+    next(disk for shelf in shelves for disk in shelf.iter_disks()).model += "-other"
+
+
+def _move_first_bay_last(shelves):
+    shelves[0].slots.append(shelves[0].slots.pop(0))
 
 
 def _strict_error(text, system):
@@ -282,20 +306,31 @@ class TestParser:
 
     def test_hand_built_system_mines_the_same_events(self, busiest):
         system, text = busiest
-        by_hand = StorageSystem(
-            system.system_id,
-            system.system_class,
-            system.shelf_model,
-            system.primary_disk_model,
-            system.dual_path,
-            system.deploy_time,
-            shelves=system.shelves,
-            raid_groups=system.raid_groups,
-        )
+        by_hand = _by_hand(system, system.shelves)
         assert by_hand.fleet is None
-        assert parse_system_log(text, by_hand, strict=True) == parse_system_log(
-            text, system, strict=True
-        )
+        mined = parse_system_log(text, system, strict=True)
+        assert parse_system_log(text, by_hand, strict=True) == mined
+        assert stream_system_log(text, by_hand, strict=True) == mined
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (_mix_disk_models, "model '.*-other' differs from system"),
+            (_move_first_bay_last, "is not bay 00 of shelf"),
+        ],
+        ids=["mixed-disk-models", "bay-off-its-position"],
+    )
+    def test_hand_built_system_a_fleet_cannot_hold_is_rejected(self, busiest, change, message):
+        # Both parsers resolve disks through a packed fleet, so both
+        # refuse what packing refuses.
+        system, text = busiest
+        shelves = copy.deepcopy(system.shelves)
+        change(shelves)
+        by_hand = _by_hand(system, shelves)
+        with pytest.raises(TopologyError, match=message):
+            parse_system_log(text, by_hand)
+        with pytest.raises(TopologyError, match=message):
+            stream_system_log(text, by_hand)
 
     def test_disk_topology_attributes_populated(self, archive, logged_sim):
         mined = parse_archive(archive, fleet=logged_sim.fleet)
