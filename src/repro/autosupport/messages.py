@@ -53,10 +53,12 @@ _TEMPLATES = {
 
 _SEVERITIES = {"info", "warning", "error"}
 
-#: The ``[event:severity]: `` tag after a line's timestamp.
-_TAG = r"\[(?P<event>[\w.]+):(?P<severity>\w+)\]: "
+#: The ``[event:severity]: `` tag after a line's timestamp; ``%(severity)s``
+#: names the severity's group, or leaves it uncaptured with ``?:``.
+_TAG = r"\[(?P<event>[\w.]+):(%(severity)s\w+)\]: "
 _LINE_RE = re.compile(
-    r"^(?P<timestamp>\w{3} \w{3} [ \d]\d \d{2}:\d{2}:\d{2} \d{4}) %s(?P<message>.*)$" % _TAG
+    r"^(?P<timestamp>\w{3} \w{3} [ \d]\d \d{2}:\d{2}:\d{2} \d{4}) %s(?P<message>.*)$"
+    % (_TAG % {"severity": "?P<severity>"})
 )
 _DISK_RE = re.compile(r"(?:device|Device|Disk) (?P<disk>\S+?/\d{2}#\d+)")
 _SERIAL_RE = re.compile(r"S/N \[(?P<serial>[^\]]+)\]")
@@ -66,11 +68,11 @@ _BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 #: A line laid out as the writer writes it, with no other line boundary
 #: in it.  ``findall`` over a whole log gives each such line's
-#: timestamp, event, severity and first disk id, as :func:`parse_line`
-#: reads them; the batch parser scans logs with it.
+#: timestamp, event and first disk id, as :func:`parse_line` reads
+#: them; the batch parser scans logs with it.
 WRITTEN_LINE = re.compile(
     r"^(?P<timestamp>%s) %s[^%s]*?%s[^%s]*$"
-    % (WRITTEN_PATTERN, _TAG, _BOUNDARIES, _DISK_RE.pattern, _BOUNDARIES),
+    % (WRITTEN_PATTERN, _TAG % {"severity": "?:"}, _BOUNDARIES, _DISK_RE.pattern, _BOUNDARIES),
     re.MULTILINE,
 )
 

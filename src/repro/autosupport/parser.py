@@ -116,7 +116,7 @@ def _scan(
     scans = [WRITTEN_LINE.findall(text) for _, text in logs]
     whole = [len(found) == len(text.splitlines()) for found, (_, text) in zip(scans, logs)]
     times = clock.parse_written(
-        [stamp for found, ok in zip(scans, whole) if ok for stamp, _, _, _ in found]
+        [stamp for found, ok in zip(scans, whole) if ok for stamp, _, _ in found]
     )
     lines = _Lines()
     start = 0
@@ -124,7 +124,7 @@ def _scan(
         if ok:
             stamped, start = times[start : start + len(found)], start + len(found)
             if not np.isnan(stamped).any():
-                _, events, _, disks = zip(*found) if found else ((), (), (), ())
+                _, events, disks = zip(*found) if found else ((), (), ())
                 lines.add(system, stamped, events, disks)
                 continue
         try:
