@@ -5,12 +5,15 @@ tools/capture_analysis_goldens.py took on the batched engine: per-seed AFR
 stacks and breakdowns, pooled gap arrays, bursts, correlation panels
 and count distributions; the same over the dataset parsed back from the
 AutoSupport logs; the ``FailureDataset`` methods (type selection,
-system filters, deduplication); the findings report, the two
-experiments that build datasets from event lists and every experiment
-that groups systems by configuration (Figs. 4b-7, Table 1,
-availability, the replacement discrepancy and the multipath sweep).
-Each section is
-replayed here and compared name by name.
+system filters, deduplication); the extension analyses that read
+disks, bays and RAID groups (data-loss replay, MTTDL, disk age,
+per-unit counts, validation, prediction samples and features); the
+findings report, the two experiments that build datasets from event
+lists, every experiment that groups systems by configuration (Figs.
+4b-7, Table 1, availability, the replacement discrepancy and the
+multipath sweep) and the extension experiments (the proactive policy,
+failure prediction, the scrub sweep and the RAID-loss ablation).
+Each section is replayed here and compared name by name.
 
 Regenerate (only for a deliberate change to an analysis's output):
 

@@ -13,13 +13,21 @@ Records SHA-256 digests, under the batched engine's key ``vector``, of
   type, ``filter_systems``, ``excluding_disk_family``,
   ``deduplicated``, and the deduplication of a synthetic chain of
   near-duplicate reports;
+- the extension analyses on the same dataset: the whole
+  ``estimate_dataloss`` report with and without transient outages,
+  ``fleet_mttdl_prediction``, ``disk_afr_by_age``, ``per_unit_counts``
+  for both scopes, ``validate_dataset`` over the synthetic chain, and
+  the ``build_samples`` rows (disk id, time, label, system id) with
+  the feature matrix of those samples;
 - at scale 0.02, seed 1: ``evaluate_findings``, and the text, data and
   checks of the fig4a, fig9a and fig10a experiments, of the two that
   build datasets from event lists, ``whatif-dualpath`` and
-  ``target-ranking``, and of every experiment that groups systems by
+  ``target-ranking``, of every experiment that groups systems by
   configuration: fig4b, fig5a-f, fig5-stability, fig6, fig7a/b,
   table1, availability, replacement-discrepancy and sweep-multipath
-  (which runs three simulations of its own).
+  (which runs three simulations of its own), and of the extensions
+  that read disks, bays and RAID groups: proactive-policy,
+  predict-failures, sweep-scrub and ablate-raidloss.
 
 Every value is digested through :func:`canonical`: dicts keep their
 key order, dataclasses their field order, floats are written with
@@ -74,6 +82,10 @@ EXPERIMENTS = (
     "availability",
     "replacement-discrepancy",
     "sweep-multipath",
+    "proactive-policy",
+    "predict-failures",
+    "sweep-scrub",
+    "ablate-raidloss",
 )
 SECTIONS = tuple("seed-%d" % seed for seed in SEEDS) + (
     "via-logs",
@@ -195,6 +207,55 @@ def synthetic_chain(dataset):
     return FailureDataset(events=events, fleet=dataset.fleet)
 
 
+def sample_rows(samples) -> list:
+    """A sample set as ``(disk id, time, label, system id)`` rows."""
+    return [
+        (disk_id, time, label, system_id)
+        for (disk_id, time), label, system_id in zip(
+            samples.pairs, samples.labels.tolist(), samples.system_ids
+        )
+    ]
+
+
+def sample_matrix(injection, samples):
+    """The feature matrix of a sample set."""
+    from repro.predict.features import FeatureExtractor
+
+    extractor = FeatureExtractor(injection.fleet, injection.recovered_errors)
+    return extractor.matrix(samples.pairs)
+
+
+def extension_outputs(result) -> dict:
+    """The extension analyses' outputs on one simulation, keyed by name."""
+    from repro.core.age import disk_afr_by_age
+    from repro.core.validate import validate_dataset
+    from repro.predict.samples import build_samples
+    from repro.raid.dataloss import estimate_dataloss
+    from repro.raid.mttdl import fleet_mttdl_prediction
+    from repro.raid.rebuild import RebuildModel
+    from repro.stats.dispersion import per_unit_counts
+
+    dataset = result.dataset
+    samples = build_samples(dataset, seed=1)
+    return {
+        "estimate_dataloss": estimate_dataloss(dataset),
+        "estimate_dataloss:disk_only": estimate_dataloss(
+            dataset, include_transient=False
+        ),
+        "fleet_mttdl_prediction": fleet_mttdl_prediction(
+            dataset,
+            rebuild_seconds=RebuildModel().window_seconds(144.0),
+            disk_afr_percent=1.5,
+        ),
+        "disk_afr_by_age": disk_afr_by_age(dataset),
+        "per_unit_counts:shelf": per_unit_counts(dataset, "shelf"),
+        "per_unit_counts:raid_group": per_unit_counts(dataset, "raid_group"),
+        "validate_synthetic_chain": validate_dataset(synthetic_chain(dataset)),
+        "build_samples": sample_rows(samples),
+        "sample_features": sample_matrix(result.injection, samples),
+    }
+
+
 def method_outputs(dataset) -> dict:
     """The ``FailureDataset`` methods' outputs, keyed by name."""
     import numpy as np
@@ -262,11 +323,10 @@ def section_outputs(section: str, config=None) -> dict:
             ).dataset
         )
     if section == "methods":
-        return method_outputs(
-            run_scenario(
-                "paper-default", scale=SCALE, seed=METHOD_SEED, config=config
-            ).dataset
+        result = run_scenario(
+            "paper-default", scale=SCALE, seed=METHOD_SEED, config=config
         )
+        return {**method_outputs(result.dataset), **extension_outputs(result)}
     if section == "midsize":
         return midsize_outputs(config)
     raise ValueError("unknown section %r" % section)
