@@ -13,10 +13,12 @@ plus one shard's ``selection=`` slice, records SHA-256 digests of
   system's exposure (disk-seconds, ``repr`` of the float).  Their keys
   keep the ``_vector`` suffix they were first captured under.
 
-The digests only read the public fleet surface (``systems``,
-``iter_slots``, ``iter_disks``), so the same script captures them from
-any fleet representation.  tests/test_fleet_goldens.py replays the
-cases and compares.
+The digests read the fleet's arrays through its public surface
+(``systems``, ``slot_keys``, ``slot_group_ids``, ``disk_ids`` and the
+lifetime-table columns).  The lines are the ones first captured from
+the per-disk objects the builder once made, so the digests have held
+since then.  tests/test_fleet_goldens.py replays the cases and
+compares.
 
 Regenerate (only when a deliberate change to fleet construction lands):
 
@@ -30,6 +32,10 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from repro.fleet.fleet import serial_text
 
 SEEDS = (101, 202, 303)
 SCALE = 0.02
@@ -88,28 +94,33 @@ def system_lines(fleet):
             system.primary_disk_model,
             int(system.dual_path),
             system.deploy_time,
-            len(system.shelves),
-            len(system.raid_groups),
+            system.shelf_count,
+            system.raid_group_count,
             system.slot_count,
         )
 
 
 def slot_group_lines(fleet):
-    for system in fleet.systems:
-        for slot in system.iter_slots():
-            yield "%s %s" % (slot.slot_key, slot.raid_group_id)
+    every = np.arange(fleet.slot_count)
+    for key, group in zip(fleet.slot_keys(every), fleet.slot_group_ids(every)):
+        yield "%s %s" % (key, group)
 
 
 def disk_lines(fleet):
-    for system in fleet.systems:
-        for disk in system.iter_disks():
-            yield "%s %s %r" % (disk.disk_id, disk.serial, disk.install_time)
+    rows = np.arange(fleet.disk_count_ever)
+    for disk_id, serial, install in zip(
+        fleet.disk_ids(rows), fleet.disk_serial.tolist(), fleet.disk_install.tolist()
+    ):
+        yield "%s %s %r" % (disk_id, serial_text(serial), install)
 
 
 def lifetime_lines(fleet):
-    for system in fleet.systems:
-        for disk in system.iter_disks():
-            yield "%s %r %r" % (disk.disk_id, disk.install_time, disk.remove_time)
+    # A disk still in service is written with remove time None.
+    rows = np.arange(fleet.disk_count_ever)
+    for disk_id, install, remove in zip(
+        fleet.disk_ids(rows), fleet.disk_install.tolist(), fleet.disk_remove.tolist()
+    ):
+        yield "%s %r %r" % (disk_id, install, None if remove == np.inf else remove)
 
 
 def exposure_lines(fleet):
