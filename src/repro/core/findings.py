@@ -137,12 +137,9 @@ def _finding_2(dataset: FailureDataset) -> Finding:
 
 def _finding_3(dataset: FailureDataset) -> Finding:
     """Systems on the problematic disk family show ~2x the AFR."""
-    h_systems = dataset.filter_systems(
-        dataset.fleet.where(disk_family=PROBLEMATIC_DISK_FAMILY)
-    )
-    others = dataset.excluding_disk_family()
-    h_afr = dataset_afr(h_systems).percent
-    other_afr = dataset_afr(others).percent
+    h_systems = dataset.fleet.where(disk_family=PROBLEMATIC_DISK_FAMILY)
+    h_afr = dataset_afr(dataset, systems=h_systems).percent
+    other_afr = dataset_afr(dataset, systems=~h_systems).percent
     ratio = h_afr / other_afr if other_afr > 0 else float("inf")
     # The paper's "factor of two" compares within a Fig. 5 panel; this
     # fleet-wide ratio dilutes it (near-line systems never shipped H),
@@ -288,20 +285,19 @@ def _finding_5(dataset: FailureDataset) -> Finding:
 
 def _finding_6(dataset: FailureDataset) -> Finding:
     """Shelf model shifts interconnect AFR; best shelf depends on disk."""
-    low_end = dataset.filter_systems(
-        dataset.fleet.where(system_class=SystemClass.LOW_END)
-    )
+    fleet = dataset.fleet
     better_shelf: Dict[str, str] = {}
     significant = 0
     compared = 0
     for disk_model in ("A-2", "A-3", "D-2", "D-3"):
-        rows = afr_by_shelf_model(low_end, SystemClass.LOW_END, disk_model)
+        rows = afr_by_shelf_model(dataset, SystemClass.LOW_END, disk_model)
         if len(rows) < 2:
             continue
+        panel = fleet.where(system_class=SystemClass.LOW_END, disk_model=disk_model)
         comparison = compare_rates(
-            low_end,
-            low_end.fleet.where(shelf_model="A", disk_model=disk_model),
-            low_end.fleet.where(shelf_model="B", disk_model=disk_model),
+            dataset,
+            panel & fleet.where(shelf_model="A"),
+            panel & fleet.where(shelf_model="B"),
             FailureType.PHYSICAL_INTERCONNECT,
             description="low-end %s: shelf A vs B" % disk_model,
         )
