@@ -29,7 +29,7 @@ def main() -> None:
     sim = run_scenario("paper-default", scale=0.02, seed=6)
     print(
         "  %d subsystem failures, %d recovered component-error lines\n"
-        % (len(sim.injection.events), len(sim.injection.recovered_errors))
+        % (sim.injection.n_events(), sim.injection.n_recovered())
     )
 
     config = PredictorConfig(horizon_days=14.0, grid_days=30.0)

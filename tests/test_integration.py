@@ -74,6 +74,9 @@ class TestExamplesRun:
             "failure_forensics",
             "ops_report",
             "failure_prediction",
+            "design_advisor",
+            "log_mining",
+            "replacement_study",
         ],
     )
     def test_example_scripts_execute(self, example, capsys, monkeypatch):
