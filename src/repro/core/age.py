@@ -14,12 +14,15 @@ occurrence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.core.afr import AFREstimate, afr_estimate
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import FailureType
+from repro.fleet.fleet import sequential_sum
 from repro.units import SECONDS_PER_DAY, seconds_to_years
 
 #: Default age bucket edges, in days of disk service.
@@ -65,32 +68,25 @@ def disk_afr_by_age(
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise AnalysisError("edges must be strictly increasing")
 
-    exposure = [0.0] * (len(edges) - 1)
-    for disk in dataset.fleet.iter_disks():
-        end = (
-            disk.remove_time
-            if disk.remove_time is not None
-            else dataset.duration_seconds
-        )
-        life = max(0.0, end - disk.install_time)
-        for index, (low, high) in enumerate(zip(edges, edges[1:])):
-            overlap = min(life, high) - low
-            if overlap > 0.0:
-                exposure[index] += overlap
+    # Each disk's service time, split across the buckets it crosses and
+    # summed disk by disk in lifetime-table order.
+    fleet = dataset.fleet
+    life = np.maximum(0.0, fleet.service_end(dataset.duration_seconds) - fleet.disk_install)
+    exposure = []
+    for low, high in zip(edges, edges[1:]):
+        overlap = np.minimum(life, high) - low
+        exposure.append(sequential_sum(overlap[overlap > 0.0]))
 
-    counts = [0] * (len(edges) - 1)
-    install_of: Dict[str, float] = {
-        disk.disk_id: disk.install_time for disk in dataset.fleet.iter_disks()
-    }
-    for event in dataset.events_of_type(FailureType.DISK):
-        install = install_of.get(event.disk_id)
-        if install is None:
-            continue
-        age = event.occur_time - install
-        for index, (low, high) in enumerate(zip(edges, edges[1:])):
-            if low <= age < high:
-                counts[index] += 1
-                break
+    # Each disk failure lands in the bucket of its disk's age.
+    table = dataset.table
+    failures = table.type_mask(FailureType.DISK)
+    rows = fleet.disk_rows(table.disk_ids.values)[table.disk_codes[failures]]
+    known = rows >= 0
+    age = table.occur_time[failures][known] - fleet.disk_install[rows[known]]
+    bucket = np.searchsorted(edges, age, side="right") - 1
+    counts = np.bincount(
+        bucket[(bucket >= 0) & (bucket < len(edges) - 1)], minlength=len(edges) - 1
+    ).tolist()
 
     buckets: List[AgeBucket] = []
     for index, (low, high) in enumerate(zip(edges, edges[1:])):

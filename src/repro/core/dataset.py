@@ -22,7 +22,7 @@ into a mask over the event table.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -243,23 +243,6 @@ class FailureDataset:
                 continue
             grouped.setdefault(key(event), []).append(event)
         return grouped
-
-    def scope_population(self, scope: str) -> List[Tuple[str, StorageSystem]]:
-        """All (scope id, owning system) pairs in the fleet.
-
-        The correlation analysis needs the full population of shelves /
-        RAID groups, including those that never failed.
-        """
-        fleet = self.fleet
-        if scope == "shelf":
-            ids, starts = fleet.shelf_ids, fleet.system_shelf_start
-        elif scope == "raid_group":
-            ids, starts = fleet.group_ids, fleet.system_group_start
-        else:
-            raise AnalysisError("scope must be 'shelf' or 'raid_group'")
-        owners = np.repeat(np.arange(fleet.system_count), np.diff(starts))
-        systems = fleet.systems
-        return [(unit, systems[owner]) for unit, owner in zip(ids, owners.tolist())]
 
     # -- summaries ---------------------------------------------------------------
 

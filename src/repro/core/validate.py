@@ -11,7 +11,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.core.dataset import FailureDataset
+import numpy as np
+
+from repro.core.dataset import DEDUP_WINDOW_SECONDS, FailureDataset
 from repro.fleet import calibration, catalog
 
 
@@ -52,12 +54,24 @@ def validate_dataset(dataset: FailureDataset, max_issues: int = 50) -> List[Vali
         issues.append(ValidationIssue(severity=severity, message=message))
         return len(issues) >= max_issues
 
+    # Resolve every event's system, bay and disk on the fleet's arrays:
+    # a bay must be one of the event's system's, a disk one of the bay's.
+    fleet = dataset.fleet
+    table = dataset.table
+    systems = fleet.system_rows(table.system_ids.values)[table.system_codes]
+    disk_ids = table.disk_ids.values
+    slots = fleet.slot_rows([disk_id.rsplit("#", 1)[0] for disk_id in disk_ids])
+    slots = slots[table.disk_codes]
+    # Bay -1 reads the appended -1, which names no system.
+    owned = (slots >= 0) & (np.append(fleet.slot_system, -1)[slots] == systems)
+    disks = fleet.disk_rows(disk_ids)[table.disk_codes]
+    classes = [system_class.value for system_class in fleet.system_classes]
+
     duration = dataset.duration_seconds
     seen_recent = {}
     for index, event in enumerate(dataset.events):
-        try:
-            system = dataset.fleet.system(event.system_id)
-        except Exception:
+        system = int(systems[index])
+        if system < 0:
             if add("error", "event %d references unknown system %r" % (index, event.system_id)):
                 return issues
             continue
@@ -67,37 +81,31 @@ def validate_dataset(dataset: FailureDataset, max_issues: int = 50) -> List[Vali
         if event.detect_time > duration:
             if add("error", "event %d detected after the window end" % index):
                 return issues
-        slot_key = event.disk_id.rsplit("#", 1)[0]
-        try:
-            slot = system.slot_by_key(slot_key)
-        except Exception:
+        if not owned[index]:
+            slot_key = event.disk_id.rsplit("#", 1)[0]
             if add("error", "event %d references unknown bay %r" % (index, slot_key)):
                 return issues
             continue
-        disk = next(
-            (d for d in slot.disks if d.disk_id == event.disk_id), None
-        )
-        if disk is None:
+        disk = int(disks[index])
+        if disk < 0:
             if add("error", "event %d references unknown disk %r" % (index, event.disk_id)):
                 return issues
             continue
-        if event.system_class != system.system_class.value:
+        if event.system_class != classes[system]:
             if add("error", "event %d class mismatch (%s vs %s)" % (
-                    index, event.system_class, system.system_class.value)):
+                    index, event.system_class, classes[system])):
                 return issues
-        if event.shelf_model != system.shelf_model:
+        if event.shelf_model != fleet.shelf_models[system]:
             if add("error", "event %d shelf-model mismatch" % index):
                 return issues
-        if event.occur_time < disk.install_time:
+        if event.occur_time < fleet.disk_install[disk]:
             if add("warning", "event %d predates its disk's installation" % index):
                 return issues
-        if disk.remove_time is not None and event.occur_time > disk.remove_time:
+        if event.occur_time > fleet.disk_remove[disk]:
             if add("warning", "event %d postdates its disk's removal" % index):
                 return issues
         key = (event.disk_id, event.failure_type)
         last = seen_recent.get(key)
-        from repro.core.dataset import DEDUP_WINDOW_SECONDS
-
         if last is not None and event.detect_time - last < DEDUP_WINDOW_SECONDS:
             if add("warning", "duplicate report: disk %s %s within the dedup window" % (
                     event.disk_id, event.failure_type.value)):

@@ -30,12 +30,14 @@ def run(context: ExperimentContext) -> ExperimentResult:
     dataset = FailureDataset.from_injection(injection)
     samples = build_samples(dataset, horizon_days=14.0, seed=0)
     train, test = samples.split_by_system(0.3)
-    extractor = FeatureExtractor(injection.fleet, injection.recovered_errors)
+    extractor = FeatureExtractor(injection.fleet, injection.recovered_batch)
     bayes = PoissonNaiveBayes.fit(
-        extractor.matrix(train.pairs), train.labels, feature_names=FEATURE_NAMES
+        extractor.matrix(train.disks, train.times),
+        train.labels,
+        feature_names=FEATURE_NAMES,
     )
     bayes_auc = roc_auc(
-        test.labels, bayes.predict_proba(extractor.matrix(test.pairs))
+        test.labels, bayes.predict_proba(extractor.matrix(test.disks, test.times))
     )
 
     checks = {

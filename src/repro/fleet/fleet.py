@@ -22,24 +22,25 @@ which keep the shelf and group ids they were given.
 
 Analyses pick systems with :meth:`Fleet.where`, a boolean mask over
 the per-system rows.  ``fleet.systems`` are light
-:class:`~repro.topology.system.StorageSystem` views of those rows.  A
-view builds its shelves, bays, disks and RAID groups from the arrays
-only when a consumer walks disks (RAID replay, prediction, policy, age
-analysis, validation); the simulation and the paper's analyses never
-do.
+:class:`~repro.topology.system.StorageSystem` views of those rows: the
+system-level fields and counts, with no shelf, bay, disk or RAID-group
+objects.  Every reader of disks, bays and RAID groups (RAID replay,
+MTTDL, prediction, policy, age analysis, validation) reads the arrays;
+ids resolve to rows with :meth:`Fleet.system_rows`,
+:meth:`Fleet.shelf_rows`, :meth:`Fleet.group_rows`,
+:meth:`Fleet.slot_rows` and :meth:`Fleet.disk_rows`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology.classes import SystemClass
-from repro.topology.components import Disk, DiskSlot, Shelf
-from repro.topology.raidgroup import RAIDGroup, RaidType
+from repro.topology.raidgroup import RaidType
 from repro.topology.system import StorageSystem
 
 #: RAID levels by their code in :attr:`Fleet.group_raid_type`.
@@ -185,12 +186,11 @@ class Fleet:
         if len(set(self.system_ids)) != len(self.system_ids):
             raise TopologyError("duplicate system ids in fleet")
         self._lifetime_cache: Dict[object, np.ndarray] = {}
-        self._built: set = set()
 
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        # Arrays only: no views, objects or caches.  The lifetime table
+        # Arrays only: no views or caches.  The lifetime table
         # goes as per-bay disk counts plus the cells that differ from a
         # bay's deploy-time disk still in service, and every integer
         # column in its smallest dtype — a cached paper-scale fleet is
@@ -413,8 +413,26 @@ class Fleet:
         return {shelf_id: index for index, shelf_id in enumerate(self.shelf_ids)}
 
     @functools.cached_property
+    def _group_index(self) -> Dict[str, int]:
+        return {group_id: index for index, group_id in enumerate(self.group_ids)}
+
+    @functools.cached_property
     def _system_index(self) -> Dict[str, int]:
         return {system_id: index for index, system_id in enumerate(self.system_ids)}
+
+    def shelf_rows(self, shelf_ids: Sequence[str]) -> np.ndarray:
+        """Indices of shelf ids (-1 for an id the fleet lacks)."""
+        return _lookup(self._shelf_index, shelf_ids)
+
+    def group_rows(self, group_ids: Sequence[str]) -> np.ndarray:
+        """Indices of RAID-group ids (-1 for an id the fleet lacks)."""
+        return _lookup(self._group_index, group_ids)
+
+    def slot_rows(self, slot_keys: Sequence[str]) -> np.ndarray:
+        """Global bay indices of bay keys (-1 for a key that names no
+        bay): ``<shelf id>/<nn>`` with the fleet's own shelf id and a
+        two-digit bay of that shelf."""
+        return np.fromiter(map(self._slot_of_key, slot_keys), dtype=np.int64, count=len(slot_keys))
 
     def find_disk(self, disk_id: str) -> int:
         """The lifetime-table row of a disk id, or -1 if none matches
@@ -447,16 +465,24 @@ class Fleet:
         """``bay * 2**31 + generation`` of a disk id (-1 when malformed
         or not a bay of this fleet)."""
         slot_key, _, gen_text = disk_id.rpartition("#")
+        slot = self._slot_of_key(slot_key)
+        if slot < 0 or not gen_text.isdigit():
+            return -1
+        gen = int(gen_text)
+        if "%d" % gen != gen_text or gen >= 2**31:
+            return -1
+        return slot * 2**31 + gen
+
+    def _slot_of_key(self, slot_key: str) -> int:
+        """The global bay of a bay key (-1 when it names none)."""
         shelf_id, _, bay_text = slot_key.rpartition("/")
         shelf = self._shelf_index.get(shelf_id)
-        if shelf is None or not (bay_text.isdigit() and gen_text.isdigit()):
+        if shelf is None or not bay_text.isdigit():
             return -1
-        bay, gen = int(bay_text), int(gen_text)
-        if "%02d" % bay != bay_text or "%d" % gen != gen_text or gen >= 2**31:
+        bay = int(bay_text)
+        if "%02d" % bay != bay_text or bay >= self.shelf_n_slots[shelf]:
             return -1
-        if bay >= self.shelf_n_slots[shelf]:
-            return -1
-        return (int(self.shelf_slot_start[shelf]) + bay) * 2**31 + gen
+        return int(self.shelf_slot_start[shelf]) + bay
 
     def _rows_of_keys(self, wanted: np.ndarray) -> np.ndarray:
         keys, order = self._disk_keys
@@ -489,12 +515,7 @@ class Fleet:
 
     def system_rows(self, system_ids: Sequence[str]) -> np.ndarray:
         """Rows of the given system ids (-1 for an id the fleet lacks)."""
-        index = self._system_index
-        return np.fromiter(
-            (index.get(system_id, -1) for system_id in system_ids),
-            dtype=np.int64,
-            count=len(system_ids),
-        )
+        return _lookup(self._system_index, system_ids)
 
     # -- selection -------------------------------------------------------------
 
@@ -560,92 +581,7 @@ class Fleet:
         """Find a system by id."""
         return self.systems[self.system_index(system_id)]
 
-    # -- object graphs, on demand ---------------------------------------------
-
-    def build_objects(self, index: int) -> Tuple[List[Shelf], List[RAIDGroup]]:
-        """Shelf, bay, disk and RAID-group objects of one system.
-
-        Called by the system's view on first access; the fleet remembers
-        which systems have objects so a change to the arrays can drop
-        them.
-        """
-        system_id = self.system_ids[index]
-        disk_model = self.disk_models[index]
-        shelf_model = self.shelf_models[index]
-        first_shelf = int(self.system_shelf_start[index])
-        last_shelf = int(self.system_shelf_start[index + 1])
-        first_slot, last_slot = self._system_slots(index)
-        slot_range = np.arange(first_slot, last_slot)
-        group_ids = self.slot_group_ids(slot_range)
-        shelf_ids = self.shelf_ids[first_shelf:last_shelf]
-        shelves: List[Shelf] = []
-        slots: List[DiskSlot] = []
-        for shelf in range(first_shelf, last_shelf):
-            shelf_id = shelf_ids[shelf - first_shelf]
-            base = int(self.shelf_slot_start[shelf])
-            bays = [
-                DiskSlot(shelf_id, local, group_ids[base + local - first_slot])
-                for local in range(int(self.shelf_n_slots[shelf]))
-            ]
-            shelves.append(
-                Shelf(shelf_id=shelf_id, model=shelf_model, system_id=system_id, slots=bays)
-            )
-            slots.extend(bays)
-        first_row, last_row = self._system_rows(index)
-        rows = slice(first_row, last_row)
-        for slot_index, gen, install, remove, serial in zip(
-            self.disk_slot[rows].tolist(),
-            self.disk_gen[rows].tolist(),
-            self.disk_install[rows].tolist(),
-            self.disk_remove[rows].tolist(),
-            self.disk_serial[rows].tolist(),
-        ):
-            slot = slots[slot_index - first_slot]
-            slot.disks.append(
-                Disk(
-                    disk_id="%s#%d" % (slot.slot_key, gen),
-                    model=disk_model,
-                    system_id=system_id,
-                    shelf_id=slot.shelf_id,
-                    slot_index=slot.slot_index,
-                    raid_group_id=slot.raid_group_id,
-                    install_time=install,
-                    remove_time=None if remove == np.inf else remove,
-                    serial=serial_text(serial),
-                )
-            )
-        groups = self._build_groups(index, slot_range, slots)
-        self._built.add(index)
-        return shelves, groups
-
-    def _build_groups(
-        self, index: int, slot_range: np.ndarray, slots: List[DiskSlot]
-    ) -> List[RAIDGroup]:
-        first_slot = int(slot_range[0]) if slot_range.size else 0
-        members = self.group_members(slot_range)
-        system_id = self.system_ids[index]
-        first = int(self.system_group_start[index])
-        last = int(self.system_group_start[index + 1])
-        return [
-            RAIDGroup(
-                raid_group_id=self.group_ids[group],
-                system_id=system_id,
-                raid_type=RAID_TYPES[int(self.group_raid_type[group])],
-                slot_keys=[
-                    slots[slot - first_slot].slot_key
-                    for slot in members.get(group, [])
-                ],
-            )
-            for group in range(first, last)
-        ]
-
-    def group_members(self, slots: np.ndarray) -> Dict[int, List[int]]:
-        """The bays among ``slots`` of each RAID group, in layout order."""
-        ordered = self.group_layout(slots)
-        members: Dict[int, List[int]] = {}
-        for slot, group in zip(ordered.tolist(), self.slot_group[ordered].tolist()):
-            members.setdefault(group, []).append(slot)
-        return members
+    # -- RAID-group layout -------------------------------------------------------
 
     def group_layout(self, slots: np.ndarray) -> np.ndarray:
         """``slots`` sorted by RAID group (ungrouped bays first), each
@@ -657,21 +593,6 @@ class Fleet:
         shelves = self.slot_shelf[slots]
         local = slots - self.shelf_slot_start[shelves]
         return slots[np.lexsort((shelves, local, self.slot_group[slots]))]
-
-    def iter_shelves(self) -> Iterator[Shelf]:
-        """All shelf enclosures in the fleet (builds their objects)."""
-        for system in self.systems:
-            yield from system.shelves
-
-    def iter_raid_groups(self) -> Iterator[RAIDGroup]:
-        """All RAID groups in the fleet (builds their objects)."""
-        for system in self.systems:
-            yield from system.raid_groups
-
-    def iter_disks(self) -> Iterator[Disk]:
-        """All disks ever installed in the fleet (builds their objects)."""
-        for system in self.systems:
-            yield from system.iter_disks()
 
     # -- lifetime changes ------------------------------------------------------
 
@@ -687,8 +608,7 @@ class Fleet:
     ) -> None:
         """Install replacement disks and set removal times, in one merge.
 
-        New rows enter in service; removals may name them.  Systems'
-        built objects are dropped, since they no longer match.
+        New rows enter in service; removals may name them.
         """
         span = int(max(self.disk_gen.max(initial=0), np.max(new_gen, initial=0))) + 1
         if new_slot.size:
@@ -708,15 +628,7 @@ class Fleet:
             if not np.array_equal(keys[np.minimum(rows, keys.size - 1)], want):
                 raise TopologyError("removal of a disk that was never installed")
             self.disk_remove[rows] = removed_at
-        self._lifetimes_changed()
-
-    def _lifetimes_changed(self) -> None:
         self._lifetime_cache.clear()
-        if self._built:
-            systems = self.systems
-            for index in self._built:
-                systems[index].drop_objects()
-            self._built.clear()
 
     # -- exposure --------------------------------------------------------------
 
@@ -742,6 +654,11 @@ class Fleet:
             if end == self.duration_seconds:
                 self._lifetime_cache[("exposure", end)] = cached
         return cached
+
+    def service_end(self, window_end: float) -> np.ndarray:
+        """Per lifetime-table row, when the disk left service, or
+        ``window_end`` for a disk still in service."""
+        return np.where(self.disk_remove == np.inf, window_end, self.disk_remove)
 
     def system_exposure_seconds(self, index: int, window_end: float) -> float:
         """One system's exposure (see :meth:`exposure_column`)."""
@@ -852,6 +769,11 @@ def _render_ids(
         pattern % (system_ids[system], local)
         for system, local in zip(owner.tolist(), (items - starts[owner]).tolist())
     ]
+
+
+def _lookup(index: Dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """``index[id]`` per id, -1 for an id the index lacks."""
+    return np.fromiter((index.get(i, -1) for i in ids), dtype=np.int64, count=len(ids))
 
 
 def _shifts(parts: Sequence[Fleet], size_of: str) -> List[int]:

@@ -23,17 +23,18 @@ avoided failure.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.injector import InjectionResult
+from repro.failures.types import FailureType
 from repro.predict.features import FEATURE_NAMES, FeatureExtractor
 from repro.predict.model import LogisticModel
+from repro.predict.samples import Timeline, build_samples, observation_grid
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_MONTH
 
 
@@ -154,8 +155,6 @@ def _train_before_cutoff(
     config: PolicyConfig,
 ) -> LogisticModel:
     """Fit the predictor on samples fully contained before the cutoff."""
-    from repro.predict.samples import build_samples
-
     dataset = FailureDataset.from_injection(injection)
     samples = build_samples(
         dataset,
@@ -165,19 +164,16 @@ def _train_before_cutoff(
         seed=0,
     )
     horizon = config.horizon_days * SECONDS_PER_DAY
-    keep = [
-        index
-        for index, (_disk, time) in enumerate(samples.pairs)
-        if time + horizon <= cutoff
-    ]
-    if len(keep) < 50:
+    keep = samples.times + horizon <= cutoff
+    if np.count_nonzero(keep) < 50:
         raise AnalysisError("too few pre-cutoff samples; enlarge the fleet")
-    pairs = [samples.pairs[i] for i in keep]
     labels = samples.labels[keep]
     if labels.min() == labels.max():
         raise AnalysisError("pre-cutoff samples contain a single class")
     return LogisticModel.fit(
-        extractor.matrix(pairs), labels, feature_names=FEATURE_NAMES
+        extractor.matrix(samples.disks[keep], samples.times[keep]),
+        labels,
+        feature_names=FEATURE_NAMES,
     )
 
 
@@ -190,50 +186,36 @@ def evaluate_proactive_policy(
     Returns:
         ``(trained model, outcome)``.
     """
-    if not injection.recovered_errors:
+    if not injection.n_recovered():
         raise AnalysisError("policy needs the component-error stream")
-    duration = injection.fleet.duration_seconds
+    fleet = injection.fleet
+    duration = fleet.duration_seconds
     cutoff = config.cutoff_months * SECONDS_PER_MONTH
     if cutoff >= duration:
         raise AnalysisError("cutoff lies beyond the study window")
 
-    extractor = FeatureExtractor(injection.fleet, injection.recovered_errors)
+    extractor = FeatureExtractor(fleet, injection.recovered_batch)
     model = _train_before_cutoff(injection, extractor, cutoff, config)
 
     # Disk-failure times per disk (for scoring flags), all types for the
     # unavoidable tally.
-    from repro.failures.types import FailureType
+    table = injection.to_table()
+    disk = table.type_mask(FailureType.DISK)
+    after = table.detect_time >= cutoff
+    disk_after_cutoff = int(np.count_nonzero(disk & after))
+    unavoidable_after_cutoff = int(np.count_nonzero(~disk & after))
+    rows = fleet.disk_rows(table.disk_ids.values)[table.disk_codes]
+    disk &= rows >= 0
+    disk_failures = Timeline(rows[disk], table.detect_time[disk])
 
-    disk_failures: Dict[str, List[float]] = {}
-    disk_after_cutoff = 0
-    unavoidable_after_cutoff = 0
-    for event in injection.events:
-        if event.failure_type is FailureType.DISK:
-            disk_failures.setdefault(event.disk_id, []).append(event.detect_time)
-            if event.detect_time >= cutoff:
-                disk_after_cutoff += 1
-        elif event.detect_time >= cutoff:
-            unavoidable_after_cutoff += 1
-    for times in disk_failures.values():
-        times.sort()
-
+    # Review every in-service disk after the cutoff.
     review = config.review_days * SECONDS_PER_DAY
-    flags = 0
-    avoided = 0
-    wasted = 0
-    pairs: List[Tuple[str, float]] = []
-    owners: List[str] = []
-    for system in injection.fleet.systems:
-        for disk in system.iter_disks():
-            end = disk.remove_time if disk.remove_time is not None else duration
-            time = max(cutoff, disk.install_time) + review
-            while time < end:
-                pairs.append((disk.disk_id, time))
-                owners.append(disk.disk_id)
-                time += review
-    if not pairs:
+    disks, times = observation_grid(
+        np.maximum(cutoff, fleet.disk_install) + review, fleet.service_end(duration), review
+    )
+    if not disks.size:
         raise AnalysisError("no post-cutoff review points")
-    scores = model.predict_proba(extractor.matrix(pairs))
+    scores = model.predict_proba(extractor.matrix(disks, times))
     # Act on the top budget-fraction of review points.
     threshold = float(
         np.quantile(scores, 1.0 - config.flag_budget_fraction)
@@ -241,38 +223,26 @@ def evaluate_proactive_policy(
 
     protection = config.protection_days * SECONDS_PER_DAY
 
-    def preempts(disk_id: str, flag_time: float) -> bool:
-        times = disk_failures.get(disk_id, [])
-        index = bisect.bisect_right(times, flag_time)
-        return index < len(times) and times[index] <= flag_time + protection
+    def preempted(points: np.ndarray) -> int:
+        """Pulls at these review points followed by that disk's disk
+        failure within the protection window."""
+        flag_times = times[points]
+        next_failure = disk_failures.next_after(disks[points], flag_times)
+        return int(np.count_nonzero(next_failure <= flag_times + protection))
 
-    flagged: Dict[str, float] = {}
-    for (disk_id, time), score in zip(pairs, scores):
-        if score >= threshold and disk_id not in flagged:
-            flagged[disk_id] = time
-    for disk_id, flag_time in flagged.items():
-        flags += 1
-        if preempts(disk_id, flag_time):
-            avoided += 1
-        else:
-            wasted += 1
+    # Each disk is pulled at its first review point at or above the
+    # threshold.
+    flagged = _first_per_disk(disks, np.flatnonzero(scores >= threshold))
+    flags = int(flagged.size)
+    avoided = preempted(flagged)
+    wasted = flags - avoided
 
     # Random baseline of the same budget: pick the same number of
     # distinct disks at random review points (seeded).
     rng = np.random.default_rng(0)
-    baseline_hits = 0
-    baseline_flags = max(1, len(flagged))
-    random_flagged: Dict[str, float] = {}
-    for index in rng.permutation(len(pairs)):
-        disk_id, time = pairs[int(index)]
-        if disk_id not in random_flagged:
-            random_flagged[disk_id] = time
-            if len(random_flagged) >= baseline_flags:
-                break
-    for disk_id, flag_time in random_flagged.items():
-        if preempts(disk_id, flag_time):
-            baseline_hits += 1
-    baseline_precision = baseline_hits / max(1, len(random_flagged))
+    baseline_flags = max(1, flags)
+    random_flagged = _first_per_disk(disks, rng.permutation(disks.size))[:baseline_flags]
+    baseline_precision = preempted(random_flagged) / max(1, random_flagged.size)
 
     outcome = PolicyOutcome(
         flags=flags,
@@ -283,3 +253,10 @@ def evaluate_proactive_policy(
         baseline_precision=baseline_precision,
     )
     return model, outcome
+
+
+def _first_per_disk(disks: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Of review ``points`` taken in the given order, each disk's first,
+    in the order the disks first appear."""
+    _, first = np.unique(disks[points], return_index=True)
+    return points[np.sort(first)]

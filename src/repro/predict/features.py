@@ -1,4 +1,4 @@
-"""Per-disk trailing-window features over the component-error stream.
+"""Per-disk trailing-window features over the recovered incidents.
 
 A prediction sample is a (disk, observation time) pair; its features
 summarize what the support log showed about that disk — and its shelf
@@ -8,16 +8,17 @@ informative — in trailing windows before the observation time.
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.failures.events import ComponentError
-from repro.failures.raidlayer import RECOVERY_EVENTS
-from repro.failures.types import FAILURE_TYPE_ORDER
+from repro.failures.types import ALL_FAILURE_TYPES, FAILURE_TYPE_ORDER
 from repro.fleet.fleet import Fleet
+from repro.predict.samples import Timeline
 from repro.units import SECONDS_PER_DAY, seconds_to_years
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulate.vector.emit import RecoveredBatch
 
 #: Feature vector layout (order matters; the model reports per-feature
 #: weights under these names).
@@ -33,113 +34,47 @@ FEATURE_NAMES = (
     "disk_age_years",
 )
 
-_RECOVERY_TERMINALS = {event for _layer, event in RECOVERY_EVENTS.values()}
+_TYPES = len(ALL_FAILURE_TYPES)
 
 
 class FeatureExtractor:
-    """Indexes recovered incidents for fast trailing-window counting.
+    """Indexes recovered incidents for trailing-window counting.
 
-    Only the *terminal* recovery event of each incident cascade is
-    counted, so one incident contributes one count regardless of how
-    many log lines its cascade produced.
+    Each incident counts once, at the time of its recovery event (the
+    last line of its cascade), however many log lines the cascade
+    produced.  An incident on a (bay, generation) the lifetime table
+    does not hold counts toward no disk and no shelf.
     """
 
-    def __init__(self, fleet: Fleet, recovered_errors: Iterable[ComponentError]):
-        self._incident_times: Dict[str, List[float]] = {}
-        self._incident_types: Dict[str, List[str]] = {}
-        shelf_of: Dict[str, str] = {}
-        for system in fleet.systems:
-            for shelf in system.shelves:
-                for slot in shelf.slots:
-                    for disk in slot.disks:
-                        shelf_of[disk.disk_id] = shelf.shelf_id
-        self._shelf_of = shelf_of
-        self._disk_install: Dict[str, float] = {
-            disk.disk_id: disk.install_time for disk in fleet.iter_disks()
-        }
+    def __init__(self, fleet: Fleet, recovered: RecoveredBatch) -> None:
+        type_codes, times, slots, gens = recovered.incidents()
+        disks = fleet.bay_rows(slots, gens)
+        known = disks >= 0
+        type_codes, times, disks = type_codes[known], times[known], disks[known]
+        self._fleet = fleet
+        self._own = Timeline(disks, times)
+        self._shelf = Timeline(fleet.slot_shelf[fleet.disk_slot[disks]], times)
+        self._typed = Timeline(disks * _TYPES + type_codes, times)
 
-        shelf_times: Dict[str, List[float]] = {}
-        for error in recovered_errors:
-            if error.event and error.event not in _RECOVERY_TERMINALS:
-                continue  # only terminal events mark whole incidents
-            self._incident_times.setdefault(error.disk_id, []).append(error.time)
-            self._incident_types.setdefault(error.disk_id, []).append(
-                error.failure_type.value
-            )
-            shelf_id = shelf_of.get(error.disk_id)
-            if shelf_id is not None:
-                shelf_times.setdefault(shelf_id, []).append(error.time)
-
-        for disk_id, times in self._incident_times.items():
-            order = np.argsort(times)
-            self._incident_times[disk_id] = [times[i] for i in order]
-            self._incident_types[disk_id] = [
-                self._incident_types[disk_id][i] for i in order
-            ]
-        self._shelf_times = {
-            shelf_id: sorted(times) for shelf_id, times in shelf_times.items()
-        }
-
-    # -- counting helpers ---------------------------------------------------
-
-    def _count_window(self, times: Sequence[float], start: float, end: float) -> int:
-        return bisect.bisect_right(times, end) - bisect.bisect_left(times, start)
-
-    def own_incidents(self, disk_id: str, time: float, window_days: float) -> int:
-        """Incidents on the disk itself in the trailing window."""
-        times = self._incident_times.get(disk_id, [])
-        return self._count_window(
-            times, time - window_days * SECONDS_PER_DAY, time
-        )
-
-    def shelf_incidents(self, disk_id: str, time: float, window_days: float) -> int:
-        """Incidents anywhere in the disk's shelf (including itself)."""
-        shelf_id = self._shelf_of.get(disk_id)
-        if shelf_id is None:
-            return 0
-        return self._count_window(
-            self._shelf_times.get(shelf_id, []),
-            time - window_days * SECONDS_PER_DAY,
-            time,
-        )
-
-    def typed_incidents(
-        self, disk_id: str, time: float, window_days: float
-    ) -> Dict[str, int]:
-        """Per-failure-type incident counts on the disk, trailing window."""
-        times = self._incident_times.get(disk_id, [])
-        kinds = self._incident_types.get(disk_id, [])
-        start = time - window_days * SECONDS_PER_DAY
-        counts = {ft.value: 0 for ft in FAILURE_TYPE_ORDER}
-        lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_right(times, time)
-        for index in range(lo, hi):
-            # Extended types (operator error) accumulate under their own
-            # key; the fixed feature vector reads only the paper's four.
-            counts[kinds[index]] = counts.get(kinds[index], 0) + 1
-        return counts
-
-    # -- the feature vector -------------------------------------------------
-
-    def features(self, disk_id: str, time: float) -> np.ndarray:
-        """The feature vector for one (disk, time) sample."""
-        typed = self.typed_incidents(disk_id, time, 30.0)
-        install = self._disk_install.get(disk_id, 0.0)
-        return np.array(
+    def matrix(self, disks: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Feature matrix, one row per (lifetime-table row, observation
+        time) pair; windows include both ends."""
+        fleet = self._fleet
+        disks = np.asarray(disks, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
+        month = times - 30.0 * SECONDS_PER_DAY
+        shelves = fleet.slot_shelf[fleet.disk_slot[disks]]
+        return np.column_stack(
             [
-                self.own_incidents(disk_id, time, 7.0),
-                self.own_incidents(disk_id, time, 30.0),
-                self.own_incidents(disk_id, time, 90.0),
-                self.shelf_incidents(disk_id, time, 30.0),
-                typed["disk"],
-                typed["physical_interconnect"],
-                typed["protocol"],
-                typed["performance"],
-                seconds_to_years(max(0.0, time - install)),
-            ],
-            dtype=float,
+                self._own.count(disks, times - 7.0 * SECONDS_PER_DAY, times),
+                self._own.count(disks, month, times),
+                self._own.count(disks, times - 90.0 * SECONDS_PER_DAY, times),
+                self._shelf.count(shelves, month, times),
+            ]
+            + [
+                # Extended types (operator error) have no column.
+                self._typed.count(disks * _TYPES + ALL_FAILURE_TYPES.index(kind), month, times)
+                for kind in FAILURE_TYPE_ORDER
+            ]
+            + [seconds_to_years(np.maximum(0.0, times - fleet.disk_install[disks]))]
         )
-
-    def matrix(self, pairs: Sequence) -> np.ndarray:
-        """Feature matrix for ``[(disk_id, time), ...]``."""
-        return np.vstack([self.features(disk_id, time) for disk_id, time in pairs])

@@ -54,7 +54,7 @@ def train_failure_predictor(
         AnalysisError: when the simulation is too small to yield both
             classes on both split sides.
     """
-    if not injection.recovered_errors:
+    if not injection.n_recovered():
         raise AnalysisError(
             "no component errors recorded; run the injector with "
             "emit_recovered_errors=True"
@@ -71,9 +71,9 @@ def train_failure_predictor(
     if train.positives == 0 or test.positives == 0:
         raise AnalysisError("a split side has no positives; enlarge the fleet")
 
-    extractor = FeatureExtractor(injection.fleet, injection.recovered_errors)
-    x_train = extractor.matrix(train.pairs)
-    x_test = extractor.matrix(test.pairs)
+    extractor = FeatureExtractor(injection.fleet, injection.recovered_batch)
+    x_train = extractor.matrix(train.disks, train.times)
+    x_test = extractor.matrix(test.disks, test.times)
     model = LogisticModel.fit(
         x_train,
         train.labels,

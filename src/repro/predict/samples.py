@@ -5,46 +5,126 @@ days in service).  A sample is positive when the disk suffers any
 storage subsystem failure within the prediction horizon after the
 observation.  Negatives vastly outnumber positives (AFRs are a few
 percent per year), so they are subsampled at a configurable ratio.
+
+Samples are arrays over the fleet's disk lifetime table: each names
+its disk by lifetime-table row.  :class:`Timeline` answers the per-disk
+time queries (the next failure, the incidents in a window) for every
+sample at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
+from repro.fleet.fleet import Fleet
 from repro.units import SECONDS_PER_DAY
+
+
+class Timeline:
+    """Timed marks per unit (a disk row, a shelf), queried in bulk.
+
+    Units and times combine into one sorted integer key per mark.  Each
+    time enters the key as its rank among the distinct mark times, so
+    every comparison is the exact float comparison; a float key such as
+    ``unit * span + time`` would round.
+    """
+
+    def __init__(self, units: np.ndarray, times: np.ndarray) -> None:
+        times = np.asarray(times, dtype=np.float64)
+        self._values = np.unique(times)
+        self._span = self._values.size + 1
+        keys = self._key(units, times, "left")
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._times = times[order]
+
+    def _key(self, units: np.ndarray, times: np.ndarray, side: str) -> np.ndarray:
+        ranks = np.searchsorted(self._values, times, side=side)
+        return np.asarray(units, dtype=np.int64) * self._span + ranks
+
+    def count(self, units: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Marks on each unit with ``start <= time <= end``."""
+        keys = self._keys
+        return keys.searchsorted(self._key(units, end, "right")) - keys.searchsorted(
+            self._key(units, start, "left")
+        )
+
+    def next_after(self, units: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Each unit's first mark time after ``times`` (inf for none)."""
+        keys = self._keys
+        if not keys.size:
+            return np.full(np.shape(times), np.inf)
+        at = keys.searchsorted(self._key(units, times, "right"))
+        found = at < keys.size
+        at = np.minimum(at, keys.size - 1)
+        found &= keys[at] // self._span == np.asarray(units, dtype=np.int64)
+        return np.where(found, self._times[at], np.inf)
+
+
+def observation_grid(
+    start: np.ndarray, end: np.ndarray, step: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every disk's times ``start, start + step, ...`` before ``end``.
+
+    Returns ``(lifetime-table rows, times)``, disk by disk.  Each time
+    is the previous one plus ``step``, as a running ``time += step``
+    makes it (``start + k * step`` rounds differently), so the loop
+    runs over grid steps, every disk at once.
+    """
+    rows = np.arange(start.size)
+    time = np.asarray(start, dtype=np.float64)
+    step_rows: List[np.ndarray] = []
+    step_times: List[np.ndarray] = []
+    while rows.size:
+        live = time < end[rows]
+        rows, time = rows[live], time[live]
+        step_rows.append(rows)
+        step_times.append(time)
+        time = time + step
+    rows = np.concatenate(step_rows) if step_rows else rows
+    times = np.concatenate(step_times) if step_times else time
+    order = np.argsort(rows, kind="stable")
+    return rows[order], times[order]
 
 
 @dataclasses.dataclass
 class SampleSet:
-    """Labeled prediction samples.
+    """Labeled prediction samples, one array entry per sample.
 
     Attributes:
-        pairs: ``[(disk_id, observation_time), ...]``.
+        fleet: the fleet whose disks the samples observe.
+        disks: each sample's disk, as a row of the fleet's lifetime
+            table.
+        times: observation times.
         labels: 1 = failure within the horizon, 0 = not.
-        system_ids: owning system per sample (for leakage-free splits).
         horizon_days: the prediction horizon used for labeling.
     """
 
-    pairs: List[Tuple[str, float]]
+    fleet: Fleet
+    disks: np.ndarray
+    times: np.ndarray
     labels: np.ndarray
-    system_ids: List[str]
     horizon_days: float
 
     @property
     def n(self) -> int:
         """Number of samples."""
-        return len(self.pairs)
+        return int(self.disks.size)
 
     @property
     def positives(self) -> int:
         """Number of positive samples."""
         return int(self.labels.sum())
+
+    @property
+    def systems(self) -> np.ndarray:
+        """Each sample's system, as a fleet row (for leakage-free splits)."""
+        return self.fleet.slot_system[self.fleet.disk_slot[self.disks]]
 
     def split_by_system(
         self, test_fraction: float = 0.3
@@ -57,19 +137,18 @@ class SampleSet:
         """
         if not 0.0 < test_fraction < 1.0:
             raise AnalysisError("test_fraction must be in (0, 1)")
-        train_idx, test_idx = [], []
-        for index, system_id in enumerate(self.system_ids):
-            bucket = _stable_fraction(system_id)
-            (test_idx if bucket < test_fraction else train_idx).append(index)
-        if not train_idx or not test_idx:
+        fractions = np.array([_stable_fraction(key) for key in self.fleet.system_ids])
+        test = fractions[self.systems] < test_fraction
+        if test.all() or not test.any():
             raise AnalysisError("split produced an empty side")
-        return self._subset(train_idx), self._subset(test_idx)
+        return self._subset(~test), self._subset(test)
 
-    def _subset(self, indices: Sequence[int]) -> "SampleSet":
+    def _subset(self, picked: np.ndarray) -> "SampleSet":
         return SampleSet(
-            pairs=[self.pairs[i] for i in indices],
-            labels=self.labels[list(indices)],
-            system_ids=[self.system_ids[i] for i in indices],
+            fleet=self.fleet,
+            disks=self.disks[picked],
+            times=self.times[picked],
+            labels=self.labels[picked],
             horizon_days=self.horizon_days,
         )
 
@@ -109,43 +188,32 @@ def build_samples(
         raise AnalysisError("horizon and grid must be positive")
     horizon = horizon_days * SECONDS_PER_DAY
     grid = grid_days * SECONDS_PER_DAY
-    failure_times: Dict[str, List[float]] = {}
-    for event in dataset.events:
-        failure_times.setdefault(event.disk_id, []).append(event.detect_time)
-    for times in failure_times.values():
-        times.sort()
+    fleet = dataset.fleet
+    table = dataset.table
+    rows = fleet.disk_rows(table.disk_ids.values)[table.disk_codes]
+    known = rows >= 0
+    failures = Timeline(rows[known], table.detect_time[known])
 
-    positives: List[Tuple[str, float, str]] = []
-    negatives: List[Tuple[str, float, str]] = []
-    end = dataset.duration_seconds
-    for system in dataset.fleet.systems:
-        for disk in system.iter_disks():
-            last = disk.remove_time if disk.remove_time is not None else end
-            time = disk.install_time + grid
-            times = failure_times.get(disk.disk_id, [])
-            while time < last:
-                index = bisect.bisect_right(times, time)
-                hit = index < len(times) and times[index] <= time + horizon
-                row = (disk.disk_id, time, system.system_id)
-                (positives if hit else negatives).append(row)
-                time += grid
-
-    if not positives:
+    disks, times = observation_grid(
+        fleet.disk_install + grid, fleet.service_end(dataset.duration_seconds), grid
+    )
+    hit = failures.next_after(disks, times) <= times + horizon
+    positives = np.flatnonzero(hit)
+    negatives = np.flatnonzero(~hit)
+    if not positives.size:
         raise AnalysisError(
             "no positive samples: enlarge the fleet or the horizon"
         )
     rng = np.random.default_rng(seed)
-    keep = min(len(negatives), int(round(negative_ratio * len(positives))))
-    chosen = rng.choice(len(negatives), size=keep, replace=False)
-    rows = positives + [negatives[i] for i in chosen]
-    order = rng.permutation(len(rows))
-    rows = [rows[i] for i in order]
-    labels = np.array(
-        [1.0 if i < len(positives) else 0.0 for i in order], dtype=float
-    )
+    keep = min(negatives.size, int(round(negative_ratio * positives.size)))
+    chosen = rng.choice(negatives.size, size=keep, replace=False)
+    picked = np.concatenate((positives, negatives[chosen]))
+    order = rng.permutation(picked.size)
+    picked = picked[order]
     return SampleSet(
-        pairs=[(disk_id, time) for disk_id, time, _sys in rows],
-        labels=labels,
-        system_ids=[system_id for _d, _t, system_id in rows],
+        fleet=fleet,
+        disks=disks[picked],
+        times=times[picked],
+        labels=(order < positives.size).astype(float),
         horizon_days=horizon_days,
     )

@@ -13,13 +13,16 @@ unavailability exceeds the group's parity.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.core.dataset import FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import FailureType
 from repro.fleet import catalog
+from repro.fleet.fleet import RAID_TYPES, sequential_sum
 from repro.raid.rebuild import RebuildModel
 from repro.topology.raidgroup import RaidType
 from repro.units import SECONDS_PER_HOUR, seconds_to_years
@@ -108,71 +111,85 @@ def _estimate(
     include_transient: bool,
     transient_outage_seconds: float,
 ) -> DataLossReport:
-    group_types: Dict[str, RaidType] = {}
-    groups_by_type: Dict[RaidType, int] = {}
-    for group in dataset.fleet.iter_raid_groups():
-        group_types[group.raid_group_id] = group.raid_type
-        groups_by_type[group.raid_type] = groups_by_type.get(group.raid_type, 0) + 1
+    fleet = dataset.fleet
+    type_codes = fleet.group_raid_type
+    groups_by_type: Dict[RaidType, int] = {
+        RAID_TYPES[code]: int(np.count_nonzero(type_codes == code))
+        for code in _first_appearance(type_codes).tolist()
+    }
 
     # Gather per-group unavailability intervals.  A member is
     # unavailable from the failure's *occurrence*; repair (rebuild or
     # remediation) only starts once the hourly scrub *detects* it —
     # which is why slower detection widens the overlap window and
     # raises loss risk.
-    intervals: Dict[str, List[Tuple[float, float]]] = {}
-    for event in dataset.deduplicated().events:
-        if event.raid_group_id not in group_types:
-            continue
-        if event.failure_type is FailureType.DISK:
-            capacity = catalog.disk_model(event.disk_model).capacity_gb
-            window = rebuild.window_seconds(float(capacity))
-        elif include_transient:
-            window = transient_outage_seconds
-        else:
-            continue
-        intervals.setdefault(event.raid_group_id, []).append(
-            (event.occur_time, event.detect_time + window)
+    table = dataset.deduplicated().table
+    group = fleet.group_rows(table.raid_group_ids.values)[table.raid_group_codes]
+    disk = table.type_mask(FailureType.DISK)
+    window = np.full(len(table), transient_outage_seconds)
+    kept = (group >= 0) & (disk | include_transient)
+    for code in _first_appearance(table.disk_model_codes[kept & disk]).tolist():
+        capacity = catalog.disk_model(table.disk_models.value(code)).capacity_gb
+        window[disk & (table.disk_model_codes == code)] = rebuild.window_seconds(
+            float(capacity)
         )
 
-    group_summaries: List[GroupLoss] = []
-    loss_by_type: Dict[RaidType, int] = {raid_type: 0 for raid_type in RaidType}
-    for group_id, spans in intervals.items():
-        raid_type = group_types[group_id]
-        tolerated = raid_type.tolerated_failures
-        # Sweep line over start/end boundaries.
-        boundaries: List[Tuple[float, int]] = []
-        for start, end in spans:
-            boundaries.append((start, +1))
-            boundaries.append((end, -1))
-        boundaries.sort()
-        concurrent = 0
-        max_concurrent = 0
-        losses = 0
-        above = False
-        for _, delta in boundaries:
-            concurrent += delta
-            max_concurrent = max(max_concurrent, concurrent)
-            if concurrent > tolerated and not above:
-                losses += 1
-                above = True
-            elif concurrent <= tolerated:
-                above = False
-        loss_by_type[raid_type] += losses
-        group_summaries.append(
-            GroupLoss(
-                raid_group_id=group_id,
-                raid_type=raid_type,
-                events=len(spans),
-                max_concurrent=max_concurrent,
-                loss_incidents=losses,
-            )
-        )
+    # Groups in order of their first event, as a dict fills.
+    units = _first_appearance(group[kept])
+    rank = np.empty(fleet.raid_group_count, dtype=np.int64)
+    rank[units] = np.arange(units.size)
+    unit = rank[group[kept]]
+    unit_types = type_codes[units]
 
-    # Group-years: each group is exposed from its system's deployment.
-    group_years = 0.0
-    for system in dataset.fleet.systems:
-        in_field = max(0.0, dataset.duration_seconds - system.deploy_time)
-        group_years += system.raid_group_count * seconds_to_years(in_field)
+    # Sweep line over start/end boundaries, every group at once: sorted
+    # by group, time, then -1 before +1, as a sort of (time, delta)
+    # pairs orders them.  A group's deltas sum to zero, so one running
+    # sum is each group's own, restarting at zero at its first boundary.
+    bound = np.concatenate((unit, unit))
+    delta = np.repeat(np.array([1, -1]), unit.size)
+    times = np.concatenate(
+        (table.occur_time[kept], table.detect_time[kept] + window[kept])
+    )
+    order = np.lexsort((delta, times, bound))
+    bound = bound[order]
+    concurrent = np.cumsum(delta[order])
+    before = np.concatenate(([0], concurrent[:-1]))
+    tolerated = np.array([raid_type.tolerated_failures for raid_type in RAID_TYPES])
+    limit = tolerated[unit_types[bound]]
+    # A loss is a step from at most the tolerated count to above it.
+    losses = np.bincount(
+        bound[(concurrent > limit) & (before <= limit)], minlength=units.size
+    )
+    peak = np.zeros(units.size, dtype=np.int64)
+    np.maximum.at(peak, bound, concurrent)
+
+    group_summaries: List[GroupLoss] = [
+        GroupLoss(
+            raid_group_id=group_id,
+            raid_type=RAID_TYPES[code],
+            events=count,
+            max_concurrent=most,
+            loss_incidents=lost,
+        )
+        for group_id, code, count, most, lost in zip(
+            fleet.group_ids_of(units),
+            unit_types.tolist(),
+            np.bincount(unit, minlength=units.size).tolist(),
+            peak.tolist(),
+            losses.tolist(),
+        )
+    ]
+    loss_by_type: Dict[RaidType, int] = {
+        raid_type: int(losses[unit_types == code].sum())
+        for code, raid_type in enumerate(RAID_TYPES)
+    }
+
+    # Group-years: each group is exposed from its system's deployment,
+    # summed system by system in fleet order.
+    in_field = np.maximum(0.0, dataset.duration_seconds - fleet.deploy_time)
+    group_years = sequential_sum(
+        np.diff(fleet.system_group_start) * seconds_to_years(in_field)
+    )
 
     return DataLossReport(
         groups=sorted(group_summaries, key=lambda g: -g.loss_incidents),
@@ -180,3 +197,9 @@ def _estimate(
         loss_incidents_by_type=loss_by_type,
         groups_by_type=groups_by_type,
     )
+
+
+def _first_appearance(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` in order of first appearance."""
+    values, first = np.unique(codes, return_index=True)
+    return values[np.argsort(first)]

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.errors import RaidError
+from repro.fleet.fleet import RAID_TYPES, sequential_sum
 from repro.topology.raidgroup import RaidType
 from repro.units import SECONDS_PER_YEAR, afr_percent_to_rate_per_second
 
@@ -102,22 +105,30 @@ def fleet_mttdl_prediction(
     Returns:
         Predicted loss incidents per 1000 group-years.
     """
-    groups = list(dataset.fleet.iter_raid_groups())
-    if not groups:
+    fleet = dataset.fleet
+    if not fleet.raid_group_count:
         raise RaidError("fleet has no RAID groups")
-    total = 0.0
-    counted = 0
-    for group in groups:
-        if group.size <= group.raid_type.parity_disks + 1:
-            continue  # degenerate remainder groups barely lose data
-        model = MttdlModel(
-            group_size=group.size,
-            raid_type=group.raid_type,
-            disk_afr_percent=disk_afr_percent,
-            rebuild_seconds=rebuild_seconds,
-        )
-        total += model.loss_rate_per_1000_group_years()
-        counted += 1
-    if counted == 0:
+    grouped = fleet.slot_group[fleet.slot_group >= 0]
+    sizes = np.bincount(grouped, minlength=fleet.raid_group_count)
+    codes = fleet.group_raid_type.astype(np.int64)
+    parity = np.array([raid_type.parity_disks for raid_type in RAID_TYPES])
+    # Degenerate remainder groups barely lose data.
+    counted = sizes > parity[codes] + 1
+    if not counted.any():
         raise RaidError("no RAID group large enough for the MTTDL model")
-    return total / counted
+    # One model per group shape; the rates are added in group order.
+    shapes, shape_of = np.unique(
+        sizes[counted] * len(RAID_TYPES) + codes[counted], return_inverse=True
+    )
+    rates = np.array(
+        [
+            MttdlModel(
+                group_size=shape // len(RAID_TYPES),
+                raid_type=RAID_TYPES[shape % len(RAID_TYPES)],
+                disk_afr_percent=disk_afr_percent,
+                rebuild_seconds=rebuild_seconds,
+            ).loss_rate_per_1000_group_years()
+            for shape in shapes.tolist()
+        ]
+    )
+    return sequential_sum(rates[shape_of]) / int(counted.sum())

@@ -60,10 +60,16 @@ def dispersion_test(counts: Sequence[int]) -> TestResult:
 
 
 def per_unit_counts(dataset, scope: str = "shelf", failure_type=None) -> list:
-    """Failure counts per scope unit (including zero-count units)."""
-    deduped = dataset.deduplicated()
-    by_unit = deduped.events_by_scope(scope, failure_type)
-    counts = []
-    for unit_id, _system in deduped.scope_population(scope):
-        counts.append(len(by_unit.get(unit_id, [])))
-    return counts
+    """Failure counts per scope unit (including zero-count units), in
+    fleet order."""
+    table = dataset.deduplicated().table
+    codes, ids = table.scope_codes(scope)
+    if failure_type is not None:
+        codes = codes[table.type_mask(failure_type)]
+    fleet = dataset.fleet
+    if scope == "shelf":
+        rows, units = fleet.shelf_rows(ids.values), fleet.shelf_count
+    else:
+        rows, units = fleet.group_rows(ids.values), fleet.raid_group_count
+    rows = rows[codes]
+    return np.bincount(rows[rows >= 0], minlength=units).tolist()

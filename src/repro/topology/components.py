@@ -9,7 +9,7 @@ it has hosted; exposure accounting walks those histories.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import TopologyError
 
@@ -44,12 +44,6 @@ class Disk:
     remove_time: Optional[float] = None
     serial: str = ""
 
-    def in_service_at(self, time: float) -> bool:
-        """Whether the disk was in service at ``time``."""
-        if time < self.install_time:
-            return False
-        return self.remove_time is None or time < self.remove_time
-
     def service_seconds(self, window_end: float) -> float:
         """In-service time accumulated by ``window_end`` (exposure)."""
         end = window_end if self.remove_time is None else min(self.remove_time, window_end)
@@ -69,14 +63,6 @@ class DiskSlot:
     def slot_key(self) -> str:
         """Stable identifier of the bay, e.g. ``"shelf-0007/03"``."""
         return "%s/%02d" % (self.shelf_id, self.slot_index)
-
-    @property
-    def current_disk(self) -> Optional[Disk]:
-        """The disk currently in the bay (the last not-removed one)."""
-        if not self.disks:
-            return None
-        last = self.disks[-1]
-        return None if last.remove_time is not None else last
 
 
 @dataclasses.dataclass
@@ -109,11 +95,6 @@ class Shelf:
                     raid_group_id=group_id,
                 )
             )
-
-    def iter_disks(self) -> Iterator[Disk]:
-        """All disks ever installed in this shelf, in slot order."""
-        for slot in self.slots:
-            yield from slot.disks
 
     @property
     def disk_count_ever(self) -> int:

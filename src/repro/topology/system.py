@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import TopologyError
 from repro.topology.classes import SystemClass
-from repro.topology.components import Disk, DiskSlot, Shelf
+from repro.topology.components import Shelf
 from repro.topology.raidgroup import RAIDGroup
 
 
@@ -23,16 +23,16 @@ class StorageSystem:
             independent FC networks (active/passive multipathing, §4.3).
         deploy_time: seconds since study start when the system shipped;
             exposure is accumulated from this point on.
-        shelves: the system's shelf enclosures.
-        raid_groups: the system's RAID groups.
+        shelves: a hand-built system's shelf enclosures.
+        raid_groups: a hand-built system's RAID groups.
 
     A system of a :class:`~repro.fleet.fleet.Fleet` is a view of one
     row of the fleet's arrays: the system-level fields are plain
-    attributes, and the counts and exposure read the arrays.  Its
-    shelves, bays, disks and RAID groups are built from the arrays on
-    first access, for the consumers that walk disks, and are read-only
-    copies: the fleet's arrays stay the record.  A system built by hand
-    owns its ``shelves`` and ``raid_groups`` lists directly.
+    attributes, and the counts and exposure read the arrays.  It has no
+    ``shelves`` or ``raid_groups``: the fleet's arrays hold its shelves,
+    bays, disks and RAID groups.  A system built by hand owns its
+    ``shelves`` and ``raid_groups`` lists, which packing it into a
+    fleet reads.
     """
 
     __slots__ = (
@@ -42,9 +42,8 @@ class StorageSystem:
         "primary_disk_model",
         "dual_path",
         "deploy_time",
-        "_shelves",
-        "_raid_groups",
-        "_slot_index_cache",
+        "shelves",
+        "raid_groups",
         "_fleet",
         "_index",
     )
@@ -71,9 +70,8 @@ class StorageSystem:
         self.primary_disk_model = primary_disk_model
         self.dual_path = dual_path
         self.deploy_time = deploy_time
-        self._shelves: Optional[List[Shelf]] = list(shelves or [])
-        self._raid_groups: Optional[List[RAIDGroup]] = list(raid_groups or [])
-        self._slot_index_cache: Optional[Dict[str, DiskSlot]] = None
+        self.shelves: List[Shelf] = list(shelves or [])
+        self.raid_groups: List[RAIDGroup] = list(raid_groups or [])
         self._fleet = None
         self._index = -1
 
@@ -97,9 +95,6 @@ class StorageSystem:
         system.primary_disk_model = primary_disk_model
         system.dual_path = dual_path
         system.deploy_time = deploy_time
-        system._shelves = None
-        system._raid_groups = None
-        system._slot_index_cache = None
         system._fleet = fleet
         system._index = index
         return system
@@ -117,86 +112,7 @@ class StorageSystem:
     def __repr__(self) -> str:
         return "StorageSystem(%r, %s)" % (self.system_id, self.system_class.value)
 
-    # -- the object graph ------------------------------------------------
-
-    @property
-    def shelves(self) -> List[Shelf]:
-        """The shelf enclosures (built from the fleet on first access)."""
-        if self._shelves is None:
-            self._build_objects()
-        return self._shelves
-
-    @shelves.setter
-    def shelves(self, shelves: List[Shelf]) -> None:
-        self._shelves = shelves
-
-    @property
-    def raid_groups(self) -> List[RAIDGroup]:
-        """The RAID groups (built from the fleet on first access)."""
-        if self._raid_groups is None:
-            self._build_objects()
-        return self._raid_groups
-
-    @raid_groups.setter
-    def raid_groups(self, groups: List[RAIDGroup]) -> None:
-        self._raid_groups = groups
-
-    def _build_objects(self) -> None:
-        shelves, groups = self._fleet.build_objects(self._index)
-        if self._shelves is None:
-            self._shelves = shelves
-        if self._raid_groups is None:
-            self._raid_groups = groups
-
-    def drop_objects(self) -> None:
-        """Forget the built object graph (the fleet's arrays changed)."""
-        self._shelves = None
-        self._raid_groups = None
-        self._slot_index_cache = None
-
-    # -- lookups ---------------------------------------------------------
-
-    def slot_by_key(self, slot_key: str) -> DiskSlot:
-        """Resolve a stable bay key (``"<shelf_id>/<slot>"``) to its slot."""
-        index = self._slot_index()
-        try:
-            return index[slot_key]
-        except KeyError:
-            raise TopologyError(
-                "system %s has no slot %s" % (self.system_id, slot_key)
-            ) from None
-
-    def _slot_index(self) -> Dict[str, DiskSlot]:
-        cached = self._slot_index_cache
-        if cached is None or len(cached) != sum(len(s.slots) for s in self.shelves):
-            cached = {
-                slot.slot_key: slot
-                for shelf in self.shelves
-                for slot in shelf.slots
-            }
-            self._slot_index_cache = cached
-        return cached
-
-    def raid_group_by_id(self, raid_group_id: str) -> RAIDGroup:
-        """Find a RAID group by id."""
-        for group in self.raid_groups:
-            if group.raid_group_id == raid_group_id:
-                return group
-        raise TopologyError(
-            "system %s has no RAID group %s" % (self.system_id, raid_group_id)
-        )
-
-    # -- iteration & accounting ------------------------------------------
-
-    def iter_slots(self) -> Iterator[DiskSlot]:
-        """All disk bays across all shelves."""
-        for shelf in self.shelves:
-            yield from shelf.slots
-
-    def iter_disks(self) -> Iterator[Disk]:
-        """All disks ever installed in the system."""
-        for shelf in self.shelves:
-            yield from shelf.iter_disks()
+    # -- accounting --------------------------------------------------------
 
     @property
     def shelf_count(self) -> int:
@@ -235,8 +151,10 @@ class StorageSystem:
         if self._fleet is not None:
             return self._fleet.system_exposure_seconds(self._index, window_end)
         total = 0.0
-        for disk in self.iter_disks():
-            total += disk.service_seconds(window_end)
+        for shelf in self.shelves:
+            for slot in shelf.slots:
+                for disk in slot.disks:
+                    total += disk.service_seconds(window_end)
         return total
 
     def age_at(self, time: float) -> float:

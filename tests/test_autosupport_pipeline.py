@@ -1,6 +1,5 @@
 """Tests for the log writer + parser pipeline (end to end)."""
 
-import copy
 import dataclasses
 
 import pytest
@@ -18,7 +17,7 @@ from repro.fleet.fleet import serial_text
 from repro.simulate.clock import SimulationClock
 from repro.simulate.scenario import run_scenario
 from repro.simulate.vector.emit import RecoveredBatch
-from repro.topology.system import StorageSystem
+from tests.hand_built import hand_built
 
 CLOCK = SimulationClock()
 
@@ -52,22 +51,13 @@ def _one_event_injection(logged_sim, detect_time):
     )
 
 
-def _by_hand(system, shelves):
-    """A copy of ``system`` built from objects, holding ``shelves``."""
-    return StorageSystem(
-        system.system_id,
-        system.system_class,
-        system.shelf_model,
-        system.primary_disk_model,
-        system.dual_path,
-        system.deploy_time,
-        shelves=shelves,
-        raid_groups=system.raid_groups,
-    )
+def _by_hand(system):
+    """A copy of fleet row ``system`` built from objects."""
+    return hand_built(system.fleet, system.fleet_index)
 
 
 def _mix_disk_models(shelves):
-    next(disk for shelf in shelves for disk in shelf.iter_disks()).model += "-other"
+    shelves[0].slots[0].disks[0].model += "-other"
 
 
 def _move_first_bay_last(shelves):
@@ -306,7 +296,7 @@ class TestParser:
 
     def test_hand_built_system_mines_the_same_events(self, busiest):
         system, text = busiest
-        by_hand = _by_hand(system, system.shelves)
+        by_hand = _by_hand(system)
         assert by_hand.fleet is None
         mined = parse_system_log(text, system, strict=True)
         assert parse_system_log(text, by_hand, strict=True) == mined
@@ -324,9 +314,8 @@ class TestParser:
         # Both parsers resolve disks through a packed fleet, so both
         # refuse what packing refuses.
         system, text = busiest
-        shelves = copy.deepcopy(system.shelves)
-        change(shelves)
-        by_hand = _by_hand(system, shelves)
+        by_hand = _by_hand(system)
+        change(by_hand.shelves)
         with pytest.raises(TopologyError, match=message):
             parse_system_log(text, by_hand)
         with pytest.raises(TopologyError, match=message):

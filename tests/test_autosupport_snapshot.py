@@ -1,15 +1,31 @@
 """Tests for configuration snapshots (fleet serialization)."""
 
+import numpy as np
 import pytest
 
 from repro.autosupport.snapshot import parse_snapshot, write_snapshot
 from repro.errors import LogFormatError
+from repro.fleet.fleet import RAID_TYPES, serial_text
 
 
 @pytest.fixture(scope="module")
 def roundtripped(small_sim):
     fleet = small_sim.fleet
     return fleet, parse_snapshot(write_snapshot(fleet))
+
+
+def _groups(fleet):
+    """Per RAID-group id: its RAID level and member bay keys in layout order."""
+    layout = fleet.group_layout(np.arange(fleet.slot_count))
+    members = {}
+    for key, group in zip(fleet.slot_keys(layout), fleet.slot_group[layout].tolist()):
+        members.setdefault(group, []).append(key)
+    return {
+        group_id: (RAID_TYPES[code], members.get(group, []))
+        for group, (group_id, code) in enumerate(
+            zip(fleet.group_ids, fleet.group_raid_type.tolist())
+        )
+    }
 
 
 class TestRoundTrip:
@@ -36,33 +52,34 @@ class TestRoundTrip:
 
     def test_disk_lifetimes_preserved(self, roundtripped):
         original, rebuilt = roundtripped
-        rebuilt_disks = {d.disk_id: d for d in rebuilt.iter_disks()}
-        for disk in original.iter_disks():
-            copy = rebuilt_disks[disk.disk_id]
-            assert copy.install_time == pytest.approx(disk.install_time)
-            if disk.remove_time is None:
-                assert copy.remove_time is None
-            else:
-                assert copy.remove_time == pytest.approx(disk.remove_time)
-            assert copy.serial == disk.serial
-            assert copy.model == disk.model
+        copies = rebuilt.disk_rows(original.disk_ids(np.arange(original.disk_count_ever)))
+        assert (copies >= 0).all()
+        np.testing.assert_allclose(rebuilt.disk_install[copies], original.disk_install, rtol=1e-6)
+        # A disk still in service (remove time inf) stays in service.
+        np.testing.assert_allclose(rebuilt.disk_remove[copies], original.disk_remove, rtol=1e-6)
+        assert (rebuilt.disk_serial[copies] == original.disk_serial).all()
+        models = rebuilt.slot_system[rebuilt.disk_slot[copies]]
+        assert [rebuilt.disk_models[i] for i in models.tolist()] == [
+            original.disk_models[i]
+            for i in original.slot_system[original.disk_slot].tolist()
+        ]
 
     def test_raid_groups_preserved(self, roundtripped):
         original, rebuilt = roundtripped
-        original_groups = {g.raid_group_id: g for g in original.iter_raid_groups()}
-        rebuilt_groups = {g.raid_group_id: g for g in rebuilt.iter_raid_groups()}
+        original_groups = _groups(original)
+        rebuilt_groups = _groups(rebuilt)
         assert set(original_groups) == set(rebuilt_groups)
         for group_id, group in original_groups.items():
-            copy = rebuilt_groups[group_id]
-            assert copy.slot_keys == group.slot_keys
-            assert copy.raid_type is group.raid_type
+            assert rebuilt_groups[group_id] == group
 
     def test_slot_group_assignments_preserved(self, roundtripped):
         original, rebuilt = roundtripped
-        for system in original.systems:
-            copy = rebuilt.system(system.system_id)
-            for slot, slot_copy in zip(system.iter_slots(), copy.iter_slots()):
-                assert slot_copy.raid_group_id == slot.raid_group_id
+
+        def assignments(fleet):
+            every = np.arange(fleet.slot_count)
+            return dict(zip(fleet.slot_keys(every), fleet.slot_group_ids(every)))
+
+        assert assignments(rebuilt) == assignments(original)
 
     def test_exposure_identical(self, roundtripped):
         original, rebuilt = roundtripped
@@ -137,7 +154,7 @@ def _one_system(**overrides):
 class TestWhatAFleetCannotHold:
     def test_well_formed_parses(self):
         fleet = parse_snapshot(_one_system())
-        assert [d.serial for d in fleet.iter_disks()] == ["S0000002A"]
+        assert [serial_text(value) for value in fleet.disk_serial.tolist()] == ["S0000002A"]
         assert fleet.raid_group_count == 1
 
     @pytest.mark.parametrize(

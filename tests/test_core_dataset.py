@@ -8,6 +8,7 @@ import pytest
 from repro.core.dataset import DEDUP_WINDOW_SECONDS, FailureDataset
 from repro.errors import AnalysisError
 from repro.failures.types import FailureType
+from repro.stats.dispersion import per_unit_counts
 from repro.topology.classes import SystemClass
 
 
@@ -124,10 +125,4 @@ class TestScopes:
         with pytest.raises(AnalysisError):
             small_dataset.events_by_scope("rack")
         with pytest.raises(AnalysisError):
-            small_dataset.scope_population("rack")
-
-    def test_scope_population_counts(self, small_dataset):
-        shelves = small_dataset.scope_population("shelf")
-        groups = small_dataset.scope_population("raid_group")
-        assert len(shelves) == small_dataset.fleet.shelf_count
-        assert len(groups) == small_dataset.fleet.raid_group_count
+            per_unit_counts(small_dataset, "rack")

@@ -6,6 +6,7 @@ scale and check event well-formedness, disk replacement, determinism,
 the config knobs and the delivered rates.
 """
 
+import numpy as np
 import pytest
 
 from repro.failures.injector import InjectorConfig
@@ -50,11 +51,14 @@ class TestEventWellFormedness:
             assert event.occur_time >= system.deploy_time
 
     def test_topology_references_valid(self, injection):
-        for event in injection.events:
-            system = injection.fleet.system(event.system_id)
-            slot = system.slot_by_key(event.disk_id.rsplit("#", 1)[0])
-            assert slot.raid_group_id == event.raid_group_id
-            assert any(d.disk_id == event.disk_id for d in slot.disks)
+        fleet = injection.fleet
+        events = injection.events
+        rows = fleet.disk_rows([event.disk_id for event in events])
+        assert (rows >= 0).all()
+        slots = fleet.disk_slot[rows]
+        owners = fleet.slot_system[slots].tolist()
+        assert [fleet.system_ids[i] for i in owners] == [e.system_id for e in events]
+        assert fleet.slot_group_ids(slots) == [e.raid_group_id for e in events]
 
     def test_event_metadata_matches_system(self, injection):
         for event in injection.events:
@@ -64,15 +68,11 @@ class TestEventWellFormedness:
             assert event.dual_path == system.dual_path
 
     def test_events_attached_to_in_service_disks(self, injection):
-        disks = {d.disk_id: d for d in injection.fleet.iter_disks()}
-        for event in injection.events:
-            disk = disks[event.disk_id]
-            assert disk.install_time <= event.occur_time
+        for event, install, remove in _lifetimes(injection):
+            assert install <= event.occur_time
             if event.failure_type is not FailureType.DISK:
-                assert (
-                    disk.remove_time is None
-                    or event.detect_time < disk.remove_time
-                )
+                # A disk still in service has remove time inf.
+                assert event.detect_time < remove
 
     def test_interconnect_events_carry_cause(self, injection):
         for event in injection.events:
@@ -88,11 +88,9 @@ class TestEventWellFormedness:
 
 class TestDiskReplacement:
     def test_disk_failure_removes_disk(self, injection):
-        disks = {d.disk_id: d for d in injection.fleet.iter_disks()}
-        for event in injection.events:
+        for event, _install, remove in _lifetimes(injection):
             if event.failure_type is FailureType.DISK:
-                disk = disks[event.disk_id]
-                assert disk.remove_time == pytest.approx(event.detect_time)
+                assert remove == pytest.approx(event.detect_time)
                 assert event.replaced_disk
 
     def test_each_disk_fails_at_most_once(self, injection):
@@ -104,11 +102,12 @@ class TestDiskReplacement:
         assert len(failed) == len(set(failed))
 
     def test_replacements_installed_after_removal(self, injection):
-        for system in injection.fleet.systems:
-            for slot in system.iter_slots():
-                for earlier, later in zip(slot.disks, slot.disks[1:]):
-                    assert earlier.remove_time is not None
-                    assert later.install_time > earlier.remove_time
+        fleet = injection.fleet
+        # A replacement is a lifetime-table row that follows a row of
+        # the same bay.
+        later = np.flatnonzero(fleet.disk_slot[1:] == fleet.disk_slot[:-1]) + 1
+        assert np.isfinite(fleet.disk_remove[later - 1]).all()
+        assert (fleet.disk_install[later] > fleet.disk_remove[later - 1]).all()
 
     def test_disk_count_ever_grows_with_failures(self, injection):
         disk_failures = injection.counts_by_type()[FailureType.DISK]
@@ -203,3 +202,11 @@ class TestDeliveredRates:
             for s in fleet.systems if s.dual_path
         )
         assert dual / dual_exp < 0.75 * (single / single_exp)
+
+
+def _lifetimes(injection):
+    """Per event: the event, and its disk's install and remove times."""
+    fleet = injection.fleet
+    events = injection.events
+    rows = fleet.disk_rows([event.disk_id for event in events])
+    return zip(events, fleet.disk_install[rows].tolist(), fleet.disk_remove[rows].tolist())

@@ -4,6 +4,7 @@ They run the batched injector
 (:class:`~repro.simulate.vector.engine.VectorFailureInjector`).
 """
 
+import numpy as np
 import pytest
 
 from repro.failures.injector import InjectorConfig
@@ -76,10 +77,9 @@ class TestReplacementDelay:
 
     def test_tiny_delay_replaces_promptly(self):
         result = run(InjectorConfig(replacement_delay_mean_seconds=1.0))
-        for system in result.fleet.systems:
-            for slot in system.iter_slots():
-                for earlier, later in zip(slot.disks, slot.disks[1:]):
-                    assert later.install_time - earlier.remove_time < 60.0
+        fleet = result.fleet
+        later = np.flatnonzero(fleet.disk_slot[1:] == fleet.disk_slot[:-1]) + 1
+        assert (fleet.disk_install[later] - fleet.disk_remove[later - 1] < 60.0).all()
 
 
 class TestInfantMortality:
@@ -102,9 +102,13 @@ class TestInfantMortality:
         elevated = run(config, scale=0.004)
         # The extra failures concentrate inside the infant period.
         def young_count(result, period):
-            installs = {
-                d.disk_id: d.install_time for d in result.fleet.iter_disks()
-            }
+            fleet = result.fleet
+            installs = dict(
+                zip(
+                    fleet.disk_ids(np.arange(fleet.disk_count_ever)),
+                    fleet.disk_install.tolist(),
+                )
+            )
             return sum(
                 1
                 for e in result.events

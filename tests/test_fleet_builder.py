@@ -57,10 +57,11 @@ class TestBuildFleet:
             assert system.shelf_model == twin.shelf_model
             assert system.dual_path == twin.dual_path
             assert system.deploy_time == twin.deploy_time
-            assert len(system.shelves) == len(twin.shelves)
-            assert [d.serial for d in system.iter_disks()] == [
-                d.serial for d in twin.iter_disks()
-            ]
+            assert system.shelf_count == twin.shelf_count
+            assert np.array_equal(
+                subset.disk_serial[_disk_rows(subset, system.fleet_index)],
+                full.disk_serial[_disk_rows(full, twin.fleet_index)],
+            )
 
     def test_selection_out_of_range_rejected(self):
         spec = FleetSpec.paper_default(scale=0.002)
@@ -86,10 +87,11 @@ class TestBuildFleet:
             ) == spec.scaled_systems(system_class)
 
     def test_every_bay_populated(self, fleet):
-        for system in fleet.systems:
-            for slot in system.iter_slots():
-                assert slot.current_disk is not None
-                assert slot.current_disk.install_time == system.deploy_time
+        # Each bay's last disk is in service, installed at deployment.
+        assert (np.diff(fleet.slot_disk_start) >= 1).all()
+        last = fleet.slot_disk_start[1:] - 1
+        assert np.isinf(fleet.disk_remove[last]).all()
+        assert np.array_equal(fleet.disk_install[last], fleet.deploy_time[fleet.slot_system])
 
     def test_disk_models_come_from_catalog(self, fleet):
         for system in fleet.systems:
@@ -125,34 +127,24 @@ class TestBuildFleet:
             assert 0.0 <= system.deploy_time <= spec.deployment_spread_seconds
 
     def test_raid_groups_cover_all_slots(self, fleet):
-        for system in fleet.systems:
-            group_slots = {
-                key for group in system.raid_groups for key in group.slot_keys
-            }
-            all_slots = {slot.slot_key for slot in system.iter_slots()}
-            assert group_slots == all_slots
+        # Every bay is in a RAID group of its own system.
+        assert (fleet.slot_group >= 0).all()
+        owner = np.searchsorted(fleet.system_group_start, fleet.slot_group, side="right") - 1
+        assert np.array_equal(owner, fleet.slot_system)
 
     def test_spanning_layout_by_default(self, fleet):
-        spanning = [
-            group
-            for system in fleet.systems
-            for group in system.raid_groups
-            if group.span > 1
-        ]
-        assert spanning  # multi-shelf systems produce spanning groups
+        # Multi-shelf systems produce spanning groups.
+        assert (_group_spans(fleet) > 1).any()
 
     def test_single_shelf_layout_honored(self):
         spec = FleetSpec.paper_default(
             scale=0.002, layout_policy=LayoutPolicy.SINGLE_SHELF
         )
         fleet = build_fleet(spec, RandomSource(5))
-        for system in fleet.systems:
-            for group in system.raid_groups:
-                assert group.span == 1
+        assert (_group_spans(fleet) == 1).all()
 
     def test_serials_unique(self, fleet):
-        serials = [disk.serial for disk in fleet.iter_disks()]
-        assert len(serials) == len(set(serials))
+        assert np.unique(fleet.disk_serial).size == fleet.disk_count_ever
 
     def test_system_ids_unique(self, fleet):
         ids = [s.system_id for s in fleet.systems]
@@ -176,16 +168,23 @@ class TestFleetContainer:
             )
 
     def test_counts_consistent(self, fleet):
-        assert fleet.shelf_count == sum(len(s.shelves) for s in fleet.systems)
-        assert fleet.disk_count_ever == sum(
-            1 for _ in fleet.iter_disks()
-        )
-        assert fleet.raid_group_count == sum(
-            1 for _ in fleet.iter_raid_groups()
-        )
+        assert fleet.shelf_count == sum(s.shelf_count for s in fleet.systems)
+        assert fleet.disk_count_ever == sum(s.disk_count_ever for s in fleet.systems)
+        assert fleet.raid_group_count == sum(s.raid_group_count for s in fleet.systems)
 
     def test_exposure_positive(self, fleet):
         assert fleet.disk_exposure_seconds() > 0.0
 
     def test_exposure_monotone_in_window(self, fleet):
         assert fleet.disk_exposure_seconds(1e6) <= fleet.disk_exposure_seconds(1e7)
+
+
+def _disk_rows(fleet, index):
+    """The lifetime-table rows of system ``index``'s disks."""
+    return np.flatnonzero(fleet.slot_system[fleet.disk_slot] == index)
+
+
+def _group_spans(fleet):
+    """Per RAID group, how many shelves its bays sit on."""
+    pairs = np.unique(np.stack((fleet.slot_group, fleet.slot_shelf)), axis=1)
+    return np.bincount(pairs[0][pairs[0] >= 0], minlength=fleet.raid_group_count)

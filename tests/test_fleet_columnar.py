@@ -22,6 +22,7 @@ from repro.simulate.scenario import run_scenario
 from repro.topology import components, system as system_module
 from repro.topology.classes import SystemClass
 from repro.units import seconds_to_years
+from tests.hand_built import hand_built
 
 SCALE = 0.01
 
@@ -31,20 +32,20 @@ def simulated():
     return run_scenario("paper-default", scale=SCALE, seed=4)
 
 
-def _walked_exposure(system, end):
+def _walked_exposure(fleet, index, end):
     """What exposure always was: each disk object's service time, summed
-    one by one."""
-    total = 0.0
-    for disk in system.iter_disks():
-        total += disk.service_seconds(end)
-    return total
+    one by one (the accounting of a system built by hand)."""
+    return hand_built(fleet, index).disk_exposure_seconds(end)
 
 
 class TestExposureBitIdentity:
     def test_column_equals_object_walk(self, simulated):
         fleet = pickle.loads(pickle.dumps(simulated.fleet))  # a private copy
         column = fleet.exposure_column()
-        walked = [_walked_exposure(s, fleet.duration_seconds) for s in fleet.systems]
+        walked = [
+            _walked_exposure(fleet, index, fleet.duration_seconds)
+            for index in range(fleet.system_count)
+        ]
         assert column.tolist() == walked
         assert fleet.disk_exposure_seconds() == sum(walked)
 
@@ -53,7 +54,7 @@ class TestExposureBitIdentity:
         end = 0.6 * fleet.duration_seconds
         for index in (0, fleet.system_count // 2, fleet.system_count - 1):
             system = fleet.systems[index]
-            assert system.disk_exposure_seconds(end) == _walked_exposure(system, end)
+            assert system.disk_exposure_seconds(end) == _walked_exposure(fleet, index, end)
 
     def test_predicate_sums_systems_in_fleet_order(self, simulated):
         dataset = simulated.dataset
@@ -79,8 +80,8 @@ class TestExposureBitIdentity:
             dataset.fleet.exposure_column()[i] for i in kept
         ]
         total = 0.0
-        for system in subset.fleet.systems:
-            total += _walked_exposure(system, subset.duration_seconds)
+        for index in range(subset.fleet.system_count):
+            total += _walked_exposure(subset.fleet, index, subset.duration_seconds)
         assert subset.exposure_years() == seconds_to_years(total)
 
     def test_sharded_merge(self, simulated, tmp_path):
@@ -123,8 +124,8 @@ class TestNoObjectsOnTheAnalysisPath:
         fleet = context.dataset("paper-default").fleet
         assert fleet.disk_count_ever > 0
         assert created == []
-        # The hook does see objects when a consumer walks disks.
-        list(fleet.systems[0].iter_disks())
+        # The hook does see objects when a test builds them.
+        hand_built(fleet, 0)
         assert "Disk" in created and "Shelf" in created
 
     def test_log_round_trip_builds_no_disks(self, created):
@@ -156,7 +157,7 @@ class TestPickling:
     def test_state_holds_only_arrays(self, simulated):
         fleet = pickle.loads(pickle.dumps(simulated.fleet))
         before = len(pickle.dumps(fleet))
-        list(fleet.systems[0].iter_disks())  # build one system's objects
+        assert fleet.systems  # build the system views
         state = fleet.__getstate__()
         for value in state.values():
             values = value if isinstance(value, (list, tuple)) else [value]
@@ -180,18 +181,20 @@ class TestSubsetsAndPacking:
         picked = [5, 0, 3]
         subset = fleet.select(picked)
         assert subset.system_ids == [fleet.system_ids[i] for i in picked]
-        for index, system in zip(picked, subset.systems):
-            twin = fleet.systems[index]
-            assert [d.disk_id for d in system.iter_disks()] == [
-                d.disk_id for d in twin.iter_disks()
-            ]
+        for position, index in enumerate(picked):
+            system = hand_built(subset, position)
+            twin = hand_built(fleet, index)
+            assert _disk_ids(system) == _disk_ids(twin)
             assert [g.slot_keys for g in system.raid_groups] == [
                 g.slot_keys for g in twin.raid_groups
             ]
 
     def test_packing_objects_round_trips(self):
         fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(8))
-        packed = Fleet(systems=fleet.systems, duration_seconds=fleet.duration_seconds)
+        packed = Fleet(
+            systems=[hand_built(fleet, index) for index in range(fleet.system_count)],
+            duration_seconds=fleet.duration_seconds,
+        )
         for name in ("slot_group", "disk_slot", "disk_serial", "disk_install"):
             assert np.array_equal(getattr(packed, name), getattr(fleet, name))
         assert packed.shelf_ids == fleet.shelf_ids
@@ -199,25 +202,24 @@ class TestSubsetsAndPacking:
 
     def test_packing_rejects_what_arrays_cannot_hold(self):
         fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(8))
-        system = fleet.systems[0]
-        next(system.iter_disks()).model = "not-" + system.primary_disk_model
+        system = hand_built(fleet, 0)
+        system.shelves[0].slots[0].disks[0].model = "not-" + system.primary_disk_model
         with pytest.raises(TopologyError, match="differs from system"):
             Fleet(systems=[system], duration_seconds=fleet.duration_seconds)
 
-    def test_objects_dropped_when_lifetimes_change(self):
+    def test_a_fleet_row_has_no_object_graph(self):
         fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(8))
         system = fleet.systems[0]
-        first = next(system.iter_disks())
-        fleet.record_lifetimes(
-            np.array([0]), np.array([0]), np.array([1.0e7]),
-            np.array([0]), np.array([1]), np.array([1.1e7]), np.array([7]),
-        )
-        slot = next(system.iter_slots())
-        assert slot.disks[0] is not first  # rebuilt from the new table
-        assert [d.disk_id for d in slot.disks] == [first.disk_id, slot.slot_key + "#1"]
-        assert slot.disks[0].remove_time == 1.0e7
-        assert slot.disks[1].serial == "S00000007"
-        assert fleet.disk_count_ever == fleet.slot_count + 1
+        for name in ("shelves", "raid_groups"):
+            with pytest.raises(AttributeError):
+                getattr(system, name)
+        assert system.shelf_count == hand_built(fleet, 0).shelf_count > 0
+
+
+def _disk_ids(system):
+    return [
+        disk.disk_id for shelf in system.shelves for slot in shelf.slots for disk in slot.disks
+    ]
 
 
 class TestDiskLookup:
@@ -252,6 +254,17 @@ class TestDiskLookup:
         assert fleet.bay_rows(
             np.array([-1, 0, 0, fleet.slot_count]), np.array([0, 99, -1, 0])
         ).tolist() == [-1, -1, -1, -1]
+
+    def test_ids_of_shelves_groups_and_bays_find_their_rows(self, simulated):
+        fleet = simulated.fleet
+        assert fleet.shelf_rows(fleet.shelf_ids).tolist() == list(range(fleet.shelf_count))
+        assert fleet.group_rows(fleet.group_ids).tolist() == list(range(fleet.raid_group_count))
+        every = np.arange(fleet.slot_count)
+        assert np.array_equal(fleet.slot_rows(fleet.slot_keys(every)), every)
+        shelf_id = fleet.shelf_ids[0]
+        stray = ["", "no-such-shelf/00", shelf_id, shelf_id + "/0", shelf_id + "/99"]
+        assert fleet.slot_rows(stray).tolist() == [-1] * len(stray)
+        assert fleet.shelf_rows(["nope"]).tolist() == fleet.group_rows(["nope"]).tolist() == [-1]
 
     def test_an_unsorted_table_finds_the_first_row(self):
         fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(8))

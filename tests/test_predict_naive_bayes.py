@@ -74,9 +74,9 @@ class TestAgainstLogistic:
         dataset = FailureDataset.from_injection(sim.injection)
         samples = build_samples(dataset, seed=1)
         train, test = samples.split_by_system(0.3)
-        extractor = FeatureExtractor(sim.fleet, sim.injection.recovered_errors)
-        x_train = extractor.matrix(train.pairs)
-        x_test = extractor.matrix(test.pairs)
+        extractor = FeatureExtractor(sim.fleet, sim.injection.recovered_batch)
+        x_train = extractor.matrix(train.disks, train.times)
+        x_test = extractor.matrix(test.disks, test.times)
 
         logistic = LogisticModel.fit(
             x_train, train.labels, feature_names=FEATURE_NAMES

@@ -8,6 +8,7 @@ from repro.errors import AnalysisError
 from repro.predict.features import FEATURE_NAMES, FeatureExtractor
 from repro.predict.pipeline import PredictorConfig, train_failure_predictor
 from repro.predict.samples import build_samples
+from repro.simulate.vector.emit import RecoveredBatch
 from repro.units import SECONDS_PER_DAY
 
 
@@ -20,55 +21,72 @@ def sim():
 
 @pytest.fixture(scope="module")
 def extractor(sim):
-    return FeatureExtractor(sim.fleet, sim.injection.recovered_errors)
+    return FeatureExtractor(sim.fleet, sim.injection.recovered_batch)
+
+
+def _every_disk_at(fleet, time):
+    """Every lifetime-table row, observed at ``time``."""
+    rows = np.arange(fleet.disk_count_ever)
+    return rows, np.full(rows.size, time)
 
 
 class TestFeatureExtractor:
-    def test_vector_shape_and_names(self, extractor, sim):
-        disk = next(sim.fleet.iter_disks())
-        vector = extractor.features(disk.disk_id, 1e7)
-        assert vector.shape == (len(FEATURE_NAMES),)
+    def test_vector_shape_and_names(self, extractor):
+        assert extractor.matrix([0], [1e7]).shape == (1, len(FEATURE_NAMES))
 
     def test_windows_nested(self, extractor, sim):
         # 7d counts can never exceed 30d counts, nor 30d exceed 90d.
-        time = 0.6 * sim.fleet.duration_seconds
-        for disk in list(sim.fleet.iter_disks())[:200]:
-            seven = extractor.own_incidents(disk.disk_id, time, 7.0)
-            thirty = extractor.own_incidents(disk.disk_id, time, 30.0)
-            ninety = extractor.own_incidents(disk.disk_id, time, 90.0)
-            assert seven <= thirty <= ninety
+        x = extractor.matrix(*_every_disk_at(sim.fleet, 0.6 * sim.fleet.duration_seconds))
+        assert (x[:, 0] <= x[:, 1]).all() and (x[:, 1] <= x[:, 2]).all()
 
     def test_shelf_counts_include_own(self, extractor, sim):
-        time = 0.6 * sim.fleet.duration_seconds
-        for disk in list(sim.fleet.iter_disks())[:200]:
-            assert extractor.shelf_incidents(
-                disk.disk_id, time, 30.0
-            ) >= extractor.own_incidents(disk.disk_id, time, 30.0)
+        x = extractor.matrix(*_every_disk_at(sim.fleet, 0.6 * sim.fleet.duration_seconds))
+        assert (x[:, 3] >= x[:, 1]).all()
 
     def test_typed_counts_sum_to_window_count(self, extractor, sim):
-        time = 0.6 * sim.fleet.duration_seconds
-        for disk in list(sim.fleet.iter_disks())[:200]:
-            typed = extractor.typed_incidents(disk.disk_id, time, 30.0)
-            assert sum(typed.values()) == extractor.own_incidents(
-                disk.disk_id, time, 30.0
-            )
+        x = extractor.matrix(*_every_disk_at(sim.fleet, 0.6 * sim.fleet.duration_seconds))
+        assert np.array_equal(x[:, 4:8].sum(axis=1), x[:, 1])
 
-    def test_unknown_disk_gives_zero_features(self, extractor):
-        vector = extractor.features("no-such-disk", 1e7)
+    def test_unknown_disk_gives_zero_features(self, sim):
+        # Incidents on a generation the bay never held count toward no
+        # disk and no shelf.
+        batch = RecoveredBatch(sim.fleet)
+        one = np.ones(3, dtype=np.int64)
+        batch.add(0 * one, 0 * one, np.array([1e6, 2e6, 3e6]), 0 * one, 99 * one)
+        vector = FeatureExtractor(sim.fleet, batch).matrix([0], [3e6])[0]
         assert vector[:8].sum() == 0.0
 
-    def test_counting_is_trailing_only(self, sim):
+    def test_counting_is_trailing_only(self, sim, extractor):
         # Features at time t must not see incidents after t.
-        errors = sim.injection.recovered_errors
-        extractor = FeatureExtractor(sim.fleet, errors)
-        sample = errors[len(errors) // 2]
-        before = extractor.own_incidents(
-            sample.disk_id, sample.time - 1.0, 7.0
-        )
-        after = extractor.own_incidents(
-            sample.disk_id, sample.time + 1.0, 7.0
-        )
+        _types, times, slots, gens = sim.injection.recovered_batch.incidents()
+        middle = len(times) // 2
+        row = sim.fleet.bay_rows(slots[middle:middle + 1], gens[middle:middle + 1])
+        time = times[middle]
+        before = extractor.matrix(row, [time - 1.0])[0, 0]
+        after = extractor.matrix(row, [time + 1.0])[0, 0]
         assert after >= before
+
+    def test_counts_match_a_count_incident_by_incident(self, sim, extractor):
+        # Windows include both ends, and an incident counts toward its
+        # own disk and its shelf.
+        fleet = sim.fleet
+        types, times, slots, gens = sim.injection.recovered_batch.incidents()
+        rows = fleet.bay_rows(slots, gens)
+        shelves = fleet.slot_shelf[fleet.disk_slot[rows]]
+        picked = rows[rows >= 0][::97][:40]
+        at = times[rows >= 0][::97][:40]
+        x = extractor.matrix(picked, at)
+        for sample, (row, time) in enumerate(zip(picked.tolist(), at.tolist())):
+            shelf = fleet.slot_shelf[fleet.disk_slot[row]]
+            for column, days in ((0, 7.0), (1, 30.0), (2, 90.0)):
+                start = time - days * SECONDS_PER_DAY
+                own = (rows == row) & (start <= times) & (times <= time)
+                assert x[sample, column] == own.sum()
+            start = time - 30.0 * SECONDS_PER_DAY
+            window = (start <= times) & (times <= time) & (rows >= 0)
+            assert x[sample, 3] == (window & (shelves == shelf)).sum()
+            for column, code in zip(range(4, 8), range(4)):
+                assert x[sample, column] == (window & (rows == row) & (types == code)).sum()
 
 
 class TestSamples:
@@ -82,7 +100,8 @@ class TestSamples:
         for event in sim.injection.events:
             failure_times.setdefault(event.disk_id, []).append(event.detect_time)
         horizon = samples.horizon_days * SECONDS_PER_DAY
-        for (disk_id, time), label in zip(samples.pairs, samples.labels):
+        disk_ids = sim.fleet.disk_ids(samples.disks)
+        for disk_id, time, label in zip(disk_ids, samples.times.tolist(), samples.labels):
             if label == 1.0:
                 assert any(
                     time < ft <= time + horizon
@@ -95,13 +114,14 @@ class TestSamples:
 
     def test_split_disjoint_systems(self, samples):
         train, test = samples.split_by_system(0.3)
-        assert set(train.system_ids).isdisjoint(test.system_ids)
+        assert set(train.systems.tolist()).isdisjoint(test.systems.tolist())
         assert train.n + test.n == samples.n
 
     def test_split_deterministic(self, samples):
         a_train, _ = samples.split_by_system(0.3)
         b_train, _ = samples.split_by_system(0.3)
-        assert a_train.pairs == b_train.pairs
+        assert np.array_equal(a_train.disks, b_train.disks)
+        assert np.array_equal(a_train.times, b_train.times)
 
     def test_validation(self, sim):
         dataset = FailureDataset.from_injection(sim.injection)
@@ -130,7 +150,6 @@ class TestPipeline:
 
     def test_requires_component_errors(self, sim):
         from repro.failures.injector import InjectionResult
-        from repro.simulate.vector.emit import RecoveredBatch
 
         stripped = InjectionResult(
             table=sim.injection.to_table(),

@@ -41,14 +41,13 @@ class TestFleetProperties:
     def test_any_small_fleet_is_consistent(self, seed, n_systems, system_class):
         spec = FleetSpec.single_class(system_class, n_systems=n_systems)
         fleet = build_fleet(spec, RandomSource(seed))
-        # Every slot populated, every slot in exactly one RAID group.
-        for system in fleet.systems:
-            keys = [k for g in system.raid_groups for k in g.slot_keys]
-            assert sorted(keys) == sorted(
-                slot.slot_key for slot in system.iter_slots()
-            )
-            for slot in system.iter_slots():
-                assert slot.current_disk is not None
+        # Every slot populated, every slot in exactly one RAID group of
+        # its own system.
+        assert (fleet.slot_group >= 0).all()
+        owner = np.searchsorted(fleet.system_group_start, fleet.slot_group, side="right") - 1
+        assert np.array_equal(owner, fleet.slot_system)
+        assert (np.diff(fleet.slot_disk_start) >= 1).all()
+        assert np.isinf(fleet.disk_remove[fleet.slot_disk_start[1:] - 1]).all()
         # Exposure never exceeds slots x window.
         max_exposure = (
             sum(s.slot_count for s in fleet.systems) * fleet.duration_seconds

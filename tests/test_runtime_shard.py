@@ -368,8 +368,8 @@ class TestRuntimeIntegration:
             )
 
     def test_sharded_fleet_walks_disks(self, tmp_path):
-        # A sharded result holds a plain fleet: disk walks work and see
-        # exactly the unsharded run's disks.
+        # A sharded result holds a plain fleet: walking its lifetime
+        # table sees exactly the unsharded run's disks.
         base = run_scenario("paper-default", scale=SCALE, seed=7)
         sharded = run_sharded_scenario(
             "paper-default",
@@ -378,14 +378,17 @@ class TestRuntimeIntegration:
             runtime=make_runtime(tmp_path),
             n_shards=2,
         )
-        walked = [
-            (d.disk_id, d.serial, d.install_time, d.remove_time)
-            for d in sharded.fleet.iter_disks()
-        ]
-        assert walked == [
-            (d.disk_id, d.serial, d.install_time, d.remove_time)
-            for d in base.fleet.iter_disks()
-        ]
+        def walked(fleet):
+            return list(
+                zip(
+                    fleet.disk_ids(np.arange(fleet.disk_count_ever)),
+                    fleet.disk_serial.tolist(),
+                    fleet.disk_install.tolist(),
+                    fleet.disk_remove.tolist(),
+                )
+            )
+
+        assert walked(sharded.fleet) == walked(base.fleet)
 
     def test_injection_placeholder_raises_clearly(self, tmp_path):
         sharded = run_sharded_scenario(

@@ -2,6 +2,7 @@
 
 import datetime
 
+import numpy as np
 import pytest
 
 from repro.errors import LogFormatError, SpecificationError
@@ -87,9 +88,12 @@ class TestScenarios:
         assert result.fleet.system_count < 200
 
     def test_single_shelf_scenario_layout(self):
-        result = run_scenario("single-shelf-raid", scale=0.001, seed=1)
-        for group in result.fleet.iter_raid_groups():
-            assert group.span == 1
+        fleet = run_scenario("single-shelf-raid", scale=0.001, seed=1).fleet
+        # Each RAID group's bays sit on one shelf.
+        grouped = fleet.slot_group >= 0
+        first_shelf = np.full(fleet.raid_group_count, -1)
+        first_shelf[fleet.slot_group[grouped]] = fleet.slot_shelf[grouped]
+        assert np.array_equal(first_shelf[fleet.slot_group[grouped]], fleet.slot_shelf[grouped])
 
     def test_no_multipath_scenario_masks_nothing(self):
         default = run_scenario("paper-default", scale=0.005, seed=4)

@@ -44,6 +44,7 @@ from repro.simulate.vector.sampling import (
 )
 from repro.topology.classes import SYSTEM_CLASS_ORDER
 from tests.conftest import one_shelf_cohort
+from tests.hand_built import hand_built
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,10 @@ class TestFleetFrame:
 
     def test_slot_resolution_matches_object_walk(self, frame):
         walked = [
-            slot for shelf in frame.iter_shelves() for slot in shelf.slots
+            slot
+            for index in range(frame.system_count)
+            for shelf in hand_built(frame, index).shelves
+            for slot in shelf.slots
         ]
         assert len(walked) == frame.slot_count
         every = np.arange(frame.slot_count, dtype=np.int64)
@@ -90,10 +94,10 @@ class TestFleetFrame:
 
     def test_shelf_sys_points_at_owning_system(self, frame):
         for shelf_index in (0, frame.shelf_count - 1):
-            system = frame.systems[int(frame.shelf_system[shelf_index])]
-            assert frame.shelf_ids[shelf_index] in [
-                shelf.shelf_id for shelf in system.shelves
-            ]
+            system = int(frame.shelf_system[shelf_index])
+            starts = frame.system_shelf_start
+            assert starts[system] <= shelf_index < starts[system + 1]
+            assert frame.shelf_ids[shelf_index].startswith("sh-%s-" % frame.system_ids[system])
 
 
 class TestCohorts:
@@ -252,17 +256,8 @@ class TestVectorInjector:
         table = result.to_table()
         replaced = int(np.count_nonzero(table.replaced_disk))
         assert replaced > 0
-        removed = 0
-        second_gen = 0
-        for system in fleet.systems:
-            for shelf in system.shelves:
-                for slot in shelf.slots:
-                    removed += sum(
-                        1 for d in slot.disks if d.remove_time is not None
-                    )
-                    second_gen += sum(
-                        1 for d in slot.disks if d.disk_id.endswith("#1")
-                    )
+        removed = int(np.count_nonzero(np.isfinite(fleet.disk_remove)))
+        second_gen = int(np.count_nonzero(fleet.disk_gen == 1))
         assert removed == replaced
         assert second_gen > 0
 

@@ -21,22 +21,6 @@ def make_disk(disk_id="sh-x-00/00#0", install=0.0, remove=None, slot=0):
 
 
 class TestDisk:
-    def test_in_service_inside_lifetime(self):
-        disk = make_disk(install=100.0, remove=200.0)
-        assert disk.in_service_at(150.0)
-
-    def test_not_in_service_before_install(self):
-        disk = make_disk(install=100.0)
-        assert not disk.in_service_at(50.0)
-
-    def test_not_in_service_after_remove(self):
-        disk = make_disk(install=100.0, remove=200.0)
-        assert not disk.in_service_at(200.0)  # removal instant exclusive
-
-    def test_in_service_forever_without_removal(self):
-        disk = make_disk(install=0.0)
-        assert disk.in_service_at(1e9)
-
     def test_service_seconds_truncates_at_window(self):
         disk = make_disk(install=100.0)
         assert disk.service_seconds(300.0) == pytest.approx(200.0)
@@ -61,23 +45,15 @@ class TestDiskSlot:
         slot = self.make_slot()
         disk = make_disk(disk_id="sh-x-00/03#0", slot=3)
         slot.disks.append(disk)
-        assert slot.current_disk is disk
+        assert slot.disks[-1] is disk and disk.remove_time is None
 
     def test_replacement_after_removal(self):
         slot = self.make_slot()
         first = make_disk(disk_id="sh-x-00/03#0", slot=3, remove=100.0)
         second = make_disk(disk_id="sh-x-00/03#1", slot=3, install=150.0)
         slot.disks.extend([first, second])
-        assert slot.current_disk is second
+        assert slot.disks[-1] is second and second.remove_time is None
         assert len(slot.disks) == 2
-
-    def test_current_disk_none_when_removed(self):
-        slot = self.make_slot()
-        slot.disks.append(make_disk(disk_id="sh-x-00/03#0", slot=3, remove=10.0))
-        assert slot.current_disk is None
-
-    def test_current_disk_none_when_empty(self):
-        assert self.make_slot().current_disk is None
 
 
 class TestShelf:
@@ -115,16 +91,6 @@ class TestShelf:
         slot.disks.append(make_disk(disk_id="sh-x-00/00#0", remove=10.0))
         slot.disks.append(make_disk(disk_id="sh-x-00/00#1", install=20.0))
         assert shelf.disk_count_ever == 2
-
-    def test_iter_disks_order(self):
-        shelf = self.make_shelf()
-        shelf.add_slots(2)
-        shelf.slots[0].disks.append(make_disk(disk_id="sh-x-00/00#0", slot=0))
-        shelf.slots[1].disks.append(make_disk(disk_id="sh-x-00/01#0", slot=1))
-        assert [d.disk_id for d in shelf.iter_disks()] == [
-            "sh-x-00/00#0",
-            "sh-x-00/01#0",
-        ]
 
     def test_max_disks_constant_matches_paper(self):
         # §2.2: every studied shelf model hosts at most 14 disks.

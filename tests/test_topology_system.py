@@ -26,7 +26,7 @@ def make_system(dual_path=False, system_class=SystemClass.MID_RANGE):
     system.raid_groups = assign_raid_groups(
         "t-1", system.shelves, 4, RaidType.RAID4
     )
-    for slot in system.iter_slots():
+    for slot in (slot for shelf in system.shelves for slot in shelf.slots):
         slot.disks.append(
             Disk(
                 disk_id="%s#0" % slot.slot_key,
@@ -73,26 +73,6 @@ class TestStorageSystem:
                 deploy_time=0.0,
             )
 
-    def test_slot_by_key(self):
-        system = make_system()
-        slot = system.slot_by_key("sh-t-1-00/02")
-        assert slot.slot_index == 2
-
-    def test_slot_by_key_missing(self):
-        system = make_system()
-        with pytest.raises(TopologyError):
-            system.slot_by_key("sh-t-1-00/99")
-
-    def test_raid_group_by_id(self):
-        system = make_system()
-        group = system.raid_groups[0]
-        assert system.raid_group_by_id(group.raid_group_id) is group
-
-    def test_raid_group_by_id_missing(self):
-        system = make_system()
-        with pytest.raises(TopologyError):
-            system.raid_group_by_id("rg-nope")
-
     def test_counts(self):
         system = make_system()
         assert system.slot_count == 8
@@ -106,19 +86,10 @@ class TestStorageSystem:
 
     def test_exposure_respects_removals(self):
         system = make_system()
-        disk = next(system.iter_disks())
-        disk.remove_time = 1500.0
+        system.shelves[0].slots[0].disks[0].remove_time = 1500.0
         assert system.disk_exposure_seconds(2000.0) == pytest.approx(7500.0)
 
     def test_age(self):
         system = make_system()
         assert system.age_at(500.0) == 0.0
         assert system.age_at(2500.0) == pytest.approx(1500.0)
-
-    def test_slot_index_cache_updates_after_adding_slots(self):
-        system = make_system()
-        system.slot_by_key("sh-t-1-00/00")  # warm the cache
-        shelf = Shelf(shelf_id="sh-t-1-02", model="B", system_id="t-1")
-        shelf.add_slots(2)
-        system.shelves.append(shelf)
-        assert system.slot_by_key("sh-t-1-02/01").shelf_id == "sh-t-1-02"

@@ -209,20 +209,23 @@ def synthetic_chain(dataset):
 
 def sample_rows(samples) -> list:
     """A sample set as ``(disk id, time, label, system id)`` rows."""
-    return [
-        (disk_id, time, label, system_id)
-        for (disk_id, time), label, system_id in zip(
-            samples.pairs, samples.labels.tolist(), samples.system_ids
+    fleet = samples.fleet
+    return list(
+        zip(
+            fleet.disk_ids(samples.disks),
+            samples.times.tolist(),
+            samples.labels.tolist(),
+            [fleet.system_ids[row] for row in samples.systems.tolist()],
         )
-    ]
+    )
 
 
 def sample_matrix(injection, samples):
     """The feature matrix of a sample set."""
     from repro.predict.features import FeatureExtractor
 
-    extractor = FeatureExtractor(injection.fleet, injection.recovered_errors)
-    return extractor.matrix(samples.pairs)
+    extractor = FeatureExtractor(injection.fleet, injection.recovered_batch)
+    return extractor.matrix(samples.disks, samples.times)
 
 
 def extension_outputs(result) -> dict:
