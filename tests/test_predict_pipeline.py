@@ -1,5 +1,7 @@
 """Tests for prediction features, samples, and the end-to-end pipeline."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,35 @@ class TestSamples:
                     time < ft <= time + horizon
                     for ft in failure_times.get(disk_id, [])
                 )
+
+    def test_grid_and_labels_match_a_disk_by_disk_loop(self, sim):
+        # Every grid point kept: each disk's times step by a running
+        # sum from install + grid, labeled by its next failure.
+        dataset = FailureDataset.from_injection(sim.injection)
+        samples = build_samples(dataset, seed=1, negative_ratio=1e9)
+        fleet = sim.fleet
+        failures = {}
+        for event in dataset.events:
+            failures.setdefault(event.disk_id, []).append(event.detect_time)
+        grid, horizon = 30.0 * SECONDS_PER_DAY, 14.0 * SECONDS_PER_DAY
+        looped = []
+        for row in range(0, fleet.disk_count_ever, 7):
+            times = sorted(failures.get(fleet.disk_ids([row])[0], []))
+            remove = float(fleet.disk_remove[row])
+            last = fleet.duration_seconds if remove == np.inf else remove
+            time = float(fleet.disk_install[row]) + grid
+            while time < last:
+                index = bisect.bisect_right(times, time)
+                hit = index < len(times) and times[index] <= time + horizon
+                looped.append((row, time, 1.0 if hit else 0.0))
+                time += grid
+        picked = samples.disks % 7 == 0
+        built = zip(
+            samples.disks[picked].tolist(),
+            samples.times[picked].tolist(),
+            samples.labels[picked].tolist(),
+        )
+        assert sorted(built) == sorted(looped)
 
     def test_negative_subsampling_ratio(self, samples):
         negatives = samples.n - samples.positives

@@ -1,8 +1,13 @@
 """Tests for the rebuild model and data-loss estimator."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import RaidError
+from repro.failures.types import FailureType
+from repro.fleet.catalog import disk_model
+from repro.fleet.fleet import RAID_TYPES
 from repro.raid.dataloss import estimate_dataloss
 from repro.raid.rebuild import RebuildModel
 from repro.simulate.scenario import run_scenario
@@ -102,3 +107,51 @@ class TestDataLoss:
         assert report.loss_rate_per_1000_group_years() == pytest.approx(
             1000.0 * report.total_loss_incidents / report.group_years
         )
+
+    @pytest.mark.parametrize("include_transient", [True, False])
+    def test_sweep_matches_a_group_by_group_loop(self, correlated, include_transient):
+        report = estimate_dataloss(
+            correlated, include_transient=include_transient, transient_outage_seconds=86_400.0
+        )
+        assert [dataclasses.astuple(g) for g in report.groups] == _looped_groups(
+            correlated, include_transient, 86_400.0
+        )
+
+
+def _looped_groups(dataset, include_transient, transient_seconds):
+    """Per-group loss summaries by a sweep over each group's sorted
+    (time, +1/-1) boundaries, groups in first-event order, then stably
+    by losses."""
+    rebuild = RebuildModel()
+    fleet = dataset.fleet
+    raid_types = dict(
+        zip(fleet.group_ids, (RAID_TYPES[code] for code in fleet.group_raid_type.tolist()))
+    )
+    spans = {}
+    for event in dataset.deduplicated().events:
+        if event.raid_group_id not in raid_types:
+            continue
+        if event.failure_type is FailureType.DISK:
+            window = rebuild.window_seconds(float(disk_model(event.disk_model).capacity_gb))
+        elif include_transient:
+            window = transient_seconds
+        else:
+            continue
+        spans.setdefault(event.raid_group_id, []).append(
+            (event.occur_time, event.detect_time + window)
+        )
+    rows = []
+    for group_id, intervals in spans.items():
+        raid_type = raid_types[group_id]
+        boundaries = sorted(
+            [(start, 1) for start, _ in intervals] + [(end, -1) for _, end in intervals]
+        )
+        concurrent = peak = losses = 0
+        for _, delta in boundaries:
+            before = concurrent
+            concurrent += delta
+            peak = max(peak, concurrent)
+            tolerated = raid_type.tolerated_failures
+            losses += before <= tolerated < concurrent
+        rows.append((group_id, raid_type, len(intervals), peak, losses))
+    return sorted(rows, key=lambda row: -row[4])
