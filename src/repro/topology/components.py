@@ -4,6 +4,10 @@ A :class:`Shelf` owns up to 14 :class:`DiskSlot` bays.  Because disks are
 replaced in the field (the paper counts "disks ever installed" and
 accounts for per-disk lifetime), a slot keeps the full *history* of disks
 it has hosted; exposure accounting walks those histories.
+
+These objects describe systems built by hand; a
+:class:`~repro.fleet.fleet.Fleet` packs them into its arrays and keeps
+no objects of its own.
 """
 
 from __future__ import annotations
