@@ -432,7 +432,13 @@ class Fleet:
         """Global bay indices of bay keys (-1 for a key that names no
         bay): ``<shelf id>/<nn>`` with the fleet's own shelf id and a
         two-digit bay of that shelf."""
-        return np.fromiter(map(self._slot_of_key, slot_keys), dtype=np.int64, count=len(slot_keys))
+        # A bay key is a disk id without its "#<generation>".
+        keys = np.fromiter(
+            (self._disk_key(key + "#0") for key in slot_keys),
+            dtype=np.int64,
+            count=len(slot_keys),
+        )
+        return np.where(keys >= 0, keys >> 31, -1)
 
     def find_disk(self, disk_id: str) -> int:
         """The lifetime-table row of a disk id, or -1 if none matches
@@ -465,24 +471,16 @@ class Fleet:
         """``bay * 2**31 + generation`` of a disk id (-1 when malformed
         or not a bay of this fleet)."""
         slot_key, _, gen_text = disk_id.rpartition("#")
-        slot = self._slot_of_key(slot_key)
-        if slot < 0 or not gen_text.isdigit():
-            return -1
-        gen = int(gen_text)
-        if "%d" % gen != gen_text or gen >= 2**31:
-            return -1
-        return slot * 2**31 + gen
-
-    def _slot_of_key(self, slot_key: str) -> int:
-        """The global bay of a bay key (-1 when it names none)."""
         shelf_id, _, bay_text = slot_key.rpartition("/")
         shelf = self._shelf_index.get(shelf_id)
-        if shelf is None or not bay_text.isdigit():
+        if shelf is None or not (bay_text.isdigit() and gen_text.isdigit()):
             return -1
-        bay = int(bay_text)
-        if "%02d" % bay != bay_text or bay >= self.shelf_n_slots[shelf]:
+        bay, gen = int(bay_text), int(gen_text)
+        if "%02d" % bay != bay_text or "%d" % gen != gen_text or gen >= 2**31:
             return -1
-        return int(self.shelf_slot_start[shelf]) + bay
+        if bay >= self.shelf_n_slots[shelf]:
+            return -1
+        return (int(self.shelf_slot_start[shelf]) + bay) * 2**31 + gen
 
     def _rows_of_keys(self, wanted: np.ndarray) -> np.ndarray:
         keys, order = self._disk_keys
