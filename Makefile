@@ -1,7 +1,7 @@
 # Developer entry points.
 
-.PHONY: install test check lint lint-baseline bench bench-seed bench-shard \
-	shard-smoke experiments figures docs clean
+.PHONY: install test check lint lint-baseline bench-shard shard-smoke \
+	experiments figures docs clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -25,34 +25,12 @@ lint:
 lint-baseline:
 	PYTHONPATH=src python -m repro.lintkit --write-baseline
 
-# Full benchmark sweep; consolidates the raw pytest-benchmark dump into
-# the trimmed BENCH_ALL.json at the repo root (see tools/bench_report.py).
-bench:
-	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only \
-		--benchmark-json=.bench_raw.json
-	python tools/bench_report.py .bench_raw.json --out BENCH_ALL.json
-
-# Refresh the committed per-subsystem baselines (runtime + obs +
-# analysis + simulation).
-bench-seed:
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_runtime.py \
-		--benchmark-only --benchmark-json=.bench_runtime_raw.json
-	python tools/bench_report.py .bench_runtime_raw.json --out BENCH_RUNTIME.json
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py \
-		--benchmark-only --benchmark-json=.bench_obs_raw.json
-	python tools/bench_report.py .bench_obs_raw.json --out BENCH_OBS.json
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_analysis.py \
-		--benchmark-only --benchmark-json=.bench_analysis_raw.json
-	python tools/bench_report.py .bench_analysis_raw.json --out BENCH_ANALYSIS.json
-	PYTHONPATH=src python -m pytest benchmarks/test_bench_simulate.py \
-		--benchmark-only --benchmark-json=.bench_simulate_raw.json
-	python tools/bench_report.py .bench_simulate_raw.json --out BENCH_SIMULATE.json
-
-# Full-scale sharded-vs-unsharded RSS + wall-time comparison; appends
-# to the committed BENCH_SHARD.json trajectory (nightly CI runs this
-# at scale 1.0 — see tools/bench_shard.py).
+# Full-scale sharded-vs-unsharded RSS + wall-time comparison; prints
+# the pair and fails unless sharding lowers peak RSS (nightly CI runs
+# this at scale 1.0 — see tools/bench_shard.py).  The benchmark proper
+# is perfbench/ (see perfbench/README.md).
 bench-shard:
-	python tools/bench_shard.py --shards 4 --out BENCH_SHARD.json
+	python tools/bench_shard.py --scale 1.0 --shards 4
 
 # CI shard gate: 4-shard spill/merge run must be byte-identical to the
 # unsharded table; writes shard-merge-report.json.
@@ -78,6 +56,4 @@ figures:
 
 clean:
 	rm -rf figures .pytest_cache .hypothesis
-	rm -f .bench_raw.json .bench_runtime_raw.json .bench_obs_raw.json \
-		.bench_analysis_raw.json .bench_simulate_raw.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

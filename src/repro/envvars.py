@@ -103,22 +103,6 @@ REGISTRY: Dict[str, EnvVar] = {
             "cache (same as --cache-dir).",
         ),
         EnvVar(
-            name="REPRO_BENCH_ANALYSIS_SCALE",
-            kind="float",
-            default="0.5",
-            consumer="benchmarks.test_bench_analysis",
-            description="Fleet scale for the analysis benchmark suite "
-            "(CI shrinks it to fit the job budget).",
-        ),
-        EnvVar(
-            name="REPRO_BENCH_SIMULATE_SCALE",
-            kind="float",
-            default="0.4",
-            consumer="benchmarks.test_bench_simulate",
-            description="Fleet scale for the simulation benchmark suite "
-            "(CI shrinks it to fit the job budget).",
-        ),
-        EnvVar(
             name="REPRO_SHARDS",
             kind="int",
             default="1",

@@ -27,10 +27,9 @@ written once, as a backend.  Three backends ship:
 
 Backends are selected by a spec string — ``"analytic"``,
 ``"trace:<path>"``, ``"fitted:<path>"`` — carried on
-:attr:`repro.runconfig.RunConfig.hazard_backend` (set by the
-``--hazard-backend`` flag or ``REPRO_HAZARD_BACKEND``), or on
-:attr:`repro.failures.injector.InjectorConfig.hazard_backend`, which
-takes precedence.
+:attr:`repro.runconfig.RunConfig.hazard_backend` alone (set by the
+``--hazard-backend`` flag or ``REPRO_HAZARD_BACKEND``).  The injector
+takes the run's ``RunConfig`` and resolves its backend once.
 
 The *extended* operator-error failure type also enters here: every
 backend activates :data:`~repro.failures.types.FailureType.OPERATOR_ERROR`

@@ -72,12 +72,6 @@ class InjectorConfig:
             studies — the paper's refs [4, 21] — report early-life
             failure elevation, which this knob lets users model).
         infant_period_seconds: length of the elevated-hazard period.
-        hazard_backend: hazard backend spec (``"analytic"``,
-            ``"trace:<path>"``, ``"fitted:<path>"``); ``None`` takes the
-            run's :class:`~repro.runconfig.RunConfig` backend in
-            :class:`~repro.simulate.engine.SimulationEngine` and the
-            analytic default elsewhere.  See
-            :mod:`repro.failures.backends`.
         operator_error_rate_per_disk_year: delivered rate of the
             extended *operator error* failure type (mis-pulled drives,
             botched maintenance); 0.0 — the default — keeps the paper's
@@ -101,7 +95,6 @@ class InjectorConfig:
     rate_multipliers: Mapping[FailureType, float] = dataclasses.field(
         default_factory=dict
     )
-    hazard_backend: Optional[str] = None
     operator_error_rate_per_disk_year: float = 0.0
 
     def rate_multiplier(self, failure_type: FailureType) -> float:

@@ -118,11 +118,12 @@ class Fleet:
         duration_seconds: the observation window the fleet was built for.
 
     Raises:
-        TopologyError: duplicate system ids, or objects the arrays cannot
-            hold (a shelf or disk whose model differs from its system's,
-            a bay whose key is not its shelf's id and its position on
-            the shelf, a disk id that is not ``<bay key>#<generation>``,
-            a serial that is not ``S`` + 8 hex digits).
+        TopologyError: duplicate system, shelf or RAID-group ids, or
+            objects the arrays cannot hold (a shelf or disk whose model
+            differs from its system's, a bay whose key is not its
+            shelf's id and its position on the shelf, a disk id that is
+            not ``<bay key>#<generation>``, a serial that is not ``S`` +
+            8 hex digits).
     """
 
     def __init__(
@@ -183,8 +184,14 @@ class Fleet:
             setattr(self, name, np.asarray(values, dtype=dtype))
         self._shelf_ids = None if shelf_ids is None else list(shelf_ids)
         self._group_ids = None if group_ids is None else list(group_ids)
-        if len(set(self.system_ids)) != len(self.system_ids):
-            raise TopologyError("duplicate system ids in fleet")
+        for kind, ids in (
+            ("system", self.system_ids),
+            ("shelf", self._shelf_ids),
+            ("RAID group", self._group_ids),
+        ):
+            # Rendered ids (None) are distinct when system ids are.
+            if ids is not None and len(set(ids)) != len(ids):
+                raise TopologyError("duplicate %s ids in fleet" % kind)
         self._lifetime_cache: Dict[object, np.ndarray] = {}
 
     # -- pickling ----------------------------------------------------------

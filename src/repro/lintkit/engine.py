@@ -24,7 +24,7 @@ import tokenize
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Directories scanned by default, mirroring ``tools/lint.py``.
-DEFAULT_SCAN_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
+DEFAULT_SCAN_DIRS = ("src", "tests", "tools", "examples")
 
 #: Directory names never descended into.
 SKIP_DIRS = ("__pycache__", ".git", ".hypothesis", ".pytest_cache")

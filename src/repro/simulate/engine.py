@@ -67,16 +67,11 @@ class SimulationEngine:
         config: Optional[RunConfig] = None,
     ) -> None:
         """``config`` is the run's configuration (``RunConfig.from_env()``
-        when None); its hazard backend applies unless ``injector_config``
-        names one itself."""
-        injector_config = injector_config or InjectorConfig()
-        if injector_config.hazard_backend is None:
-            injector_config = dataclasses.replace(
-                injector_config,
-                hazard_backend=(config or RunConfig.from_env()).hazard_backend,
-            )
+        when None); the injector takes its hazard backend from it."""
         self.spec = spec
-        self.injector = VectorFailureInjector(injector_config)
+        self.injector = VectorFailureInjector(
+            injector_config, config or RunConfig.from_env()
+        )
         self.clock = clock
         #: Optional sub-fleet to build (per class, global system indices);
         #: see :func:`repro.fleet.builder.build_fleet`.  Shard workers

@@ -30,11 +30,11 @@ simulating the cohorts one at a time would.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.failures.backends import HazardBackend, resolve as resolve_backend
+from repro.failures.backends import HazardBackend
 from repro.failures.injector import InjectorConfig
 from repro.failures.types import FailureType
 from repro.fleet.fleet import Fleet, offsets
@@ -327,18 +327,14 @@ class CohortSet:
 
 
 def group_cohorts(
-    fleet: Fleet,
-    config: InjectorConfig,
-    backend: Optional[HazardBackend] = None,
+    fleet: Fleet, config: InjectorConfig, backend: HazardBackend
 ) -> CohortSet:
     """Partition a fleet into cohorts, in first-seen system order.
 
-    Per-type rates come from the hazard backend (resolved from the
-    config when not passed), over its active types — the paper's four
-    plus any configured extended types — once per configuration.
+    Per-type rates come from the hazard backend, over its active types —
+    the paper's four plus any configured extended types — once per
+    configuration.
     """
-    if backend is None:
-        backend = resolve_backend(config.hazard_backend)
     active = backend.active_types(config)
     configurations: Dict[tuple, int] = {}
     config_of_system = np.fromiter(

@@ -48,6 +48,7 @@ from repro.failures.types import (
 )
 from repro.fleet.fleet import Fleet, offsets
 from repro.rng import RandomSource
+from repro.runconfig import RunConfig
 from repro.simulate.vector.cohorts import (
     CohortSet,
     Streams,
@@ -103,9 +104,14 @@ class VectorFailureInjector:
     progress and fleet events.
     """
 
-    def __init__(self, config: Optional[InjectorConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[InjectorConfig] = None,
+        run_config: RunConfig = RunConfig(),
+    ) -> None:
+        """``run_config`` names the hazard backend, resolved here once."""
         self.config = config or InjectorConfig()
-        self.backend = resolve_backend(self.config.hazard_backend)
+        self.backend = resolve_backend(run_config.hazard_backend)
 
     def inject(
         self, fleet: Fleet, random_source: RandomSource

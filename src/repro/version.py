@@ -1,3 +1,3 @@
 """Package version, importable without triggering heavy imports."""
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"

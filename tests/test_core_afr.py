@@ -44,6 +44,7 @@ class TestDatasetAfr:
 
     def test_per_type_sums_to_total(self, small_dataset):
         stack = afr_stack(small_dataset)
+        assert sum(estimate.count for estimate in stack.values()) == len(small_dataset)
         assert stack_total_percent(stack) == pytest.approx(
             dataset_afr(small_dataset).percent
         )

@@ -70,8 +70,9 @@ class TestCorrelationFor:
             correlation_for(midsize_dataset, FailureType.DISK, "shelf", 0.0)
 
     def test_results_for_all_types(self, midsize_dataset):
-        results = correlation_by_type(midsize_dataset, "raid_group")
-        assert [r.failure_type for r in results] == list(FAILURE_TYPE_ORDER)
+        for scope in ("shelf", "raid_group"):
+            results = correlation_by_type(midsize_dataset, scope)
+            assert [r.failure_type for r in results] == list(FAILURE_TYPE_ORDER)
 
     def test_interval_brackets_empirical(self, midsize_dataset):
         for result in correlation_by_type(midsize_dataset, "shelf"):

@@ -37,7 +37,6 @@ def test_known_variables_registered():
         "REPRO_PROFILE",
         "REPRO_PROFILE_DIR",
         "REPRO_CACHE_DIR",
-        "REPRO_BENCH_ANALYSIS_SCALE",
     ):
         assert name in envvars.REGISTRY
 
@@ -77,13 +76,13 @@ def test_get_flag_truthiness(monkeypatch, raw, expected):
 
 
 def test_get_float(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_ANALYSIS_SCALE", raising=False)
-    assert envvars.get_float("REPRO_BENCH_ANALYSIS_SCALE", 0.5) == 0.5
-    monkeypatch.setenv("REPRO_BENCH_ANALYSIS_SCALE", "0.25")
-    assert envvars.get_float("REPRO_BENCH_ANALYSIS_SCALE", 0.5) == 0.25
-    monkeypatch.setenv("REPRO_BENCH_ANALYSIS_SCALE", "not-a-number")
+    monkeypatch.delenv("REPRO_SAMPLE_INTERVAL", raising=False)
+    assert envvars.get_float("REPRO_SAMPLE_INTERVAL", 0.5) == 0.5
+    monkeypatch.setenv("REPRO_SAMPLE_INTERVAL", "0.25")
+    assert envvars.get_float("REPRO_SAMPLE_INTERVAL", 0.5) == 0.25
+    monkeypatch.setenv("REPRO_SAMPLE_INTERVAL", "not-a-number")
     with pytest.raises(ValueError):
-        envvars.get_float("REPRO_BENCH_ANALYSIS_SCALE", 0.5)
+        envvars.get_float("REPRO_SAMPLE_INTERVAL", 0.5)
 
 
 def test_get_int(monkeypatch):

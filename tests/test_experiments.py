@@ -1,7 +1,9 @@
 """Tests for the experiment registry and plumbing.
 
-Full experiment *verdicts* are exercised by the benchmark harness at
-bench scale; these tests cover the machinery at a small scale.
+Experiment *verdicts* live elsewhere: tests/test_paper_shapes.py
+asserts each experiment's paper values at scale 0.05, and
+tests/test_engine_oracle.py judges the figures' shape checks over 30
+seeds.  These tests cover the machinery at a small scale.
 """
 
 import pytest

@@ -207,6 +207,35 @@ class TestSubsetsAndPacking:
         with pytest.raises(TopologyError, match="differs from system"):
             Fleet(systems=[system], duration_seconds=fleet.duration_seconds)
 
+    def test_packing_rejects_shelf_ids_two_systems_share(self):
+        fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(1))
+        first, second = hand_built(fleet, 0), hand_built(fleet, 1)
+        for shelf, shelf_id in zip(second.shelves, [s.shelf_id for s in first.shelves]):
+            shelf.shelf_id = shelf_id
+            for slot in shelf.slots:
+                slot.shelf_id = shelf_id
+                for disk in slot.disks:
+                    disk.shelf_id = shelf_id
+                    disk.disk_id = "%s#%s" % (slot.slot_key, disk.disk_id.rpartition("#")[2])
+        # Otherwise the first system's disk ids would find the second's.
+        with pytest.raises(TopologyError, match="duplicate shelf ids"):
+            Fleet(systems=[first, second], duration_seconds=fleet.duration_seconds)
+
+    def test_packing_rejects_raid_group_ids_two_systems_share(self):
+        fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(1))
+        first, second = hand_built(fleet, 0), hand_built(fleet, 1)
+        renamed = dict(
+            zip([g.raid_group_id for g in second.raid_groups],
+                [g.raid_group_id for g in first.raid_groups])
+        )
+        for group in second.raid_groups:
+            group.raid_group_id = renamed.get(group.raid_group_id, group.raid_group_id)
+        for shelf in second.shelves:
+            for slot in shelf.slots:
+                slot.raid_group_id = renamed.get(slot.raid_group_id, slot.raid_group_id)
+        with pytest.raises(TopologyError, match="duplicate RAID group ids"):
+            Fleet(systems=[first, second], duration_seconds=fleet.duration_seconds)
+
     def test_a_fleet_row_has_no_object_graph(self):
         fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(8))
         system = fleet.systems[0]

@@ -196,9 +196,7 @@ class TestTraceBackend:
     def test_engine_runs_under_trace_backend(self, trace_path):
         engine = SimulationEngine(
             FleetSpec.paper_default(scale=0.005),
-            injector_config=InjectorConfig(
-                hazard_backend="trace:%s" % trace_path
-            ),
+            config=RunConfig(hazard_backend="trace:%s" % trace_path),
         )
         result = engine.run(seed=9)
         counts = result.injection.counts_by_type()

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.failures.backends import resolve as resolve_backend
 from repro.failures.injector import InjectorConfig
 from repro.fleet.builder import build_fleet
 from repro.fleet.spec import FleetSpec
@@ -167,13 +168,13 @@ class TestBatchedSeeding:
 
     def test_cohort_streams_equal_per_cohort_stream(self):
         fleet = build_fleet(FleetSpec.paper_default(scale=0.002), RandomSource(21))
-        cohorts = group_cohorts(fleet, InjectorConfig())
+        cohorts = group_cohorts(fleet, InjectorConfig(), resolve_backend())
         assert len(cohorts) > 1
         src = RandomSource(5)
         batched = cohorts.streams(src)
         # A second grouping has an empty stream cache, so each stream
         # comes from RandomSource.stream.
-        single = group_cohorts(fleet, InjectorConfig())
+        single = group_cohorts(fleet, InjectorConfig(), resolve_backend())
         for index, rng in enumerate(batched):
             assert (
                 rng.bit_generator.state == single.stream(index, src).bit_generator.state

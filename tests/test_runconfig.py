@@ -67,16 +67,14 @@ class TestResolution:
     def test_engine_applies_the_config(self, trace_spec):
         spec = FleetSpec.paper_default(scale=0.001)
         config = RunConfig(hazard_backend=trace_spec)
-        engine = SimulationEngine(spec, config=config)
+        engine = SimulationEngine(
+            spec, injector_config=InjectorConfig(shocks_enabled=False), config=config
+        )
         assert type(engine.injector) is VectorFailureInjector
         assert engine.injector.backend.name == "trace"
-        # An injector config that names its backend keeps it.
-        pinned = SimulationEngine(
-            spec,
-            injector_config=InjectorConfig(hazard_backend="analytic"),
-            config=config,
-        )
-        assert pinned.injector.backend.name == "analytic"
+        # The run config is the one place that names the backend.
+        assert VectorFailureInjector(run_config=config).backend.name == "trace"
+        assert VectorFailureInjector().backend.name == "analytic"
 
 
 class TestKeys:

@@ -68,6 +68,12 @@ class TestEngine:
             == logged_sim.injection.counts_by_type()
         )
 
+    def test_scale_0_6_is_the_paper_scale_fleet(self):
+        # The ~1M-disk, 44-month run every paper-scale figure names.
+        result = SimulationEngine(FleetSpec.paper_default(scale=0.6)).run(seed=1)
+        assert result.injection.n_events() > 0
+        assert result.fleet.disk_count_ever >= 1_000_000
+
 
 class TestScenarios:
     def test_known_scenarios(self):

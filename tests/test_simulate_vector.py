@@ -60,7 +60,7 @@ def frame(pristine_fleet):
 
 @pytest.fixture(scope="module")
 def cohorts(frame):
-    return group_cohorts(frame, InjectorConfig())
+    return group_cohorts(frame, InjectorConfig(), resolve_backend())
 
 
 def _fresh_fleet(seed: int = 21, scale: float = 0.002):
@@ -116,12 +116,12 @@ class TestCohorts:
         assert len(cohorts) >= 2  # paper default mixes classes
         # Same cohort key + equal-seed sources => identical draws ...
         a = cohorts[0].stream(RandomSource(5)).random(8)
-        b = group_cohorts(frame, InjectorConfig())[0].stream(
+        b = group_cohorts(frame, InjectorConfig(), resolve_backend())[0].stream(
             RandomSource(5)
         ).random(8)
         assert np.array_equal(a, b)
         # ... while a different cohort key diverges on the same seed.
-        other = group_cohorts(frame, InjectorConfig())[1].stream(
+        other = group_cohorts(frame, InjectorConfig(), resolve_backend())[1].stream(
             RandomSource(5)
         ).random(8)
         assert not np.array_equal(a, other)
@@ -283,7 +283,7 @@ class TestVectorInjector:
         config = InjectorConfig()
         frame = build_frame(fleet)
         table = result.to_table()
-        cohorts = group_cohorts(frame, config)
+        cohorts = group_cohorts(frame, config, resolve_backend())
         for index, cohort in enumerate(cohorts):
             codes = [
                 table.system_ids.code(frame.system_ids[i])
@@ -431,7 +431,7 @@ class TestStageMajor:
 
     def test_stage_spans_and_progress_totals(self):
         fleet = _fresh_fleet(seed=5)
-        cohorts = group_cohorts(build_frame(fleet), InjectorConfig())
+        cohorts = group_cohorts(build_frame(fleet), InjectorConfig(), resolve_backend())
         slot_count = fleet.slot_count
         obs.configure(enable=True)
         PROGRESS.reset()

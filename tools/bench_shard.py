@@ -7,18 +7,17 @@ fleet, simulates it, and spills the resulting ``EventTable`` to disk;
 the merge then works over memory-mapped columns.  This tool measures
 that claim directly — it runs the same scenario unsharded and sharded
 in *separate child processes* (``ru_maxrss`` is per-process and never
-shrinks, so the two configurations must not share an interpreter) and
-appends the pair to the ``BENCH_SHARD.json`` trajectory.
+shrinks, so the two configurations must not share an interpreter),
+prints the pair and, with ``--out``, writes it as JSON.
 
 Usage::
 
-    python tools/bench_shard.py --scale 1.0 --shards 4 --out BENCH_SHARD.json
+    python tools/bench_shard.py --scale 1.0 --shards 4 --out bench-shard.json
 
-The nightly CI job runs this at ``REPRO_BENCH_SIMULATE_SCALE=1.0`` and
-uploads the refreshed trajectory as an artifact; the committed file is
-seeded from a local scale-1.0 run.  Exit status is non-zero when the
-sharded peak RSS is not below the unsharded peak, so the job doubles
-as a regression gate for the spill path.
+The nightly CI job runs this at scale 1.0 and uploads the JSON as an
+artifact.  Exit status is non-zero when the sharded peak RSS is not
+below the unsharded peak, so the job doubles as a regression gate for
+the spill path.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: Version stamped into the trajectory document.
-BENCH_SHARD_SCHEMA = 1
 
 
 def _child(mode: str, scale: float, seed: int, shards: int, workdir: str) -> int:
@@ -88,31 +84,14 @@ def _measure(mode: str, args: argparse.Namespace, workdir: str) -> dict:
     return json.loads(output.strip().splitlines()[-1])
 
 
-def _load_trajectory(path: str) -> dict:
-    if not os.path.exists(path):
-        return {"kind": "bench-shard-trajectory",
-                "schema": BENCH_SHARD_SCHEMA, "runs": []}
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("kind") != "bench-shard-trajectory":
-        raise SystemExit("%s is not a bench-shard trajectory" % path)
-    return document
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_BENCH_SIMULATE_SCALE", "1.0") or "1.0"),
-                        help="fleet scale (default: "
-                             "$REPRO_BENCH_SIMULATE_SCALE or 1.0)")
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="fleet scale (default: 1.0)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--out", default=os.path.join(REPO_ROOT,
-                                                      "BENCH_SHARD.json"))
-    parser.add_argument("--label", default=None,
-                        help="free-form tag recorded with the run "
-                             "(e.g. a commit SHA)")
+    parser.add_argument("--out", default=None,
+                        help="write the run's measurements here as JSON")
     # Internal: re-entry point for the measured child process.
     parser.add_argument("--child-mode", choices=("unsharded", "sharded"),
                         help=argparse.SUPPRESS)
@@ -139,21 +118,16 @@ def main(argv=None) -> int:
                     "seconds": sharded["seconds"]},
         "rss_ratio": round(ratio, 3),
     }
-    if args.label:
-        run["label"] = args.label
-
-    document = _load_trajectory(args.out)
-    document["runs"].append(run)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(run, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     print("scale %s, %d shards: unsharded %.1f MiB / %.1fs -> "
           "sharded %.1f MiB / %.1fs (rss ratio %.2f)"
           % (args.scale, args.shards,
              unsharded["peak_rss_mib"], unsharded["seconds"],
              sharded["peak_rss_mib"], sharded["seconds"], ratio))
-    print("wrote %s (%d runs)" % (args.out, len(document["runs"])))
 
     if sharded["events"] != unsharded["events"]:
         print("ERROR: event counts differ (sharded %d vs unsharded %d)"

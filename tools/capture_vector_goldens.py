@@ -85,26 +85,30 @@ def record_trace(directory: str) -> str:
 
 
 def setup(case: str, trace_path=None):
-    """``(spec, injector config, selection or None)`` for one case."""
+    """``(spec, injector config, run config, selection or None)`` for one
+    case."""
     from repro.failures.injector import InjectorConfig
     from repro.fleet.spec import FleetSpec
+    from repro.runconfig import RunConfig
     from repro.runtime.shard import ShardPlan
     from repro.simulate.scenario import SCENARIOS
 
     spec = FleetSpec.paper_default(scale=SCALE)
     if case in SCENARIOS:
         scenario = SCENARIOS[case]
-        return scenario.make_spec(SCALE), scenario.make_config(), None
+        return scenario.make_spec(SCALE), scenario.make_config(), RunConfig(), None
     if case == "infant-mortality":
-        return spec, InjectorConfig(infant_mortality_factor=3.0), None
+        return spec, InjectorConfig(infant_mortality_factor=3.0), RunConfig(), None
     if case == "no-recovered":
-        return spec, InjectorConfig(emit_recovered_errors=False), None
+        return spec, InjectorConfig(emit_recovered_errors=False), RunConfig(), None
     if case == "trace":
-        return spec, InjectorConfig(hazard_backend="trace:%s" % trace_path), None
+        traced = RunConfig(hazard_backend="trace:%s" % trace_path)
+        return spec, InjectorConfig(), traced, None
     if case == "slice":
         index, n_shards = SLICE_SHARD
         plan = ShardPlan.build(spec, n_shards)
-        return spec, InjectorConfig(), plan.shards[index].selection_mapping()
+        selection = plan.shards[index].selection_mapping()
+        return spec, InjectorConfig(), RunConfig(), selection
     raise ValueError("unknown case %r" % case)
 
 
@@ -114,10 +118,10 @@ def inject(case: str, seed: int, trace_path):
     from repro.rng import RandomSource
     from repro.simulate.vector.engine import VectorFailureInjector
 
-    spec, config, selection = setup(case, trace_path)
+    spec, config, run_config, selection = setup(case, trace_path)
     source = RandomSource(seed)
     fleet = build_fleet(spec, source, selection=selection)
-    result = VectorFailureInjector(config).inject(fleet, source)
+    result = VectorFailureInjector(config, run_config).inject(fleet, source)
     return fleet, result
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table/figure.
 
-Runs the full experiment registry at the benchmark scale and renders a
+Runs the full experiment registry at scale 0.05 and renders a
 markdown report.  Usage:
 
     python tools/generate_experiments_md.py [--scale 0.05] [--seed 1]
@@ -14,12 +14,16 @@ import io
 import json
 from pathlib import Path
 
+import capture_engine_oracle as oracle_tool
 from repro.core.findings import evaluate_findings
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
 from repro.failures.types import FailureType
 
+ROOT = Path(__file__).resolve().parent.parent
 #: Per-seed check verdicts of the per-unit engine at scale 0.05.
-ORACLE = Path(__file__).resolve().parent.parent / "tests/goldens/engine_oracle.json"
+ORACLE = ROOT / "tests/goldens/engine_oracle.json"
+#: The tests that assert each experiment's paper values.
+SHAPES = ROOT / "tests/test_paper_shapes.py"
 
 #: What the paper reports, per experiment id (prose, quoted in the doc).
 PAPER_VALUES = {
@@ -339,7 +343,7 @@ def main() -> None:
                 ", ".join(sorted(result.checks)),
             )
         )
-        out.write("- **Bench:** `benchmarks/test_bench_%s.py`\n\n" % _bench_file(experiment_id))
+        out.write("- **Asserted by:** %s\n\n" % _asserted_by(experiment_id))
 
     out.write("## Findings scoreboard\n\n")
     findings = evaluate_findings(context.dataset("paper-default"))
@@ -397,30 +401,31 @@ def _header(scale: float, seed: int, failed) -> str:
     return text + "\n"
 
 
-def _bench_file(experiment_id: str) -> str:
-    if experiment_id.startswith("fig5"):
-        return "fig5"
-    if experiment_id.startswith("fig9"):
-        return "fig9"
-    if experiment_id.startswith("ablate"):
-        return "ablations"
-    if experiment_id.startswith("fig4"):
-        return "fig4"
-    if experiment_id.startswith("fig7"):
-        return "fig7"
-    if experiment_id.startswith("fig10"):
-        return "fig10"
-    if experiment_id.startswith("sweep") or experiment_id.startswith("whatif"):
-        return "sensitivity"
-    if experiment_id == "predict-failures":
-        return "prediction"
-    if experiment_id == "replacement-discrepancy":
-        return "replacements"
-    if experiment_id == "proactive-policy":
-        return "policy"
-    if experiment_id == "target-ranking":
-        return "targeting"
-    return experiment_id
+#: The paper-value tests of tests/test_paper_shapes.py whose names are
+#: not ``test_<id>``; None where the oracle's verdicts are all there is.
+SHAPE_TESTS = {
+    "fig4a": None,
+    "fig5-stability": None,
+    "fig7a": "test_fig7a_midrange",
+    "fig7b": "test_fig7b_highend",
+    "fig9a": "test_fig9a_shelf",
+    "fig9b": "test_fig9b_raid_group",
+    "fig10a": "test_fig10a_shelf",
+    "fig10b": "test_fig10b_raid_group",
+    "predict-failures": "test_failure_prediction",
+}
+SHAPE_TESTS.update({"fig5%s" % panel: "test_fig5_panel[fig5%s]" % panel for panel in "abcdef"})
+
+
+def _asserted_by(experiment_id: str) -> str:
+    """The tests that assert an experiment's paper values and checks."""
+    test = SHAPE_TESTS.get(experiment_id, "test_" + experiment_id.replace("-", "_"))
+    if test is not None and "def %s(" % test.split("[")[0] not in SHAPES.read_text():
+        raise SystemExit("tests/test_paper_shapes.py has no %s" % test)
+    tests = [] if test is None else ["`tests/test_paper_shapes.py::%s`" % test]
+    if experiment_id in oracle_tool.EXPERIMENTS:
+        tests.append("`tests/test_engine_oracle.py` (shape checks over seeds 1-30)")
+    return "; ".join(tests)
 
 
 if __name__ == "__main__":

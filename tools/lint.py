@@ -32,7 +32,7 @@ import sys
 import types
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LINT_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
+LINT_DIRS = ("src", "tests", "tools", "examples")
 LINE_LENGTH = 100  # keep in sync with [tool.ruff] in pyproject.toml
 
 #: Directory names every walker prunes (compiled/pycache noise).

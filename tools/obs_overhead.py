@@ -1,24 +1,29 @@
 #!/usr/bin/env python
 """Measure tracing overhead on the full experiment suite.
 
-Runs ``repro run all`` twice in subprocesses — once bare, once with
-``--trace``/``--metrics`` — and reports the wall-time delta.  The obs
-design budget (see docs/OBSERVABILITY.md) is **< 5%**; exit status is
-non-zero when the measured overhead exceeds the budget.
+Runs ``repro run all`` in subprocesses — bare, traced (``--trace``,
+``--metrics`` and ``--events``) and sampled (traced plus the resource
+sampler and progress heartbeats) — and reports each telemetry leg's
+wall-time overhead.  The obs design budget (see docs/OBSERVABILITY.md)
+is **< 5%**; exit status is non-zero when either leg exceeds it.
 
 Usage::
 
-    PYTHONPATH=src python tools/obs_overhead.py [--scale 0.02] [--repeats 3]
+    PYTHONPATH=src python tools/obs_overhead.py [--scale 0.02] [--repeats 6]
 
-Each variant runs ``--repeats`` times interleaved (bare, traced, bare,
-traced, ...) and the *minimum* wall time per variant is compared, which
-suppresses one-off scheduling noise on shared CI runners.
+Each round runs bare, traced and sampled back to back.  Each telemetry
+leg is judged by the median, over rounds, of its overhead against the
+same round's bare run: pairing cancels the drift a shared host adds to
+all three runs of a round, and the median keeps one lucky or unlucky
+round from deciding the verdict.  The quartiles of the paired
+overheads are printed beside it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -74,8 +79,10 @@ def run_once(scale: float, trace_dir: str = "", status_dir: str = "") -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.02)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=6)
     args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2 (quartiles need two rounds)")
 
     bare: list = []
     traced: list = []
@@ -91,14 +98,15 @@ def main() -> int:
                 % (round_index + 1, bare[-1], traced[-1], sampled[-1])
             )
 
-    best_bare = min(bare)
     failed = False
     for label, timings in (("traced", traced), ("sampled", sampled)):
-        best = min(timings)
-        overhead = (best - best_bare) / best_bare
+        paired = [(run - base) / base for run, base in zip(timings, bare)]
+        overhead = statistics.median(paired)
+        low, _, high = statistics.quantiles(paired, n=4)
         print(
-            "best bare %.2fs, best %s %.2fs -> overhead %+.1f%% (budget %.0f%%)"
-            % (best_bare, label, best, 100 * overhead, 100 * BUDGET)
+            "%s: median paired overhead %+.1f%% (quartiles %+.1f%% .. %+.1f%%) "
+            "over %d rounds (budget %.0f%%)"
+            % (label, 100 * overhead, 100 * low, 100 * high, len(paired), 100 * BUDGET)
         )
         if overhead > BUDGET:
             print(
